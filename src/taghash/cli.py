@@ -295,7 +295,7 @@ def cmd_eval(args):
         rnd, snap, index = snapshots[-1]
         codes = hash_queries(qx, snap)
         pk = float(np.mean([
-            precision_at_k(hamming_rank(codes.packed[qi], index)[0],
+            precision_at_k(hamming_rank(codes.packed[qi], index, k)[0],
                            judgments.relevance(qi), k)
             for qi in range(codes.n)]))
         rows.append((rnd, state.hyper.r, f"precision_at_{k}", repr(pk)))
@@ -307,6 +307,8 @@ def cmd_eval(args):
 
 
 def cmd_query(args):
+    if args.k < 0:
+        raise UsageError(f"-k must be >= 0, got {args.k}")
     cfg = _settings(args)
     state, _, blocks, _, _ = _load_checkpoint_cfg(cfg)
     if "features" not in cfg:

@@ -42,9 +42,14 @@ def unpack_codes(packed, r):
 
 
 def hamming_distances(query_packed, db_packed):
-    """Hamming distances from one packed query row to every database row."""
-    x = np.bitwise_xor(db_packed, query_packed[None, :])
-    return np.bitwise_count(x).sum(axis=1).astype(np.int64)
+    """Hamming distances from one packed query row to every database row.
+
+    Returned in the narrowest unsigned dtype that holds the code length:
+    uint8 when words * 64 <= 255 (up to three words), uint16 otherwise.
+    """
+    counts = np.bitwise_count(np.bitwise_xor(db_packed, query_packed))
+    dtype = np.uint8 if counts.shape[1] * 64 <= 255 else np.uint16
+    return counts.sum(axis=1, dtype=dtype)
 
 
 @dataclass

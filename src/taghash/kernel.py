@@ -87,12 +87,15 @@ def rbf_map(x, anchor_set):
     """Map raw features to anchor similarities exp(-dist^2 / (2 sigma^2)).
 
     Output shape (n, m); every entry in (0, 1], with 1 exactly where a
-    sample coincides with an anchor.
+    sample coincides with an anchor.  Raises ValueError on NaN or inf
+    features, which would otherwise hash silently.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != anchor_set.d:
         raise ValueError(
             f"expected (n, {anchor_set.d}) features, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("features contain NaN or inf")
     d = _pairwise_dists(x, anchor_set.anchors)
     return np.exp(-(d * d) / (2.0 * anchor_set.kernel_width ** 2))
 

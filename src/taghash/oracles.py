@@ -49,7 +49,7 @@ def dense_rank(query_dense, db_dense):
         dists.append(int(sum(1 for a, b in zip(row, q) if a != b)))
     dists = np.asarray(dists)
     order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
-    order = np.asarray(order)
+    order = np.asarray(order, dtype=np.int64)
     return order, dists[order]
 
 

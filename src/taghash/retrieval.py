@@ -46,17 +46,31 @@ def hamming_rank(query_packed, index, k=None):
     """Rank the database by Hamming distance to one packed query code.
 
     Ascending distance; ties broken by insertion order (stable).  Returns
-    (ids, distances) of the top min(k, N) entries, or the full ranking when
-    k is None.
+    (ids, int64 distances) of the top min(k, N) entries, or the full ranking
+    when k is None.  k must be a non-negative integer.
+
+    Linear in N: distances take only r + 1 values, so a top-k query counts
+    them per value, keeps the rows at or below the k-th smallest distance
+    (already in insertion order) and sorts only those; a full ranking is a
+    stable argsort on the narrow distance dtype, which numpy runs as a
+    radix sort.
     """
+    if k is not None and (isinstance(k, bool)
+                          or not isinstance(k, (int, np.integer)) or k < 0):
+        raise ValueError(f"k must be a non-negative integer or None, "
+                         f"got {k!r}")
     query_packed = np.asarray(query_packed, dtype=np.uint64)
     if query_packed.shape != (index.packed.shape[1],):
         raise ValueError("query code length does not match index")
     dists = hamming_distances(query_packed, index.packed)
-    order = np.argsort(dists, kind="stable")
-    if k is not None:
-        order = order[:k]
-    return index.ids[order], dists[order]
+    if k is None or k >= len(dists):
+        order = np.argsort(dists, kind="stable")
+    else:
+        cum = np.cumsum(np.bincount(dists, minlength=index.r + 1))
+        cut = np.searchsorted(cum, k)
+        cand = np.flatnonzero(dists <= cut)
+        order = cand[np.argsort(dists[cand], kind="stable")[:k]]
+    return index.ids[order], dists[order].astype(np.int64)
 
 
 def snapshot_index(state, code_blocks, ids=None, model_round=None):

@@ -1,10 +1,12 @@
 import csv
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import taghash
 from taghash import cli, dataio
 from taghash.dataio import ChunkManifest, load_checkpoint
 from taghash.engine import StreamTrainer
@@ -191,6 +193,19 @@ class TestEvalAndQuery:
         assert [int(ln[2]) for ln in first] == dists.tolist()
         assert [int(ln[3]) for ln in first] == [1, 2, 3, 4]
 
+    def test_query_negative_k_is_usage_error(self, workdir, trained):
+        rc = cli.main([
+            "query", "--config", workdir["config"], "--checkpoint", trained,
+            "--features", workdir["queries"], "-k", "-1"])
+        assert rc == 1
+
+    def test_query_negative_k_checked_before_checkpoint(self, workdir):
+        rc = cli.main([
+            "query", "--config", workdir["config"],
+            "--checkpoint", str(workdir["root"] / "missing.ckpt"),
+            "--features", workdir["queries"], "-k", "-1"])
+        assert rc == 1
+
     def test_query_k_zero_is_empty(self, workdir, trained):
         out = str(workdir["root"] / "none.tsv")
         rc = cli.main([
@@ -324,7 +339,19 @@ class TestExitCodes:
         assert rc == 3
 
     def test_console_entry_point(self, workdir):
+        src = os.path.dirname(os.path.dirname(taghash.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            ["taghash", "train"], capture_output=True, text=True)
+            [sys.executable, "-m", "taghash", "train"],
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
+
+    def test_console_script_maps_to_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["taghash"] == "taghash.cli:main"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from taghash.engine import StreamTrainer
 from taghash.kernel import (AnchorSet, DegenerateKernelError,
                             InsufficientDataError, build_anchor_set,
                             compute_kernel_width, rbf_map, select_anchors)
+from taghash.model import Hyperparams
+from taghash.synthetic import make_cluster_stream
 
 
 class TestSelectAnchors:
@@ -107,3 +110,30 @@ class TestRbfMap:
         aset = AnchorSet([[0.0, 0.0]], kernel_width=1.0)
         with pytest.raises(ValueError):
             rbf_map(np.zeros((3, 3)), aset)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        aset = AnchorSet([[0.0, 0.0]], kernel_width=1.0)
+        x = np.zeros((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            rbf_map(x, aset)
+
+
+class TestTrainerInput:
+    def test_non_finite_chunk_rejected_before_training(self):
+        stream = make_cluster_stream(n_rounds=2, n_per_round=30, d=6, f=4,
+                                     n_queries=5, seed=4)
+        trainer = StreamTrainer(Hyperparams(r=8, m=10, f=4, c=9, iters=2,
+                                            dcc_sweeps=1),
+                                stream.table, seed=0)
+        trainer.process_chunk(*stream.chunks[0])
+        x, y = stream.chunks[1]
+        x = x.copy()
+        x[3, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN or inf"):
+            trainer.prepare_round(x, y)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            trainer.process_chunk(x, y)
+        assert trainer.state.round_index == 1
+        assert len(trainer.code_blocks) == 1

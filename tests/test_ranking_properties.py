@@ -1,0 +1,50 @@
+"""Property tests: hamming_rank against the dense brute-force oracle."""
+import numpy as np
+import pytest
+
+from taghash.codes import pack_codes
+from taghash.oracles import dense_rank
+from taghash.retrieval import RetrievalIndex, hamming_rank
+
+from conftest import random_codes
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@st.composite
+def ranking_case(draw):
+    """A database (often tie-heavy), a query code and a k to rank with."""
+    r = draw(st.sampled_from([1, 7, 63, 64, 65, 128, 192, 300]))
+    n = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # few distinct rows, repeated: most distances tie
+        pool = random_codes(rng, draw(st.integers(1, 3)), r)
+        db = pool[rng.integers(0, len(pool), size=n)]
+    else:
+        db = random_codes(rng, n, r)
+    if n and draw(st.booleans()):
+        q = db[rng.integers(0, n)]
+    else:
+        q = random_codes(rng, 1, r)[0]
+    k = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 5, None]))
+    return db.astype(np.int8), q.astype(np.int8), k
+
+
+class TestHammingRankProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ranking_case())
+    def test_matches_dense_oracle_prefix(self, case):
+        db, q, k = case
+        index = RetrievalIndex(packed=pack_codes(db),
+                               ids=np.arange(len(db)) * 3 + 11,
+                               r=q.shape[0], model_round=1)
+        ids, dists = hamming_rank(pack_codes(q[None, :])[0], index, k)
+        want_idx, want_d = dense_rank(q, db)
+        take = len(db) if k is None else min(k, len(db))
+        assert dists.dtype == np.int64
+        assert ids.tolist() == (want_idx[:take] * 3 + 11).tolist()
+        assert dists.tolist() == want_d[:take].tolist()

@@ -57,13 +57,15 @@ class TestHammingDistances:
         d = hamming_distances(pack_codes(a)[0], pack_codes(b))
         assert d[0] == 1
 
-    @pytest.mark.parametrize("r", [3, 16, 64, 96])
+    @pytest.mark.parametrize("r", [3, 16, 64, 96, 192, 193, 300])
     def test_matches_dense_disagreement_count(self, r):
         rng = np.random.default_rng(r + 100)
         db = random_codes(rng, 40, r).astype(np.int8)
         q = random_codes(rng, 1, r).astype(np.int8)[0]
         got = hamming_distances(pack_codes(q[None, :])[0], pack_codes(db))
         want = np.sum(db != q, axis=1)
+        # narrowest dtype holding words * 64: uint8 up to three words
+        assert got.dtype == (np.uint8 if r <= 192 else np.uint16)
         assert np.array_equal(got, want)
 
 
@@ -111,6 +113,19 @@ class TestHammingRank:
         ids, _ = hamming_rank(pack_codes(db[:1])[0], index, k=50)
         assert len(ids) == 3
 
+    @pytest.mark.parametrize("k", [-1, -5, 2.0, "3", True])
+    def test_bad_k_rejected(self, k):
+        db = np.ones((3, 4), dtype=np.int8)
+        index = self.build_index(db)
+        with pytest.raises(ValueError):
+            hamming_rank(pack_codes(db[:1])[0], index, k=k)
+
+    def test_numpy_integer_k(self):
+        db = np.ones((3, 4), dtype=np.int8)
+        index = self.build_index(db)
+        ids, _ = hamming_rank(pack_codes(db[:1])[0], index, k=np.int64(2))
+        assert ids.tolist() == [0, 1]
+
     def test_word_length_mismatch(self):
         db = np.ones((3, 4), dtype=np.int8)
         index = self.build_index(db)
@@ -147,6 +162,13 @@ class TestHashQueries:
         phi = np.exp(-d2 / (2 * 1.3 ** 2))
         want = np.where(phi @ p >= 0, 1, -1)
         assert np.array_equal(block.dense, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        state = self.state_with_projection(
+            np.ones((2, 4)), np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            hash_queries(np.array([[0.3], [bad]]), state)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
