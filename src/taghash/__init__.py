@@ -12,9 +12,8 @@ from .evaluation import (EvalJudgments, average_precision,
                          precision_at_k)
 from .kernel import (AnchorSet, build_anchor_set, compute_kernel_width,
                      rbf_map, select_anchors)
-from .model import (AccumStats, FeatureChunk, Hyperparams, ModelState,
-                    RoundData, TagChunk, commit_round, objective_value,
-                    true_tag_objective)
+from .model import (AccumStats, Hyperparams, ModelState, RoundData,
+                    commit_round, objective_value, true_tag_objective)
 from .optimizer import run_round
 from .retrieval import RetrievalIndex, hamming_rank, hash_queries, \
     snapshot_index
@@ -24,12 +23,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccumStats", "AnchorSet", "CodeBlock", "EmbeddingTable",
-    "EvalJudgments", "FeatureChunk", "Hyperparams", "ModelState",
-    "RetrievalIndex", "RoundData", "SemanticChunk", "StreamTrainer",
-    "TagChunk", "average_precision", "build_anchor_set", "commit_round",
-    "compute_kernel_width", "hamming_distances", "hamming_rank",
-    "hash_queries", "map_per_round", "mean_average_precision",
-    "objective_value", "pack_codes", "pool_semantics", "precision_at_k",
-    "rbf_map", "run_round", "select_anchors", "snapshot_index",
-    "true_tag_objective", "unpack_codes",
+    "EvalJudgments", "Hyperparams", "ModelState", "RetrievalIndex",
+    "RoundData", "SemanticChunk", "StreamTrainer", "average_precision",
+    "build_anchor_set", "commit_round", "compute_kernel_width",
+    "hamming_distances", "hamming_rank", "hash_queries", "map_per_round",
+    "mean_average_precision", "objective_value", "pack_codes",
+    "pool_semantics", "precision_at_k", "rbf_map", "run_round",
+    "select_anchors", "snapshot_index", "true_tag_objective",
+    "unpack_codes",
 ]

@@ -101,7 +101,13 @@ def rbf_map(x, anchor_set):
 
 
 def build_anchor_set(first_chunk, m, seed):
-    """Anchor selection + width estimation from the first chunk."""
-    anchors = select_anchors(first_chunk, m, seed)
-    sigma = compute_kernel_width(np.asarray(first_chunk, float), anchors)
+    """Anchor selection + width estimation from the first chunk.
+
+    Raises ValueError on NaN or inf features, as rbf_map does.
+    """
+    x = np.asarray(first_chunk, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("features contain NaN or inf")
+    anchors = select_anchors(x, m, seed)
+    sigma = compute_kernel_width(x, anchors)
     return AnchorSet(anchors, sigma)

@@ -48,25 +48,6 @@ class Hyperparams:
 
 
 @dataclass
-class FeatureChunk:
-    """One round's raw features plus their kernelized form."""
-
-    x: np.ndarray                # (n, d) raw
-    phi: np.ndarray              # (n, m) kernelized
-
-    @property
-    def n(self):
-        return self.x.shape[0]
-
-
-@dataclass
-class TagChunk:
-    """Binary tag incidence for one round."""
-
-    y: np.ndarray                # (n, c) in {0, 1}
-
-
-@dataclass
 class RoundData:
     """Everything the optimizer needs for one round, already preprocessed."""
 
@@ -137,11 +118,12 @@ class AccumStats:
             c5=np.zeros((r, f)), d1=np.zeros((r, r)), d2=np.zeros((r, c)))
 
 
-def commit_round(state, stats, chunk, b_new, weights):
+def commit_round(state, stats, chunk, b_new, weights, phi_gram=None):
     """Fold one finished round into the streaming statistics.
 
     After this the chunk's raw matrices may be discarded; only its codes
-    are kept (by the caller) for retrieval.
+    are kept (by the caller) for retrieval.  phi_gram, if given, is
+    chunk.phi.T @ chunk.phi.
     """
     if stats.rounds_committed != state.round_index:
         raise StateError(
@@ -155,7 +137,7 @@ def commit_round(state, stats, chunk, b_new, weights):
 
     stats.c1 += b.T @ b
     stats.c2 += b.T @ phi
-    stats.c3 += phi.T @ phi
+    stats.c3 += phi.T @ phi if phi_gram is None else phi_gram
     stats.c4 += phi.T @ b
     stats.c5 += b.T @ z
     bk = b * k[:, None]
@@ -174,13 +156,14 @@ def commit_round(state, stats, chunk, b_new, weights):
     return stats
 
 
-def objective_value(state, stats, chunk, b_new, weights):
+def objective_value(state, stats, chunk, b_new, weights, phi_p=None):
     """Surrogate objective with frozen reweighting diagonals.
 
     Current-chunk tag term uses the supplied weights; historical terms are
     rebuilt exactly from the accumulators.  This is the quantity each
     optimization step descends; the true row-norm objective is reported
-    separately by true_tag_objective.
+    separately by true_tag_objective.  phi_p, if given, is
+    chunk.phi @ state.p.
     """
     h = state.hyper
     b = np.asarray(b_new, dtype=np.float64)
@@ -198,17 +181,20 @@ def objective_value(state, stats, chunk, b_new, weights):
         total += stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
             + float(np.sum(w * (stats.d1 @ w)))
     if h.beta > 0:
-        res = phi - b @ u
+        # the n x m residual and its square share one buffer
+        res = b @ u
+        np.subtract(phi, res, out=res)
+        np.multiply(res, res, out=res)
         hist = float(np.trace(stats.c3)) - 2.0 * float(np.sum(u * stats.c2)) \
             + float(np.sum(u * (stats.c1 @ u)))
-        total += h.beta * (float(np.sum(res * res)) + hist)
+        total += h.beta * (float(np.sum(res)) + hist)
     if h.theta > 0:
         res = z - b @ v
         hist = stats.sz - 2.0 * float(np.sum(v * stats.c5)) \
             + float(np.sum(v * (stats.c1 @ v)))
         total += h.theta * (float(np.sum(res * res)) + hist)
     if h.mu > 0:
-        res = b - phi @ p
+        res = b - (phi @ p if phi_p is None else phi_p)
         hist = float(stats.total_rows * h.r) \
             - 2.0 * float(np.sum(p * stats.c4)) \
             + float(np.sum(p * (stats.c3 @ p)))

@@ -137,3 +137,20 @@ class TestTrainerInput:
             trainer.process_chunk(x, y)
         assert trainer.state.round_index == 1
         assert len(trainer.code_blocks) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_first_chunk_rejected_before_anchors(self, bad):
+        # the first chunk builds the anchor set, which must reject it with
+        # the same message rbf_map gives, not a kernel-width error
+        stream = make_cluster_stream(n_rounds=1, n_per_round=30, d=6, f=4,
+                                     n_queries=5, seed=4)
+        trainer = StreamTrainer(Hyperparams(r=8, m=10, f=4, c=9, iters=2,
+                                            dcc_sweeps=1),
+                                stream.table, seed=0)
+        x, y = stream.chunks[0]
+        x = x.copy()
+        x[3, 2] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            trainer.process_chunk(x, y)
+        assert trainer.state is None
+        assert trainer.code_blocks == []

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from taghash.model import (AccumStats, Hyperparams, RoundData, objective_value,
-                           true_tag_objective)
+from taghash import blas
+from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
+                           objective_value, true_tag_objective)
 from taghash.optimizer import (RoundAborted, assemble_q,
                                code_subproblem_value, compute_reweights,
                                dcc_bit_column, init_round, run_round,
@@ -340,13 +344,30 @@ class TestRunRound:
         assert np.max(np.abs(state.w)) < 0.1
         assert np.std(state.w) == pytest.approx(0.01, rel=0.5)
 
-    def test_trace_matches_manual_replay(self):
-        # replay the exact iteration schedule by hand and require the same
-        # trace, codes and projections as run_round
-        h = Hyperparams(r=4, m=6, f=3, c=5, alpha=2.0, beta=0.5, theta=0.7,
-                        mu=1.3, iters=3, dcc_sweeps=2)
+    REPLAY_CASES = {
+        "default": ({}, 9),
+        # alpha = 0 with fewer rows than anchors: the P system is singular
+        # and every P solve takes the least-squares fallback
+        "alpha0_n_below_m": ({"alpha": 0.0}, 4),
+        # no P system is built, but commit still folds phi'phi into c3
+        "mu0": ({"mu": 0.0}, 9),
+        "beta0": ({"beta": 0.0}, 9),
+    }
+
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_trace_matches_manual_replay(self, case):
+        # replay the exact iteration schedule by hand with the standalone
+        # steps, none given a cached round constant, and require the same
+        # bits as run_round: trace, codes, projections and statistics
+        overrides, n = self.REPLAY_CASES[case]
+        h = Hyperparams(**{**dict(r=4, m=6, f=3, c=5, alpha=2.0, beta=0.5,
+                                  theta=0.7, mu=1.3, iters=3, dcc_sweeps=2),
+                           **overrides})
         rng = np.random.default_rng(36)
-        chunk = random_round_data(rng, 9, h.m, h.c, h.f)
+        chunk = random_round_data(rng, n, h.m, h.c, h.f)
+        if case == "alpha0_n_below_m":
+            with pytest.raises(np.linalg.LinAlgError):
+                scipy.linalg.cho_factor(chunk.phi.T @ chunk.phi)
 
         state = make_state(h)
         stats = AccumStats.zeros(h)
@@ -357,9 +378,12 @@ class TestRunRound:
         b, k = init_round(chunk, manual, seed=3)
         manual_trace = []
         for _ in range(h.iters):
-            manual.u = update_u(mstats, chunk, b, h)
-            manual.p = update_p(mstats, chunk, b, h)
-            manual.v = update_v(mstats, chunk, b, h)
+            if h.beta > 0:
+                manual.u = update_u(mstats, chunk, b, h)
+            if h.mu > 0:
+                manual.p = update_p(mstats, chunk, b, h)
+            if h.theta > 0:
+                manual.v = update_v(mstats, chunk, b, h)
             k = compute_reweights(chunk.y, b, manual.w, h.epsilon_norm)
             manual.w = update_w(mstats, chunk, b, k, h)
             q = assemble_q(chunk, manual, k)
@@ -369,3 +393,66 @@ class TestRunRound:
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
         assert np.array_equal(state.p, manual.p)
+        commit_round(manual, mstats, chunk, b, k)
+        for field in dataclasses.fields(AccumStats):
+            assert np.array_equal(getattr(stats, field.name),
+                                  getattr(mstats, field.name)), field.name
+
+
+def record_lapack_calls(monkeypatch):
+    """Wrap scipy's cho_factor and cho_solve; returns a list that collects
+    (function, system size, scipy LAPACK threads or None) per call."""
+    pool = blas.scipy_openblas()
+    calls = []
+    for name in ("cho_factor", "cho_solve"):
+        real = getattr(scipy.linalg, name)
+
+        def wrapper(a, *args, _real=real, _name=name, **kwargs):
+            size = (a[0] if _name == "cho_solve" else a).shape[0]
+            calls.append((_name, size, pool and pool[0]()))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, wrapper)
+    return calls
+
+
+def one_round(rng, h, n=9):
+    state = make_state(h)
+    stats = AccumStats.zeros(h)
+    chunk = random_round_data(rng, n, h.m, h.c, h.f)
+    run_round(state, stats, chunk, seed=3)
+
+
+def test_p_system_factored_once_per_round(monkeypatch, small_hyper):
+    h = small_hyper
+    calls = record_lapack_calls(monkeypatch)
+    one_round(np.random.default_rng(37), h)
+    factors = [size for name, size, _ in calls if name == "cho_factor"]
+    solves = [size for name, size, _ in calls if name == "cho_solve"]
+    # one m x m factor per round serves the P solve of every iteration; the
+    # r x r systems of U, V and W are factored and solved every iteration
+    assert factors.count(h.m) == 1
+    assert solves.count(h.m) == h.iters
+    assert factors.count(h.r) == solves.count(h.r) == 3 * h.iters
+    assert len(factors) + len(solves) == 1 + 7 * h.iters
+
+
+def test_iteration_solves_run_on_one_lapack_thread(monkeypatch, small_hyper):
+    pool = blas.scipy_openblas()
+    if pool is None:
+        pytest.skip("this scipy bundles no OpenBLAS")
+    get, put = pool
+    before = get()
+    put(2)
+    try:
+        calls = record_lapack_calls(monkeypatch)
+        one_round(np.random.default_rng(38), small_hyper)
+        threads_after = get()
+    finally:
+        put(before)
+    p_factor = [t for name, size, t in calls
+                if name == "cho_factor" and size == small_hyper.m]
+    rest = [t for name, size, t in calls
+            if name == "cho_solve" or size != small_hyper.m]
+    assert p_factor == [2]
+    assert rest and set(rest) == {1}
+    assert threads_after == 2
