@@ -15,9 +15,10 @@ from . import dataio
 from .dataio import ChunkManifest, ConfigError, LoadError
 from .engine import StreamTrainer
 from .evaluation import EvalJudgments, map_per_round, precision_at_k
-from .model import Hyperparams, ModelState
+from .model import Hyperparams
 from .optimizer import RoundAborted
-from .retrieval import hamming_rank, hash_queries, snapshot_index
+from .retrieval import (hamming_rank, hash_queries, round_snapshots,
+                        snapshot_index)
 
 ABLATION_VARIANTS = {
     "woh": {},
@@ -177,14 +178,16 @@ def cmd_preprocess(args):
     new_chunks = []
     for i, y in enumerate(chunk_tags):
         tag_path = os.path.join(args.out_dir, f"tags_{i:03d}.txt")
-        dataio.save_tags(tag_path, dataio.remap_tag_columns(y, surviving))
+        dataio.save_tags(tag_path, dataio.remap_tag_columns(y, surviving),
+                         manifest.tag_format or "sparse")
         entry = dict(manifest.chunks[i])
         entry["tags"] = os.path.abspath(tag_path)
         new_chunks.append(entry)
     pruned = ChunkManifest(
         d=manifest.d, c=len(surviving), chunks=new_chunks,
         labels_dim=manifest.labels_dim,
-        tag_vocab=[manifest.tag_vocab[j] for j in surviving])
+        tag_vocab=[manifest.tag_vocab[j] for j in surviving],
+        tag_format=manifest.tag_format)
     out_manifest = os.path.join(args.out_dir, "manifest.json")
     pruned.save(out_manifest)
     print(f"kept {len(surviving)}/{manifest.c} tags -> {out_manifest}")
@@ -267,7 +270,7 @@ def cmd_eval(args):
         raise LoadError("evaluation refused: manifest declares no labels")
     qx = dataio.load_features(cfg["queries"])
     q_labels = dataio.load_tags(cfg["query_labels"], manifest.labels_dim,
-                                qx.shape[0])
+                                qx.shape[0], manifest.tag_format)
     db_labels = []
     for i in range(min(len(manifest.chunks), len(blocks))):
         _, _, labels = manifest.load_chunk(i)
@@ -277,16 +280,7 @@ def cmd_eval(args):
     judgments = EvalJudgments(query_labels=q_labels,
                               db_labels=np.concatenate(db_labels, axis=0))
 
-    snapshots = []
-    rows_seen = 0
-    for i, p in enumerate(p_history):
-        rows_seen += blocks[i].n
-        snap = ModelState(w=state.w, u=state.u, v=state.v, p=p,
-                          anchors=state.anchors, hyper=state.hyper,
-                          round_index=i + 1, total_seen=rows_seen)
-        snapshots.append(
-            (i + 1, snap, snapshot_index(snap, blocks[:i + 1],
-                                         model_round=i + 1)))
+    snapshots = round_snapshots(state, blocks, p_history)
     cutoff = int(cfg["map_cutoff"]) if "map_cutoff" in cfg else None
     rows = [(rnd, state.hyper.r, "map", repr(value))
             for rnd, value in map_per_round(snapshots, qx, judgments, cutoff)]

@@ -92,28 +92,48 @@ def _load_csv_matrix(path):
 
 # -------------------------------------------------------------------- tags
 
-def save_tags(path, y):
-    """Write a binary incidence matrix as sparse 'row,col' pairs."""
+TAG_FORMATS = ("dense", "sparse")
+
+
+def save_tags(path, y, tag_format="sparse"):
+    """Write a binary incidence matrix as sparse 'row,col' pairs, or as
+    dense 0/1 CSV."""
     y = np.asarray(y)
     with open(path, "w") as fh:
+        if tag_format == "dense":
+            for row in (y != 0).astype(int):
+                fh.write(",".join(map(str, row)) + "\n")
+            return
         for i, j in np.argwhere(y != 0):
             fh.write(f"{i},{j}\n")
 
 
-def load_tags(path, c, n):
+def load_tags(path, c, n, tag_format=None):
     """Load an (n, c) binary incidence matrix.
 
     Sparse files hold one 'row_index,tag_index' pair per line (0-based,
     duplicates collapse); dense files are 0/1 CSV with c columns per row.
+    tag_format is "dense" or "sparse"; when it is None the format is read
+    from the first line's column count, which cannot tell the two apart
+    when c == 2, so a two-column file then needs the format declared.
     """
+    if tag_format not in TAG_FORMATS + (None,):
+        raise LoadError(f"{path}: tag_format must be one of {TAG_FORMATS}, "
+                        f"got {tag_format!r}")
     with open(path, "r") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     y = np.zeros((n, c), dtype=np.int8)
     if not lines:
         return y
-    dense = len(lines[0][1].split(",")) == c and c != 2
-    if dense:
+    if tag_format is None:
+        if c == 2:
+            raise LoadError(
+                f"{path}: a file of 2-column rows may be dense 0/1 rows or "
+                "sparse 'row,tag' pairs; declare \"tag_format\": \"dense\" "
+                "or \"sparse\" in the manifest")
+        tag_format = "dense" if len(lines[0][1].split(",")) == c else "sparse"
+    if tag_format == "dense":
         if len(lines) != n:
             raise LoadError(f"{path}: expected {n} rows, got {len(lines)}")
         for row, (lineno, ln) in enumerate(lines):
@@ -228,6 +248,7 @@ class ChunkManifest:
     chunks: list                         # [{"features":..., "tags":..., ["labels":...]}]
     labels_dim: int = 0
     tag_vocab: list = field(default_factory=list)
+    tag_format: str = None               # of tag and label files; see load_tags
 
     @classmethod
     def from_file(cls, path):
@@ -237,9 +258,13 @@ class ChunkManifest:
             man = cls(
                 d=int(doc["d"]), c=int(doc["c"]), chunks=list(doc["chunks"]),
                 labels_dim=int(doc.get("labels_dim", 0)),
-                tag_vocab=list(doc.get("tag_vocab", [])))
+                tag_vocab=list(doc.get("tag_vocab", [])),
+                tag_format=doc.get("tag_format"))
         except (KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad manifest: {e}") from None
+        if man.tag_format not in TAG_FORMATS + (None,):
+            raise LoadError(f"{path}: tag_format must be one of "
+                            f"{TAG_FORMATS}, got {man.tag_format!r}")
         if not man.chunks:
             raise LoadError(f"{path}: manifest lists no chunks")
         base = os.path.dirname(os.path.abspath(path))
@@ -258,6 +283,8 @@ class ChunkManifest:
             doc["labels_dim"] = self.labels_dim
         if self.tag_vocab:
             doc["tag_vocab"] = self.tag_vocab
+        if self.tag_format:
+            doc["tag_format"] = self.tag_format
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -270,12 +297,13 @@ class ChunkManifest:
             raise LoadError(
                 f"{entry['features']}: expected {self.d} columns, "
                 f"got {x.shape[1]}")
-        y = load_tags(entry["tags"], self.c, x.shape[0])
+        y = load_tags(entry["tags"], self.c, x.shape[0], self.tag_format)
         labels = None
         if entry.get("labels"):
             if not self.labels_dim:
                 raise LoadError("manifest has label files but no labels_dim")
-            labels = load_tags(entry["labels"], self.labels_dim, x.shape[0])
+            labels = load_tags(entry["labels"], self.labels_dim, x.shape[0],
+                               self.tag_format)
         return x, y, labels
 
 

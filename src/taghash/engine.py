@@ -13,7 +13,7 @@ from . import dataio
 from .kernel import build_anchor_set, rbf_map
 from .model import AccumStats, Hyperparams, ModelState, RoundData
 from .optimizer import run_round
-from .retrieval import snapshot_index
+from .retrieval import round_snapshots, snapshot_index
 from .semantics import pool_semantics
 
 
@@ -60,23 +60,8 @@ class StreamTrainer:
         return snapshot_index(self.state, self.code_blocks)
 
     def round_snapshots(self):
-        """(round, state-with-that-round's-projection, index) per round.
-
-        Database codes are never re-hashed; only the query-side projection
-        varies by round.
-        """
-        out = []
-        rows = 0
-        for i, p in enumerate(self.p_history):
-            rows += self.code_blocks[i].n
-            snap_state = ModelState(
-                w=self.state.w, u=self.state.u, v=self.state.v, p=p,
-                anchors=self.state.anchors, hyper=self.hyper,
-                round_index=i + 1, total_seen=rows)
-            index = snapshot_index(
-                snap_state, self.code_blocks[:i + 1], model_round=i + 1)
-            out.append((i + 1, snap_state, index))
-        return out
+        """(round, state-with-that-round's-projection, index) per round."""
+        return round_snapshots(self.state, self.code_blocks, self.p_history)
 
     def save(self, path):
         dataio.save_checkpoint(

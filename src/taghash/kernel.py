@@ -58,13 +58,14 @@ def select_anchors(first_chunk, m, seed):
 
 
 def _pairwise_dists(x, anchors):
-    # (n, m) Euclidean distances; squared form clipped at 0 for stability
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ anchors.T
-        + np.sum(anchors * anchors, axis=1)[None, :]
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    # (n, m) Euclidean distances; squared form clipped at 0 for stability.
+    # Each step after the product writes into the product's buffer: an
+    # n x m array is the largest a round allocates.
+    d = 2.0 * x @ anchors.T
+    np.subtract(np.sum(x * x, axis=1)[:, None], d, out=d)
+    d += np.sum(anchors * anchors, axis=1)[None, :]
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
 
 
 def compute_kernel_width(x, anchors):
@@ -97,7 +98,10 @@ def rbf_map(x, anchor_set):
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or inf")
     d = _pairwise_dists(x, anchor_set.anchors)
-    return np.exp(-(d * d) / (2.0 * anchor_set.kernel_width ** 2))
+    np.multiply(d, d, out=d)
+    np.negative(d, out=d)
+    d /= 2.0 * anchor_set.kernel_width ** 2
+    return np.exp(d, out=d)
 
 
 def build_anchor_set(first_chunk, m, seed):

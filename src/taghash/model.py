@@ -118,12 +118,37 @@ class AccumStats:
             c5=np.zeros((r, f)), d1=np.zeros((r, r)), d2=np.zeros((r, c)))
 
 
-def commit_round(state, stats, chunk, b_new, weights, phi_gram=None):
+ROW_BLOCK = 1024
+
+
+def row_sq_norms(y, b=None, w=None):
+    """Squared norm of each row of y - b @ w, or of y when w is None.
+
+    Taken over blocks of ROW_BLOCK rows, so that no n x c residual is
+    allocated: once larger arrays have been freed, glibc serves arrays of
+    that size from its heap, and freed heap memory can stay resident after
+    the round and add to the process's peak.
+    """
+    out = np.empty(len(y))
+    for i in range(0, len(y), ROW_BLOCK):
+        rows = slice(i, i + ROW_BLOCK)
+        if w is None:
+            res = y[rows] * y[rows]
+        else:
+            res = b[rows] @ w
+            np.subtract(y[rows], res, out=res)
+            np.multiply(res, res, out=res)
+        out[rows] = np.sum(res, axis=1)
+    return out
+
+
+def commit_round(state, stats, chunk, b_new, weights, phi_gram=None,
+                 bt_phi=None):
     """Fold one finished round into the streaming statistics.
 
     After this the chunk's raw matrices may be discarded; only its codes
     are kept (by the caller) for retrieval.  phi_gram, if given, is
-    chunk.phi.T @ chunk.phi.
+    chunk.phi.T @ chunk.phi, and bt_phi is b_new.T @ chunk.phi.
     """
     if stats.rounds_committed != state.round_index:
         raise StateError(
@@ -135,15 +160,17 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram=None):
     if np.any(k <= 0):
         raise ValueError("reweighting entries must be strictly positive")
 
+    if bt_phi is None:
+        bt_phi = b.T @ phi
     stats.c1 += b.T @ b
-    stats.c2 += b.T @ phi
+    stats.c2 += bt_phi
     stats.c3 += phi.T @ phi if phi_gram is None else phi_gram
-    stats.c4 += phi.T @ b
+    stats.c4 += bt_phi.T
     stats.c5 += b.T @ z
     bk = b * k[:, None]
     stats.d1 += bk.T @ b
     stats.d2 += bk.T @ y
-    stats.sy_weighted += float(np.sum(k * np.sum(y * y, axis=1)))
+    stats.sy_weighted += float(np.sum(k * row_sq_norms(y)))
     stats.sz += float(np.sum(z * z))
     stats.rounds_committed += 1
     stats.total_rows += b.shape[0]
@@ -156,49 +183,59 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram=None):
     return stats
 
 
-def objective_value(state, stats, chunk, b_new, weights, phi_p=None):
+def objective_value(state, stats, chunk, b_new, weights, phi_gram=None,
+                    bt_phi=None):
     """Surrogate objective with frozen reweighting diagonals.
 
     Current-chunk tag term uses the supplied weights; historical terms are
     rebuilt exactly from the accumulators.  This is the quantity each
     optimization step descends; the true row-norm objective is reported
-    separately by true_tag_objective.  phi_p, if given, is
-    chunk.phi @ state.p.
+    separately by true_tag_objective.
+
+    The two kernel-feature terms, ||phi - BU||^2 and ||B - phi P||^2 over
+    history and chunk, are expanded into the statistics plus the chunk's
+    phi'phi (phi_gram) and B'phi (bt_phi), so no n x m residual is formed.
+    Either product is computed here when not given.  A NaN or inf in phi
+    makes the trace of phi'phi non-finite, so phi is checked there.
     """
     h = state.hyper
     b = np.asarray(b_new, dtype=np.float64)
-    phi, y, z = chunk.phi, chunk.y, chunk.z
+    y, z = chunk.y, chunk.z
     k = np.asarray(weights, dtype=np.float64)
-    for a in (b, phi, y, z, k):
+    if phi_gram is None:
+        phi_gram = chunk.phi.T @ chunk.phi
+    phi_sq = float(np.trace(phi_gram))
+    for a in (b, y, z, k, phi_sq):
         if not np.all(np.isfinite(a)):
             raise FloatingPointError("non-finite input to objective")
     w, u, v, p = state.w, state.u, state.v, state.p
 
     total = 0.0
     if h.tag_regression:
-        res = y - b @ w
-        total += float(np.sum(k * np.sum(res * res, axis=1)))
+        total += float(np.sum(k * row_sq_norms(y, b, w)))
         total += stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
             + float(np.sum(w * (stats.d1 @ w)))
+    if h.beta > 0 or h.mu > 0:
+        if bt_phi is None:
+            bt_phi = b.T @ chunk.phi
+        btb = stats.c1 + b.T @ b
     if h.beta > 0:
-        # the n x m residual and its square share one buffer
-        res = b @ u
-        np.subtract(phi, res, out=res)
-        np.multiply(res, res, out=res)
-        hist = float(np.trace(stats.c3)) - 2.0 * float(np.sum(u * stats.c2)) \
-            + float(np.sum(u * (stats.c1 @ u)))
-        total += h.beta * (float(np.sum(res)) + hist)
+        # sum over history and chunk of ||phi - BU||^2
+        fit = float(np.trace(stats.c3)) + phi_sq \
+            - 2.0 * float(np.sum(u * (stats.c2 + bt_phi))) \
+            + float(np.sum(u * (btb @ u)))
+        total += h.beta * fit
     if h.theta > 0:
         res = z - b @ v
         hist = stats.sz - 2.0 * float(np.sum(v * stats.c5)) \
             + float(np.sum(v * (stats.c1 @ v)))
         total += h.theta * (float(np.sum(res * res)) + hist)
     if h.mu > 0:
-        res = b - (phi @ p if phi_p is None else phi_p)
-        hist = float(stats.total_rows * h.r) \
-            - 2.0 * float(np.sum(p * stats.c4)) \
-            + float(np.sum(p * (stats.c3 @ p)))
-        total += h.mu * (float(np.sum(res * res)) + hist)
+        # sum over history and chunk of ||B - phi P||^2
+        fit = float(np.trace(btb)) \
+            - 2.0 * float(np.sum(p * (stats.c4 + bt_phi.T))) \
+            + float(np.sum(p * ((stats.c3 + phi_gram) @ p)))
+        total += h.mu * fit
     total += h.alpha * sum(
         float(np.sum(a * a)) for a in (w, u, v, p))
     return total

@@ -6,21 +6,27 @@ codes.  Every solve combines the committed streaming statistics with the
 current chunk's live contribution recomputed from the evolving codes; the
 contribution is frozen into the accumulators only at commit time.
 
+Each iteration touches the n-row chunk only where the math requires it.
 What does not depend on the codes is computed once per round: the chunk's
 Gram matrix phi'phi, and from it the factored m x m hash-projection system
-c3 + phi'phi + (alpha/mu) I; commit folds the same phi'phi into c3.  Each
-iteration then solves the P system against its new right-hand side
-c4 + phi'B only, and computes phi P once for both the code step and the
-objective.  The r x r systems of U, V and W involve B and are rebuilt and
-factored every iteration; these per-iteration solves run on one LAPACK
-thread (see taghash.blas).
+c3 + phi'phi + (alpha/mu) I; commit folds the same phi'phi into c3.  The one
+product of the codes with the kernel features, B'phi, is computed once per
+code matrix: after the random start and after each code step.  It serves
+that iteration's objective, the next iteration's U and P right-hand sides
+(c2 + B'phi and c4 + (B'phi)') and commit's c2 and c4.  The code step's
+linear term projects phi once, through beta U' + mu P.  The code step
+builds its coupling products once per call and then updates only the rows
+whose bit flipped (CodeCoupling).  The r x r systems of U, V and W involve B
+and are rebuilt and factored every iteration; these per-iteration solves
+run on one LAPACK thread (see taghash.blas).
 """
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dger
 
 from . import blas
 from .codes import CodeBlock
-from .model import commit_round, objective_value
+from .model import commit_round, objective_value, row_sq_norms
 
 
 class RoundAborted(RuntimeError):
@@ -63,10 +69,15 @@ def init_round(chunk, state, seed):
     return b, weights
 
 
-def update_u(stats, chunk, b, hyper):
-    """Ridge solve for the codes -> kernel-features projection."""
+def update_u(stats, chunk, b, hyper, bt_phi=None):
+    """Ridge solve for the codes -> kernel-features projection.
+
+    bt_phi, if given, is b.T @ chunk.phi.
+    """
+    if bt_phi is None:
+        bt_phi = b.T @ chunk.phi
     a = stats.c1 + b.T @ b + (hyper.alpha / hyper.beta) * np.eye(hyper.r)
-    return RidgeFactor(a).solve(stats.c2 + b.T @ chunk.phi)
+    return RidgeFactor(a).solve(stats.c2 + bt_phi)
 
 
 def factor_p_system(stats, chunk, hyper, phi_gram=None):
@@ -81,15 +92,18 @@ def factor_p_system(stats, chunk, hyper, phi_gram=None):
     return RidgeFactor(a)
 
 
-def update_p(stats, chunk, b, hyper, factor=None):
+def update_p(stats, chunk, b, hyper, factor=None, bt_phi=None):
     """Ridge solve for the hash projection.
 
     factor, if given, is the round's factor_p_system; without it the system
-    is built and factored here.
+    is built and factored here.  bt_phi, if given, is b.T @ chunk.phi; its
+    transpose is the chunk's part of the right-hand side.
     """
     if factor is None:
         factor = factor_p_system(stats, chunk, hyper)
-    return factor.solve(stats.c4 + chunk.phi.T @ b)
+    if bt_phi is None:
+        bt_phi = b.T @ chunk.phi
+    return factor.solve(stats.c4 + bt_phi.T)
 
 
 def update_v(stats, chunk, b, hyper):
@@ -100,8 +114,8 @@ def update_v(stats, chunk, b, hyper):
 
 def compute_reweights(y, b, w, epsilon_norm):
     """Per-row weights 1 / max(||residual row||, floor) for the tag term."""
-    res = np.asarray(y, float) - np.asarray(b, float) @ w
-    norms = np.sqrt(np.sum(res * res, axis=1))
+    norms = np.sqrt(row_sq_norms(np.asarray(y, float), np.asarray(b, float),
+                                 w))
     return 1.0 / np.maximum(norms, epsilon_norm)
 
 
@@ -116,24 +130,28 @@ def update_w(stats, chunk, b, weights, hyper):
     return RidgeFactor(a).solve(stats.d2 + bk.T @ chunk.y)
 
 
-def assemble_q(chunk, state, weights, phi_p=None):
+def assemble_q(chunk, state, weights):
     """Linear-term matrix of the code subproblem for the current chunk.
 
-    phi_p, if given, is chunk.phi @ state.p.
+    Both kernel-feature terms, beta phi U' and mu phi P, come from one
+    projection of phi.
     """
     h = state.hyper
-    q = np.zeros((chunk.n, h.r))
+    # built bit-major and returned as its column-major transpose, the
+    # layout in which update_b_dcc reads one bit's column
+    qt = np.zeros((h.r, chunk.n))
     if h.tag_regression:
-        q += weights[:, None] * (chunk.y @ state.w.T)
-    if h.beta > 0:
-        q += h.beta * (chunk.phi @ state.u.T)
+        qt += (state.w @ chunk.y.T) * weights
     if h.theta > 0:
-        q += h.theta * (chunk.z @ state.v.T)
-    if h.mu > 0:
-        if phi_p is None:
-            phi_p = chunk.phi @ state.p
-        q += h.mu * phi_p
-    return q
+        qt += h.theta * (state.v @ chunk.z.T)
+    if h.beta > 0 or h.mu > 0:
+        proj = np.zeros((h.r, h.m))
+        if h.beta > 0:
+            proj += h.beta * state.u
+        if h.mu > 0:
+            proj += h.mu * state.p.T
+        qt += proj @ chunk.phi.T
+    return qt.T
 
 
 def code_subproblem_value(b, q, state, weights):
@@ -153,23 +171,69 @@ def code_subproblem_value(b, q, state, weights):
     return val
 
 
-def dcc_bit_column(q, b, l, state, weights):
+class CodeCoupling:
+    """The code step's quadratic coupling products, kept in step with B.
+
+    The code objective couples bit l of row i to the row's other bits
+    through H = W W' (the tag term, scaled by the row weight k_i) and
+    G = beta U U' + theta V V'.  products holds C = diag(k) B H + B G
+    (n x r); bit l's linear coefficient is q_l - C_l + b_l (k H_ll + G_ll).
+    When bits of column l flip, only those rows of C change.
+    """
+
+    def __init__(self, b, state, weights):
+        h = state.hyper
+        self.gram = np.zeros((h.r, h.r))
+        if h.beta > 0:
+            self.gram += h.beta * (state.u @ state.u.T)
+        if h.theta > 0:
+            self.gram += h.theta * (state.v @ state.v.T)
+        # built bit-major, so that the n x r products are column-major like
+        # the codes in update_b_dcc and each bit's column is contiguous
+        products = self.gram @ b.T
+        self.tag = None
+        if h.tag_regression:
+            self.tag = state.w @ state.w.T
+            self.weights = weights
+            products += (self.tag @ b.T) * weights
+        self.products = products.T
+
+    def own(self, l):
+        """Coupling of bit l with itself, per row: k H_ll + G_ll."""
+        if self.tag is None:
+            return self.gram[l, l]
+        return self.weights * self.tag[l, l] + self.gram[l, l]
+
+    def flip(self, rows, l, step):
+        """Account for bit l of the given rows having moved by step (+-2)."""
+        if 8 * rows.size < len(self.products):
+            delta = step[:, None] * self.gram[l]
+            if self.tag is not None:
+                delta += (self.weights[rows] * step)[:, None] * self.tag[l]
+            self.products[rows] += delta
+            return
+        # a dense flip, as in a sweep from random codes: gathering that many
+        # strided rows costs more than rank-1 updates of every row
+        full = np.zeros(len(self.products))
+        full[rows] = step
+        self.products = dger(1.0, full, self.gram[l], a=self.products,
+                             overwrite_a=True)
+        if self.tag is not None:
+            self.products = dger(1.0, self.weights * full, self.tag[l],
+                                 a=self.products, overwrite_a=True)
+
+
+def dcc_bit_column(q, b, l, state, weights, coupling=None):
     """Optimal value of bit column l with all other bits held fixed.
 
     Sign of the bit's linear coefficient; sign(0) resolves to +1.
+    coupling, if given, is a CodeCoupling of b; without it the coupling
+    products are computed here from b.
     """
-    h = state.hyper
-    t = q[:, l].copy()
-    # exclusion products: full product minus the bit's own column
-    if h.tag_regression:
-        ww = state.w @ state.w[l]              # (r,)
-        t -= weights * (b @ ww - b[:, l] * ww[l])
-    if h.beta > 0:
-        uu = state.u @ state.u[l]
-        t -= h.beta * (b @ uu - b[:, l] * uu[l])
-    if h.theta > 0:
-        vv = state.v @ state.v[l]
-        t -= h.theta * (b @ vv - b[:, l] * vv[l])
+    if coupling is None:
+        coupling = CodeCoupling(b, state, weights)
+    # the bit's own coupling is excluded: full product minus its column
+    t = q[:, l] - coupling.products[:, l] + b[:, l] * coupling.own(l)
     return np.where(t >= 0.0, 1.0, -1.0)
 
 
@@ -177,13 +241,20 @@ def update_b_dcc(q, b, state, weights):
     """Cyclic bit-wise descent on the chunk's codes.
 
     Each bit column is set to its single-bit optimum given the others;
-    runs the configured number of full sweeps.
+    runs the configured number of full sweeps.  The coupling products are
+    built once and then updated on the rows whose bit flipped.
     """
-    b = np.asarray(b, float).copy()
+    # column-major so that each bit column is contiguous
+    b = np.array(b, dtype=float, order="F")
+    coupling = CodeCoupling(b, state, weights)
     for _ in range(state.hyper.dcc_sweeps):
         for l in range(state.hyper.r):
-            b[:, l] = dcc_bit_column(q, b, l, state, weights)
-    return b
+            col = dcc_bit_column(q, b, l, state, weights, coupling)
+            rows = np.flatnonzero(col != b[:, l])
+            if rows.size:
+                coupling.flip(rows, l, 2.0 * col[rows])
+                b[rows, l] = col[rows]
+    return np.ascontiguousarray(b)
 
 
 def run_round(state, stats, chunk, seed):
@@ -197,9 +268,9 @@ def run_round(state, stats, chunk, seed):
     saved = {n: getattr(state, n).copy() for n in ("w", "u", "v", "p")}
     b, weights = init_round(chunk, state, seed)
     phi_gram = chunk.phi.T @ chunk.phi
+    bt_phi = b.T @ chunk.phi
     if h.mu > 0:
         p_factor = factor_p_system(stats, chunk, h, phi_gram)
-    phi_p = None
     trace = []
     try:
         # the m x m factor above keeps scipy's default thread count: its
@@ -207,21 +278,21 @@ def run_round(state, stats, chunk, seed):
         with blas.one_lapack_thread():
             for _ in range(h.iters):
                 if h.beta > 0:
-                    state.u = update_u(stats, chunk, b, h)
+                    state.u = update_u(stats, chunk, b, h, bt_phi)
                 if h.mu > 0:
-                    state.p = update_p(stats, chunk, b, h, p_factor)
-                    phi_p = chunk.phi @ state.p
+                    state.p = update_p(stats, chunk, b, h, p_factor, bt_phi)
                 if h.theta > 0:
                     state.v = update_v(stats, chunk, b, h)
                 if h.tag_regression:
                     weights = compute_reweights(
                         chunk.y, b, state.w, h.epsilon_norm)
                     state.w = update_w(stats, chunk, b, weights, h)
-                q = assemble_q(chunk, state, weights, phi_p)
+                q = assemble_q(chunk, state, weights)
                 b = update_b_dcc(q, b, state, weights)
+                bt_phi = b.T @ chunk.phi
                 try:
                     obj = objective_value(
-                        state, stats, chunk, b, weights, phi_p)
+                        state, stats, chunk, b, weights, phi_gram, bt_phi)
                 except FloatingPointError as exc:
                     raise RoundAborted(str(exc)) from exc
                 if not np.isfinite(obj):
@@ -232,5 +303,5 @@ def run_round(state, stats, chunk, seed):
         for n, a in saved.items():
             setattr(state, n, a)
         raise
-    commit_round(state, stats, chunk, b, weights, phi_gram)
+    commit_round(state, stats, chunk, b, weights, phi_gram, bt_phi)
     return CodeBlock(b.astype(np.int8)), trace

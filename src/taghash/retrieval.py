@@ -4,7 +4,7 @@ Database codes are the codes learned when their chunk arrived; they are
 never re-hashed when the projection later changes.  Queries always use the
 latest projection.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,3 +92,19 @@ def snapshot_index(state, code_blocks, ids=None, model_round=None):
         ids = np.arange(n, dtype=np.int64)
     return RetrievalIndex(packed=packed, ids=ids, r=r,
                           model_round=model_round)
+
+
+def round_snapshots(state, code_blocks, p_history):
+    """(round, state with that round's projection, index) for every round.
+
+    Database codes are never re-hashed; only the query-side projection
+    varies by round.
+    """
+    out = []
+    rows = 0
+    for i, p in enumerate(p_history):
+        rows += code_blocks[i].n
+        snap = replace(state, p=p, round_index=i + 1, total_seen=rows)
+        out.append((i + 1, snap, snapshot_index(
+            snap, code_blocks[:i + 1], model_round=i + 1)))
+    return out

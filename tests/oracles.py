@@ -38,6 +38,35 @@ def batch_stats(chunks, codes, frozen_weights, hyper):
     return out
 
 
+def dcc_fresh_products(q, b, state, weights):
+    """Cyclic bit-wise code descent with every coupling product recomputed.
+
+    Bit l of row i becomes the sign (sign(0) = +1) of
+    q_il - sum over j != l of b_ij (k_i (WW')_jl + beta (UU')_jl
+    + theta (VV')_jl), the terms gated like the model's.  The sum is taken
+    afresh over the other bits' current values for every bit.  Returns the
+    codes after hyper.dcc_sweeps sweeps.
+    """
+    h = state.hyper
+    b = np.array(b, dtype=float)
+    k = np.asarray(weights, dtype=float)
+    couplings = []
+    if h.tag_regression:
+        couplings.append((k, state.w))
+    if h.beta > 0:
+        couplings.append((h.beta, state.u))
+    if h.theta > 0:
+        couplings.append((h.theta, state.v))
+    for _ in range(h.dcc_sweeps):
+        for l in range(h.r):
+            others = np.arange(h.r) != l
+            t = q[:, l].copy()
+            for scale, a in couplings:
+                t -= scale * (b[:, others] @ (a[others] @ a[l]))
+            b[:, l] = np.where(t >= 0.0, 1.0, -1.0)
+    return b
+
+
 def dense_rank(query_dense, db_dense):
     """Rank +-1 database codes by disagreement count with one query code.
 

@@ -22,11 +22,11 @@ from taghash.optimizer import (assemble_q, code_subproblem_value,
                                compute_reweights, dcc_bit_column, init_round,
                                update_b_dcc, update_p, update_u, update_v,
                                update_w)
-from taghash.oracles import batch_stats, naive_average_precision, naive_map
 from taghash.retrieval import hamming_rank, hash_queries
 from taghash.synthetic import make_cluster_stream
 
 from conftest import make_state, random_codes, random_round_data
+from oracles import batch_stats, naive_average_precision, naive_map
 
 PASS = "criterion {n:2d} ({name}): PASS"
 

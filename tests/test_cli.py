@@ -162,6 +162,47 @@ class TestEvalAndQuery:
         assert map_rows[3] == pytest.approx(want, abs=1e-12)
         assert 0.0 <= map_rows[1] <= 1.0
 
+    def test_eval_reads_labels_in_declared_format(self, workdir, trained,
+                                                  tmp_path):
+        # the manifest's tag_format applies to its tag and label files and
+        # to --query-labels: the same files written dense give the same
+        # report, and declared sparse they are refused
+        stream = workdir["stream"]
+        man = ChunkManifest.from_file(workdir["manifest"])
+        for i, entry in enumerate(man.chunks):
+            entry["tags"] = str(tmp_path / f"chunk_{i}.tags")
+            entry["labels"] = str(tmp_path / f"chunk_{i}.labels")
+            dataio.save_tags(entry["tags"], stream.chunks[i][1], "dense")
+            dataio.save_tags(entry["labels"], stream.chunk_labels[i],
+                             "dense")
+        ql_path = str(tmp_path / "queries.labels")
+        dataio.save_tags(ql_path, stream.query_labels, "dense")
+
+        def evaluate(manifest, query_labels, tag_format):
+            man.tag_format = tag_format
+            man.save(manifest)
+            metrics = str(tmp_path / "eval.csv")
+            rc = cli.main([
+                "eval", "--config", workdir["config"],
+                "--checkpoint", trained, "--manifest", manifest,
+                "--queries", workdir["queries"],
+                "--query-labels", query_labels, "--metrics", metrics])
+            if rc != 0:
+                return rc, None
+            with open(metrics) as fh:
+                return rc, fh.read()
+
+        dense_man = str(tmp_path / "dense.json")
+        rc, dense_report = evaluate(dense_man, ql_path, "dense")
+        assert rc == 0
+        rc, sparse_report = evaluate(str(tmp_path / "sparse.json"),
+                                     workdir["query_labels"], None)
+        assert rc == 0 and dense_report == sparse_report
+        # with sparse chunk files only --query-labels is read as declared
+        sparse_chunks = ChunkManifest.from_file(workdir["manifest"])
+        man.chunks = sparse_chunks.chunks
+        assert evaluate(dense_man, ql_path, "sparse")[0] == 2
+
     def test_eval_precision_k(self, workdir, trained):
         metrics = str(workdir["root"] / "evalp.csv")
         rc = cli.main([
@@ -271,6 +312,23 @@ class TestPreprocess:
         assert pruned.tag_vocab == ["a"]
         _, y, _ = pruned.load_chunk(0)
         assert y.sum() == 4
+
+    def test_keeps_the_declared_tag_format(self, tmp_path):
+        man_path, emb = self.build_raw(tmp_path)
+        man = ChunkManifest.from_file(man_path)
+        _, y, _ = man.load_chunk(0)
+        dataio.save_tags(man.chunks[0]["tags"], y, "dense")
+        man.tag_format = "dense"
+        man.save(man_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["preprocess", "--manifest", man_path,
+                         "--embeddings", emb, "--min-count", "2",
+                         "--out-dir", out]) == 0
+        pruned = ChunkManifest.from_file(os.path.join(out, "manifest.json"))
+        assert pruned.tag_format == "dense"
+        with open(pruned.chunks[0]["tags"]) as fh:
+            assert fh.read().split() == ["1", "1", "1", "1", "0", "0"]
+        assert np.array_equal(pruned.load_chunk(0)[1], y[:, :1])
 
     def test_idempotent_on_its_own_output(self, tmp_path):
         man_path, emb = self.build_raw(tmp_path)

@@ -4,10 +4,10 @@ import pytest
 from taghash.codes import CodeBlock, pack_codes
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision, precision_at_k)
-from taghash.oracles import naive_average_precision, naive_map
 from taghash.retrieval import RetrievalIndex
 
 from conftest import random_codes
+from oracles import naive_average_precision, naive_map
 
 
 def make_index(dense, ids=None):

@@ -119,6 +119,41 @@ class TestTagFiles:
         path.write_text("")
         assert np.array_equal(load_tags(str(path), 4, 2), np.zeros((2, 4)))
 
+    def test_two_columns_load_as_declared(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("1,0\n0,1\n1,1\n")
+        assert np.array_equal(load_tags(str(path), 2, 3, "dense"),
+                              [[1, 0], [0, 1], [1, 1]])
+        assert np.array_equal(load_tags(str(path), 2, 3, "sparse"),
+                              [[0, 1], [1, 1], [0, 0]])
+
+    def test_two_columns_undeclared_is_ambiguous(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("1,0\n0,1\n1,1\n")
+        with pytest.raises(LoadError, match="tag_format"):
+            load_tags(str(path), 2, 3)
+
+    def test_declared_format_overrides_detection(self, tmp_path):
+        # a dense row that detection would accept is not a 'row,tag' pair
+        path = tmp_path / "y.txt"
+        path.write_text("0,1,0\n")
+        with pytest.raises(LoadError, match="pair"):
+            load_tags(str(path), 3, 1, "sparse")
+
+    @pytest.mark.parametrize("tag_format", ["dense", "sparse"])
+    def test_roundtrip_in_either_format(self, tmp_path, tag_format):
+        rng = np.random.default_rng(4)
+        y = (rng.random((7, 2)) < 0.5).astype(np.int8)
+        path = str(tmp_path / "y.txt")
+        save_tags(path, y, tag_format)
+        assert np.array_equal(load_tags(path, 2, 7, tag_format), y)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("0,1\n")
+        with pytest.raises(LoadError, match="tag_format"):
+            load_tags(str(path), 3, 1, "csv")
+
 
 class TestEmbeddings:
     def test_parse_and_lookup(self, tmp_path):
@@ -203,6 +238,31 @@ class TestManifestAndConfig:
         man.save(path)
         with pytest.raises(LoadError, match="expected 3 columns"):
             ChunkManifest.from_file(path).load_chunk(0)
+
+    def test_tag_format_applies_to_tags_and_labels(self, tmp_path):
+        (tmp_path / "c0.tags").write_text("1,0\n0,1\n1,1\n")
+        (tmp_path / "c0.labels").write_text("0,1\n0,1\n1,0\n")
+        save_features(str(tmp_path / "c0.bin"), np.zeros((3, 2)))
+        entry = {"features": "c0.bin", "tags": "c0.tags",
+                 "labels": "c0.labels"}
+        path = str(tmp_path / "manifest.json")
+        ChunkManifest(d=2, c=2, chunks=[entry], labels_dim=2).save(path)
+        with pytest.raises(LoadError, match="tag_format"):
+            ChunkManifest.from_file(path).load_chunk(0)
+        ChunkManifest(d=2, c=2, chunks=[entry], labels_dim=2,
+                      tag_format="dense").save(path)
+        loaded = ChunkManifest.from_file(path)
+        assert loaded.tag_format == "dense"
+        _, y, labels = loaded.load_chunk(0)
+        assert np.array_equal(y, [[1, 0], [0, 1], [1, 1]])
+        assert np.array_equal(labels, [[0, 1], [0, 1], [1, 0]])
+
+    def test_bad_tag_format_in_manifest(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"d": 2, "c": 2, "tag_format": "csv", '
+                        '"chunks": [{"features": "a", "tags": "b"}]}')
+        with pytest.raises(LoadError, match="tag_format"):
+            ChunkManifest.from_file(str(path))
 
     def test_empty_chunk_list(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -3,10 +3,10 @@ import pytest
 
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
                            StateError, commit_round, objective_value)
-from taghash.oracles import batch_stats
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
+from oracles import batch_stats
 
 STAT_KEYS = ("c1", "c2", "c3", "c4", "c5", "d1", "d2")
 
@@ -154,13 +154,18 @@ class TestObjectiveValue:
                                cur_k)
         assert got == pytest.approx(want, rel=1e-9)
 
-    def test_nan_rejected(self, small_hyper):
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["phi", "y", "z", "weights", "b"])
+    def test_nan_rejected(self, small_hyper, where, value):
         rng = np.random.default_rng(8)
         state = make_state(small_hyper)
         stats = AccumStats.zeros(small_hyper)
         chunk = random_round_data(rng, 4, small_hyper.m, small_hyper.c,
                                   small_hyper.f)
-        chunk.phi[0, 0] = np.nan
+        b = random_codes(rng, 4, small_hyper.r)
+        k = np.ones(4)
+        bad = {"phi": chunk.phi, "y": chunk.y, "z": chunk.z, "weights": k,
+               "b": b}[where]
+        bad.flat[1] = value
         with pytest.raises(FloatingPointError):
-            objective_value(state, stats, chunk,
-                            random_codes(rng, 4, small_hyper.r), np.ones(4))
+            objective_value(state, stats, chunk, b, k)

@@ -15,6 +15,7 @@ from taghash.optimizer import (RoundAborted, assemble_q,
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
+from oracles import dcc_fresh_products
 
 
 def stacked_problem(rng, hyper, n_hist=3, n_rows=8, n_cur=6):
@@ -217,6 +218,40 @@ class TestCodeDescent:
                 cur = code_subproblem_value(b, q, state, k)
                 assert cur <= prev + 1e-9
                 prev = cur
+
+    DCC_CASES = {
+        "default": {},
+        "no_tag_regression": {"tag_regression": False},
+        "beta0": {"beta": 0.0},
+        "theta0": {"theta": 0.0},
+        "quadratic_off": {"beta": 0.0, "theta": 0.0,
+                          "tag_regression": False},
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", list(DCC_CASES))
+    def test_matches_fresh_product_reference(self, case, seed):
+        # update_b_dcc builds its coupling products once and updates only
+        # the flipped rows; it must give the codes of the column rule with
+        # every product recomputed.  Random starting codes make the first
+        # sweep dense, later sweeps flip few rows; weights span e^-9..e^9.
+        h = Hyperparams(**{**dict(r=12, m=20, f=6, c=15, alpha=1.0,
+                                  beta=0.5, theta=0.4, mu=3.0, dcc_sweeps=4),
+                           **self.DCC_CASES[case]})
+        rng = np.random.default_rng(40 + seed)
+        state = make_state(h)
+        state.w = rng.normal(scale=0.3, size=(h.r, h.c))
+        state.u = rng.normal(scale=0.3, size=(h.r, h.m))
+        state.v = rng.normal(scale=0.3, size=(h.r, h.f))
+        state.p = rng.normal(size=(h.m, h.r))
+        n = 400
+        chunk = random_round_data(rng, n, h.m, h.c, h.f)
+        k = np.exp(rng.normal(scale=3.0, size=n))
+        q = assemble_q(chunk, state, k)
+        b0 = random_codes(rng, n, h.r)
+        got = update_b_dcc(q, b0, state, k)
+        assert np.array_equal(got, dcc_fresh_products(q, b0, state, k))
+        assert not np.array_equal(got, b0)
 
     def converged_instance(self, seed, n=4, r=3):
         h = Hyperparams(r=r, m=5, f=3, c=4, alpha=1.0, beta=0.5, theta=0.4,

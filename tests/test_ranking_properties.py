@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from taghash.codes import pack_codes
-from taghash.oracles import dense_rank
 from taghash.retrieval import RetrievalIndex, hamming_rank
 
 from conftest import random_codes
+from oracles import dense_rank
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings

@@ -5,11 +5,11 @@ from taghash.codes import (CodeBlock, hamming_distances, pack_codes,
                            unpack_codes)
 from taghash.kernel import AnchorSet
 from taghash.model import Hyperparams, ModelState
-from taghash.oracles import dense_rank
 from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
                                snapshot_index)
 
 from conftest import make_state, random_codes
+from oracles import dense_rank
 
 
 class TestPacking:
