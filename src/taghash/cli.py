@@ -14,7 +14,8 @@ import numpy as np
 from . import dataio
 from .dataio import ChunkManifest, ConfigError, LoadError
 from .engine import StreamTrainer
-from .evaluation import EvalJudgments, map_per_round, precision_at_k
+from .evaluation import (EvalJudgments, map_per_round, precision_at_k,
+                         query_relevance)
 from .model import Hyperparams
 from .optimizer import RoundAborted
 from .retrieval import (hamming_rank, hash_queries, round_snapshots,
@@ -268,14 +269,22 @@ def cmd_eval(args):
     manifest = ChunkManifest.from_file(_require(cfg, "manifest"))
     if not manifest.labels_dim:
         raise LoadError("evaluation refused: manifest declares no labels")
+    if len(manifest.chunks) < len(blocks):
+        raise LoadError(
+            f"evaluation refused: manifest lists {len(manifest.chunks)} "
+            f"chunks but the checkpoint has {len(blocks)} rounds")
     qx = dataio.load_features(cfg["queries"])
     q_labels = dataio.load_tags(cfg["query_labels"], manifest.labels_dim,
                                 qx.shape[0], manifest.tag_format)
     db_labels = []
-    for i in range(min(len(manifest.chunks), len(blocks))):
+    for i in range(len(blocks)):
         _, _, labels = manifest.load_chunk(i)
         if labels is None:
             raise LoadError(f"evaluation refused: chunk {i} has no labels")
+        if len(labels) != blocks[i].n:
+            raise LoadError(
+                f"evaluation refused: chunk {i} has {len(labels)} label rows "
+                f"but round {i + 1} of the checkpoint has {blocks[i].n} codes")
         db_labels.append(labels)
     judgments = EvalJudgments(query_labels=q_labels,
                               db_labels=np.concatenate(db_labels, axis=0))
@@ -289,9 +298,8 @@ def cmd_eval(args):
         rnd, snap, index = snapshots[-1]
         codes = hash_queries(qx, snap)
         pk = float(np.mean([
-            precision_at_k(hamming_rank(codes.packed[qi], index, k)[0],
-                           judgments.relevance(qi), k)
-            for qi in range(codes.n)]))
+            precision_at_k(hamming_rank(codes.packed[qi], index, k)[0], rel, k)
+            for qi, rel in query_relevance(judgments, codes.n)]))
         rows.append((rnd, state.hyper.r, f"precision_at_{k}", repr(pk)))
     if "metrics" in cfg:
         _write_metrics(cfg["metrics"], rows)

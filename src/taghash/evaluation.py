@@ -12,6 +12,11 @@ import numpy as np
 from .retrieval import hamming_rank, hash_queries
 
 
+# queries whose relevance rows one label product builds: keeps the
+# (block x database) temporaries small while each product stays one BLAS call
+QUERY_BLOCK = 32
+
+
 @dataclass
 class EvalJudgments:
     """Binary label matrices for queries and database records."""
@@ -19,10 +24,39 @@ class EvalJudgments:
     query_labels: np.ndarray     # (n_q, L)
     db_labels: np.ndarray        # (N, L), rows aligned to database ids
 
+    def __post_init__(self):
+        q, db = np.shape(self.query_labels), np.shape(self.db_labels)
+        if len(q) != 2 or len(db) != 2 or q[1] != db[1]:
+            raise ValueError(
+                f"label matrices must be 2-D with equal widths, got query "
+                f"labels {q} and database labels {db}")
+
     def relevance(self, query_idx):
-        """Boolean relevance of every database id to one query."""
-        q = self.query_labels[query_idx]
-        return (self.db_labels @ q) > 0
+        """Boolean relevance of every database id to the given queries.
+
+        query_idx is one query index, giving an (N,) row, or a slice or
+        index array, giving a (queries, N) matrix.  Labels are binarized
+        before the product, which runs in float32 (exact up to 2**24 shared
+        labels), so no count can wrap around in a narrow label dtype.
+        """
+        q = (self.query_labels[query_idx] != 0).astype(np.float32)
+        db = (self.db_labels != 0).astype(np.float32)
+        return (q @ db.T) > 0
+
+
+def query_relevance(judgments, n_queries):
+    """Yield (query index, relevance row) for the first n_queries queries.
+
+    Rows come from one label product per QUERY_BLOCK queries.
+    """
+    if n_queries > len(judgments.query_labels):
+        raise ValueError(
+            f"{n_queries} queries but only {len(judgments.query_labels)} "
+            f"rows of query labels")
+    for start in range(0, n_queries, QUERY_BLOCK):
+        block = judgments.relevance(
+            slice(start, min(start + QUERY_BLOCK, n_queries)))
+        yield from enumerate(block, start)
 
 
 def average_precision(ranked_ids, relevant, total_relevant=None):
@@ -41,11 +75,11 @@ def average_precision(ranked_ids, relevant, total_relevant=None):
     ranked_ids = np.asarray(ranked_ids)
     if ranked_ids.size == 0:
         raise ValueError("ranked list is empty")
-    hits = relevant[ranked_ids]
+    # the precision at the i-th hit, found at rank ranks[i - 1], is
+    # i / ranks[i - 1]: only the hits are visited
+    ranks = np.flatnonzero(relevant[ranked_ids]) + 1
     denom = min(total_relevant, len(ranked_ids))
-    cum = np.cumsum(hits)
-    prec = cum / np.arange(1, len(ranked_ids) + 1)
-    return float(np.sum(prec[hits]) / denom)
+    return float(np.sum(np.arange(1, len(ranks) + 1) / ranks) / denom)
 
 
 def precision_at_k(ranked_ids, relevant, k):
@@ -67,9 +101,8 @@ def mean_average_precision(query_codes, index, judgments, cutoff=None):
     """
     aps = []
     excluded = 0
-    for qi in range(query_codes.n):
-        rel = judgments.relevance(qi)
-        in_db = int(rel[index.ids].sum())
+    for qi, rel in query_relevance(judgments, query_codes.n):
+        in_db = int(np.count_nonzero(rel[index.ids]))
         if in_db == 0:
             excluded += 1
             continue

@@ -370,6 +370,53 @@ class TestExitCodes:
                        "--query-labels", workdir["query_labels"]])
         assert rc == 2
 
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def three_rounds(workdir):
+        ckpt = str(workdir["root"] / "exit.ckpt")
+        assert run_train(workdir, ckpt) == 0
+        return ckpt
+
+    def eval_with_chunks(self, workdir, ckpt, chunks, tmp_path):
+        man = ChunkManifest.from_file(workdir["manifest"])
+        man.chunks = chunks
+        man_path = str(tmp_path / "m.json")
+        man.save(man_path)
+        return cli.main(["eval", "--config", workdir["config"],
+                         "--checkpoint", ckpt, "--manifest", man_path,
+                         "--queries", workdir["queries"],
+                         "--query-labels", workdir["query_labels"]])
+
+    def test_short_manifest_for_eval_is_data_error(self, workdir,
+                                                   three_rounds, tmp_path,
+                                                   capsys):
+        chunks = ChunkManifest.from_file(workdir["manifest"]).chunks
+        rc = self.eval_with_chunks(workdir, three_rounds, chunks[:2],
+                                   tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "2 chunks" in err and "3 rounds" in err
+
+    def test_eval_label_rows_must_match_round_codes(self, workdir,
+                                                    three_rounds, tmp_path,
+                                                    capsys):
+        # a chunk whose files agree with each other but not with the codes
+        # the checkpoint committed for that round
+        stream = workdir["stream"]
+        (x, y), labels = stream.chunks[0], stream.chunk_labels[0]
+        short = {"features": str(tmp_path / "short.bin"),
+                 "tags": str(tmp_path / "short.tags"),
+                 "labels": str(tmp_path / "short.labels")}
+        dataio.save_features(short["features"], x[:40])
+        dataio.save_tags(short["tags"], y[:40])
+        dataio.save_tags(short["labels"], labels[:40])
+        chunks = ChunkManifest.from_file(workdir["manifest"]).chunks
+        rc = self.eval_with_chunks(workdir, three_rounds,
+                                   [short] + chunks[1:], tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "40 label rows" in err and "60 codes" in err
+
     def test_corrupt_feature_file_is_data_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"WOHF\x10\x00\x00\x00\x02\x00\x00\x00shrt")

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from taghash.codes import CodeBlock, pack_codes
-from taghash.evaluation import (EvalJudgments, average_precision,
-                                mean_average_precision, precision_at_k)
-from taghash.retrieval import RetrievalIndex
+from taghash.evaluation import (QUERY_BLOCK, EvalJudgments,
+                                average_precision, mean_average_precision,
+                                precision_at_k, query_relevance)
+from taghash.retrieval import RetrievalIndex, hamming_rank
 
 from conftest import random_codes
 from oracles import naive_average_precision, naive_map
@@ -15,6 +16,77 @@ def make_index(dense, ids=None):
                           ids=np.arange(len(dense))
                           if ids is None else np.asarray(ids),
                           r=dense.shape[1], model_round=1)
+
+
+def per_query_map(query_codes, index, query_labels, db_labels, cutoff=None):
+    """MAP computed one query at a time: an integer label product per query
+    and the AP as the mean of the cumulative precision at each hit."""
+    aps, excluded = [], 0
+    for qi in range(query_codes.n):
+        rel = (db_labels @ query_labels[qi]) > 0
+        in_db = int(rel[index.ids].sum())
+        if in_db == 0:
+            excluded += 1
+            continue
+        ids, _ = hamming_rank(query_codes.packed[qi], index, cutoff)
+        hits = rel[ids]
+        prec = np.cumsum(hits) / np.arange(1, len(ids) + 1)
+        aps.append(float(np.sum(prec[hits]) / min(in_db, len(ids))))
+    if not aps:
+        return float("nan"), excluded
+    return float(np.mean(aps)), excluded
+
+
+class TestEvalJudgments:
+    def test_shared_label_count_does_not_wrap_in_int8(self):
+        # 256 shared labels wrap to 0 in an int8 accumulator
+        query = np.zeros((1, 300), dtype=np.int8)
+        query[0, :256] = 1
+        db = np.zeros((2, 300), dtype=np.int8)
+        db[0] = 1
+        db[1, 256:] = 1
+        judgments = EvalJudgments(query_labels=query, db_labels=db)
+        assert judgments.relevance(0).tolist() == [True, False]
+
+    def test_block_rows_equal_single_rows(self):
+        rng = np.random.default_rng(5)
+        labels_q = (rng.random((7, 5)) < 0.3).astype(np.int8)
+        labels_db = (rng.random((40, 5)) < 0.3).astype(np.int8)
+        judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
+        block = judgments.relevance(slice(2, 6))
+        assert block.dtype == bool and block.shape == (4, 40)
+        for row, qi in zip(block, range(2, 6)):
+            assert np.array_equal(row, judgments.relevance(qi))
+        assert np.array_equal(judgments.relevance(np.array([5, 2])),
+                              block[[3, 0]])
+
+    def test_query_relevance_covers_every_query_in_order(self):
+        rng = np.random.default_rng(6)
+        n_q = 2 * QUERY_BLOCK + 3
+        labels_q = (rng.random((n_q, 4)) < 0.4).astype(int)
+        labels_db = (rng.random((25, 4)) < 0.4).astype(int)
+        judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
+        rows = list(query_relevance(judgments, n_q))
+        assert [qi for qi, _ in rows] == list(range(n_q))
+        for qi, rel in rows:
+            assert np.array_equal(rel, labels_db @ labels_q[qi] > 0)
+
+    def test_more_queries_than_label_rows_rejected(self):
+        judgments = EvalJudgments(query_labels=np.ones((3, 2)),
+                                  db_labels=np.ones((4, 2)))
+        assert len(list(query_relevance(judgments, 2))) == 2
+        with pytest.raises(ValueError, match="4 queries"):
+            list(query_relevance(judgments, 4))
+
+    @pytest.mark.parametrize("query_shape, db_shape", [
+        ((3,), (5, 3)), ((2, 3), (5,)), ((2, 3, 1), (5, 3)), ((2, 3), (5, 4)),
+    ])
+    def test_bad_shapes_rejected(self, query_shape, db_shape):
+        with pytest.raises(ValueError) as err:
+            EvalJudgments(query_labels=np.zeros(query_shape),
+                          db_labels=np.zeros(db_shape))
+        assert str(query_shape) in str(err.value)
+        assert str(db_shape) in str(err.value)
 
 
 class TestAveragePrecision:
@@ -106,7 +178,6 @@ class TestMeanAveragePrecision:
         index = make_index(db)
         got, _ = mean_average_precision(queries, index, judgments)
 
-        from taghash.retrieval import hamming_rank
         rankings, rels = [], []
         for qi in range(n_q):
             rel = judgments.relevance(qi)
@@ -180,3 +251,29 @@ class TestMeanAveragePrecision:
         cut, _ = mean_average_precision(queries, index, judgments, cutoff=5)
         assert np.isfinite(full) and np.isfinite(cut)
         assert 0.0 <= cut <= 1.0
+
+    @pytest.mark.parametrize("n_q, sub_index, cutoff", [
+        (QUERY_BLOCK - 1, False, None),
+        (3 * QUERY_BLOCK + 5, False, None),
+        (3 * QUERY_BLOCK + 5, True, None),
+        (3 * QUERY_BLOCK + 5, False, 12),
+        (2 * QUERY_BLOCK, True, 12),
+    ])
+    def test_equals_per_query_formula(self, n_q, sub_index, cutoff):
+        rng = np.random.default_rng(n_q + 10 * sub_index + (cutoff or 0))
+        n_db, r, n_labels = 300, 12, 6
+        db = random_codes(rng, n_db, r).astype(np.int8)
+        queries = CodeBlock(random_codes(rng, n_q, r).astype(np.int8))
+        # multi-label records; some queries have no relevant item
+        labels_db = (rng.random((n_db, n_labels)) < 0.25).astype(int)
+        labels_q = (rng.random((n_q, n_labels)) < 0.2).astype(int)
+        judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
+        if sub_index:
+            ids = np.sort(rng.choice(n_db, size=170, replace=False))[::-1]
+            index = make_index(db[ids], ids=ids)
+        else:
+            index = make_index(db)
+        got = mean_average_precision(queries, index, judgments, cutoff)
+        want = per_query_map(queries, index, labels_q, labels_db, cutoff)
+        assert want[1] > 0
+        assert got == want

@@ -1,12 +1,14 @@
-"""Property tests: hamming_rank against the dense brute-force oracle."""
+"""Property tests: hamming_rank against the dense brute-force oracle, and
+average_precision against the O(n^2) reference."""
 import numpy as np
 import pytest
 
 from taghash.codes import pack_codes
+from taghash.evaluation import average_precision
 from taghash.retrieval import RetrievalIndex, hamming_rank
 
 from conftest import random_codes
-from oracles import dense_rank
+from oracles import dense_rank, naive_average_precision
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -48,3 +50,18 @@ class TestHammingRankProperties:
         assert dists.dtype == np.int64
         assert ids.tolist() == (want_idx[:take] * 3 + 11).tolist()
         assert dists.tolist() == want_d[:take].tolist()
+
+
+class TestAveragePrecisionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=300),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_naive_reference(self, relevance, seed):
+        relevant = np.array(relevance)
+        ranked = np.random.default_rng(seed).permutation(len(relevant))
+        got = average_precision(ranked, relevant)
+        want = naive_average_precision(relevant[ranked])
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=1e-12)
