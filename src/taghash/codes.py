@@ -10,35 +10,20 @@ import numpy as np
 
 
 def pack_codes(dense):
-    """Pack (n, r) +-1 codes into (n, ceil(r/64)) uint64 words."""
+    """Pack (n, r) +-1 codes into (n, ceil(r/64)) native uint64 words."""
     d = np.asarray(dense)
     if d.ndim != 2:
         raise ValueError("dense codes must be 2-D")
     if not np.all(np.abs(d) == 1):
         raise ValueError("dense codes must be +-1 with no zeros")
     n, r = d.shape
-    bits = (d > 0).astype(np.uint8)
     words = (r + 63) // 64
-    padded = np.zeros((n, words * 64), dtype=np.uint8)
-    padded[:, :r] = bits
-    packed = np.zeros((n, words), dtype=np.uint64)
-    shifts = np.arange(64, dtype=np.uint64)
-    for wi in range(words):
-        block = padded[:, wi * 64:(wi + 1) * 64].astype(np.uint64)
-        packed[:, wi] = (block << shifts).sum(axis=1, dtype=np.uint64)
-    return packed
-
-
-def unpack_codes(packed, r):
-    """Inverse of pack_codes; returns (n, r) int8 +-1 codes."""
-    p = np.asarray(packed, dtype=np.uint64)
-    n, words = p.shape
-    if words != (r + 63) // 64:
-        raise ValueError(f"{words} words cannot hold {r}-bit codes")
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = ((p[:, :, None] >> shifts) & np.uint64(1)).astype(np.int8)
-    bits = bits.reshape(n, words * 64)[:, :r]
-    return (2 * bits - 1).astype(np.int8)
+    bits = np.zeros((n, words * 64), dtype=bool)
+    bits[:, :r] = d > 0
+    # little-endian bit order puts bit j of each byte at column 8*byte + j,
+    # and little-endian words put byte b at bits 8*b..8*b+7 of the word
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return packed.astype(np.uint64, copy=False)
 
 
 def hamming_distances(query_packed, db_packed):

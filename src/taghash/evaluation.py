@@ -44,6 +44,26 @@ class EvalJudgments:
         return (q @ db.T) > 0
 
 
+class _CurveJudgments(EvalJudgments):
+    """Judgments that build each block of relevance rows once.
+
+    The labels are the same in every round of a MAP curve, so the rounds
+    after the first reuse the blocks the first one built.  query_relevance
+    asks only for slices.  The blocks of all queries are held for the
+    curve: one byte per query and database record.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._blocks = {}
+
+    def relevance(self, query_idx):
+        key = (query_idx.start, query_idx.stop, query_idx.step)
+        if key not in self._blocks:
+            self._blocks[key] = super().relevance(query_idx)
+        return self._blocks[key]
+
+
 def query_relevance(judgments, n_queries):
     """Yield (query index, relevance row) for the first n_queries queries.
 
@@ -121,6 +141,7 @@ def map_per_round(snapshots, query_features, judgments, cutoff=None):
     Queries are hashed with each round's own projection.  Returns a list of
     (round, map_value) rows ready for CSV emission.
     """
+    judgments = _CurveJudgments(judgments.query_labels, judgments.db_labels)
     rows = []
     for rnd, state, index in snapshots:
         codes = hash_queries(query_features, state)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CodeBlock, hamming_distances, pack_codes
+from .codes import CodeBlock, hamming_distances
 from .kernel import rbf_map
 
 
@@ -22,8 +22,21 @@ class RetrievalIndex:
     model_round: int
 
     def __post_init__(self):
+        self.packed = np.asarray(self.packed)
         self.ids = np.asarray(self.ids)
-        if len(np.unique(self.ids)) != len(self.ids):
+        words = (self.r + 63) // 64
+        if (self.packed.ndim != 2 or self.packed.dtype != np.uint64
+                or self.packed.shape[1] != words):
+            raise ValueError(
+                f"packed codes must be 2-D uint64 with ceil(r/64) = {words} "
+                f"columns for r={self.r}, got {self.packed.dtype} "
+                f"{self.packed.shape}")
+        if self.ids.shape != (self.packed.shape[0],):
+            raise ValueError(
+                f"ids must be 1-D with one id per code row, got ids "
+                f"{self.ids.shape} for packed codes {self.packed.shape}")
+        s = np.sort(self.ids)
+        if np.any(s[1:] == s[:-1]):
             raise ValueError("index ids must be unique")
 
     @property
@@ -76,20 +89,19 @@ def hamming_rank(query_packed, index, k=None):
 def snapshot_index(state, code_blocks, ids=None, model_round=None):
     """Concatenate committed code blocks into a retrieval index.
 
-    ids default to insertion order 0..N-1; model_round defaults to the
-    state's committed round counter.
+    Each block's packed words are built once and cached on the block, so
+    the index is a copy of those words.  ids default to insertion order
+    0..N-1; model_round defaults to the state's committed round counter.
     """
     if model_round is None:
         model_round = state.round_index
     r = state.hyper.r
     if code_blocks:
-        dense = np.concatenate([cb.dense for cb in code_blocks], axis=0)
-        packed = pack_codes(dense)
+        packed = np.concatenate([cb.packed for cb in code_blocks], axis=0)
     else:
         packed = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
-    n = packed.shape[0]
     if ids is None:
-        ids = np.arange(n, dtype=np.int64)
+        ids = np.arange(packed.shape[0], dtype=np.int64)
     return RetrievalIndex(packed=packed, ids=ids, r=r,
                           model_round=model_round)
 
@@ -98,13 +110,16 @@ def round_snapshots(state, code_blocks, p_history):
     """(round, state with that round's projection, index) for every round.
 
     Database codes are never re-hashed; only the query-side projection
-    varies by round.
+    varies by round.  The words are concatenated once; each round's index
+    is a prefix view of them.
     """
+    full = snapshot_index(state, code_blocks[:len(p_history)])
     out = []
     rows = 0
     for i, p in enumerate(p_history):
         rows += code_blocks[i].n
         snap = replace(state, p=p, round_index=i + 1, total_seen=rows)
-        out.append((i + 1, snap, snapshot_index(
-            snap, code_blocks[:i + 1], model_round=i + 1)))
+        index = RetrievalIndex(packed=full.packed[:rows], ids=full.ids[:rows],
+                               r=full.r, model_round=i + 1)
+        out.append((i + 1, snap, index))
     return out

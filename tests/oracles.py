@@ -108,3 +108,33 @@ def naive_map(rankings, relevances):
         if ap is not None:
             aps.append(ap)
     return sum(aps) / len(aps) if aps else float("nan")
+
+
+def pack_codes_loop(dense):
+    """Pack (n, r) +-1 codes into uint64 words, one shifted word at a time.
+
+    Bit j of word j//64 is 1 where the code is +1; bits past r are zero.
+    """
+    d = np.asarray(dense)
+    n, r = d.shape
+    words = (r + 63) // 64
+    padded = np.zeros((n, words * 64), dtype=np.uint8)
+    padded[:, :r] = d > 0
+    packed = np.zeros((n, words), dtype=np.uint64)
+    shifts = np.arange(64, dtype=np.uint64)
+    for wi in range(words):
+        block = padded[:, wi * 64:(wi + 1) * 64].astype(np.uint64)
+        packed[:, wi] = (block << shifts).sum(axis=1, dtype=np.uint64)
+    return packed
+
+
+def unpack_codes(packed, r):
+    """Inverse of pack_codes; returns (n, r) int8 +-1 codes."""
+    p = np.asarray(packed, dtype=np.uint64)
+    n, words = p.shape
+    if words != (r + 63) // 64:
+        raise ValueError(f"{words} words cannot hold {r}-bit codes")
+    shifts = np.arange(64, dtype=np.uint64)
+    bits = ((p[:, :, None] >> shifts) & np.uint64(1)).astype(np.int8)
+    bits = bits.reshape(n, words * 64)[:, :r]
+    return (2 * bits - 1).astype(np.int8)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from taghash.codes import CodeBlock, pack_codes
+from taghash.model import Hyperparams
 from taghash.evaluation import (QUERY_BLOCK, EvalJudgments,
-                                average_precision, mean_average_precision,
-                                precision_at_k, query_relevance)
-from taghash.retrieval import RetrievalIndex, hamming_rank
+                                average_precision, map_per_round,
+                                mean_average_precision, precision_at_k,
+                                query_relevance)
+from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
+                               round_snapshots)
 
-from conftest import random_codes
+from conftest import make_state, random_codes
 from oracles import naive_average_precision, naive_map
 
 
@@ -277,3 +280,45 @@ class TestMeanAveragePrecision:
         want = per_query_map(queries, index, labels_q, labels_db, cutoff)
         assert want[1] > 0
         assert got == want
+
+
+class TestMapPerRound:
+    def curve_inputs(self, n_q):
+        rng = np.random.default_rng(n_q)
+        hyper = Hyperparams(r=16, m=6, f=3, c=5)
+        state = make_state(hyper, rng)
+        blocks = [CodeBlock(random_codes(rng, n, hyper.r).astype(np.int8))
+                  for n in (40, 25, 60)]
+        p_history = [rng.normal(size=(hyper.m, hyper.r)) for _ in blocks]
+        snapshots = round_snapshots(state, blocks, p_history)
+        query_x = rng.normal(size=(n_q, 4))
+        judgments = EvalJudgments(
+            query_labels=(rng.random((n_q, 5)) < 0.2).astype(int),
+            db_labels=(rng.random((125, 5)) < 0.25).astype(int))
+        return snapshots, query_x, judgments
+
+    @pytest.mark.parametrize("n_q, cutoff", [
+        (QUERY_BLOCK - 1, None), (2 * QUERY_BLOCK + 5, None),
+        (2 * QUERY_BLOCK + 5, 10)])
+    def test_equals_mean_average_precision_per_round(self, n_q, cutoff):
+        snapshots, query_x, judgments = self.curve_inputs(n_q)
+        want = [(rnd, mean_average_precision(hash_queries(query_x, snap),
+                                             index, judgments, cutoff)[0])
+                for rnd, snap, index in snapshots]
+        got = map_per_round(snapshots, query_x, judgments, cutoff)
+        assert got == want
+
+    def test_relevance_built_once_per_curve(self, monkeypatch):
+        calls = []
+        real = EvalJudgments.relevance
+
+        def counting(self, query_idx):
+            calls.append(query_idx)
+            return real(self, query_idx)
+
+        monkeypatch.setattr(EvalJudgments, "relevance", counting)
+        snapshots, query_x, judgments = self.curve_inputs(2 * QUERY_BLOCK + 5)
+        map_per_round(snapshots, query_x, judgments)
+        assert calls == [slice(0, QUERY_BLOCK), slice(QUERY_BLOCK,
+                                                      2 * QUERY_BLOCK),
+                         slice(2 * QUERY_BLOCK, 2 * QUERY_BLOCK + 5)]

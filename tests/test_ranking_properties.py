@@ -1,5 +1,6 @@
-"""Property tests: hamming_rank against the dense brute-force oracle, and
-average_precision against the O(n^2) reference."""
+"""Property tests: pack_codes against the shift-loop packer, hamming_rank
+against the dense brute-force oracle, and average_precision against the
+O(n^2) reference."""
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from taghash.evaluation import average_precision
 from taghash.retrieval import RetrievalIndex, hamming_rank
 
 from conftest import random_codes
-from oracles import dense_rank, naive_average_precision
+from oracles import dense_rank, naive_average_precision, pack_codes_loop
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -34,6 +35,21 @@ def ranking_case(draw):
         q = random_codes(rng, 1, r)[0]
     k = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 5, None]))
     return db.astype(np.int8), q.astype(np.int8), k
+
+
+class TestPackCodesProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 31, 32, 63, 64, 65, 128, 130, 192, 300]),
+           st.integers(0, 50), st.integers(0, 2 ** 32 - 1))
+    def test_matches_shift_loop(self, r, n, seed):
+        dense = random_codes(np.random.default_rng(seed), n, r)
+        packed = pack_codes(dense.astype(np.int8))
+        words = (r + 63) // 64
+        assert packed.dtype == np.uint64 and packed.dtype.isnative
+        assert packed.flags.c_contiguous and packed.shape == (n, words)
+        assert np.array_equal(packed, pack_codes_loop(dense))
+        if r % 64:
+            assert not np.any(packed[:, -1] >> np.uint64(r % 64))
 
 
 class TestHammingRankProperties:

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from taghash.codes import (CodeBlock, hamming_distances, pack_codes,
-                           unpack_codes)
+from taghash import codes
+from taghash.codes import CodeBlock, hamming_distances, pack_codes
 from taghash.kernel import AnchorSet
 from taghash.model import Hyperparams, ModelState
 from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
-                               snapshot_index)
+                               round_snapshots, snapshot_index)
 
 from conftest import make_state, random_codes
-from oracles import dense_rank
+from oracles import dense_rank, unpack_codes
 
 
 class TestPacking:
@@ -136,6 +136,37 @@ class TestHammingRank:
         with pytest.raises(ValueError):
             self.build_index(np.ones((2, 4), dtype=np.int8), ids=[5, 5])
 
+    @pytest.mark.parametrize("ids", [
+        [4, 9, 2, 7, 9, 0],                    # permuted, not adjacent
+        ["b", "a", "c", "a", "d", "e"],        # strings
+        [0, 1, 2, 3, 4, 4],                    # the last two
+    ], ids=["permuted", "strings", "at_end"])
+    def test_duplicate_ids_rejected_anywhere(self, ids):
+        with pytest.raises(ValueError, match="unique"):
+            self.build_index(np.ones((6, 4), dtype=np.int8), ids=ids)
+
+
+class TestRetrievalIndexShapes:
+    @pytest.mark.parametrize("ids, match", [
+        ([7, 9, 11], r"\(3,\) for packed codes \(2, 1\)"),
+        ([7], r"\(1,\) for packed codes \(2, 1\)"),
+        ([[7, 9]], r"\(1, 2\) for packed codes \(2, 1\)"),
+    ], ids=["three_ids", "one_id", "two_d_ids"])
+    def test_one_id_per_code_row(self, ids, match):
+        with pytest.raises(ValueError, match=match):
+            RetrievalIndex(packed=pack_codes(np.ones((2, 4), dtype=np.int8)),
+                           ids=ids, r=4, model_round=1)
+
+    @pytest.mark.parametrize("packed, r, match", [
+        (np.zeros((2, 1), dtype=np.uint64), 200,
+         r"= 4 columns for r=200, got uint64 \(2, 1\)"),
+        (np.zeros(2, dtype=np.uint64), 4, r"got uint64 \(2,\)"),
+        (np.zeros((2, 1), dtype=np.int64), 4, r"got int64 \(2, 1\)"),
+    ], ids=["r200_in_one_word", "one_d", "int64"])
+    def test_packed_words_fit_code_length(self, packed, r, match):
+        with pytest.raises(ValueError, match=match):
+            RetrievalIndex(packed=packed, ids=[7, 9], r=r, model_round=1)
+
 
 class TestHashQueries:
     def state_with_projection(self, p, anchors, width=1.0):
@@ -207,3 +238,46 @@ class TestSnapshotIndex:
         index = snapshot_index(state, [block], ids=[7, 9], model_round=4)
         assert index.ids.tolist() == [7, 9]
         assert index.model_round == 4
+
+
+class TestRoundSnapshots:
+    hyper = Hyperparams(r=70, m=6, f=3, c=5)
+
+    def blocks(self, sizes, seed=12):
+        rng = np.random.default_rng(seed)
+        return [CodeBlock(random_codes(rng, n, self.hyper.r).astype(np.int8))
+                for n in sizes]
+
+    def test_every_round_indexes_its_packed_prefix(self):
+        state = make_state(self.hyper)
+        blocks = self.blocks([3, 1, 4, 2])
+        p_history = [np.full((self.hyper.m, self.hyper.r), float(i))
+                     for i in range(len(blocks))]
+        snaps = round_snapshots(state, blocks, p_history)
+        assert [rnd for rnd, _, _ in snaps] == [1, 2, 3, 4]
+        for rnd, snap, index in snaps:
+            dense = np.concatenate([b.dense for b in blocks[:rnd]])
+            assert index.packed.dtype == np.uint64
+            assert np.array_equal(index.packed, pack_codes(dense))
+            assert index.ids.tolist() == list(range(len(dense)))
+            assert index.model_round == rnd
+            assert snap.round_index == rnd and snap.total_seen == len(dense)
+            assert np.array_equal(snap.p, p_history[rnd - 1])
+        full = snapshot_index(state, blocks)
+        assert np.array_equal(full.packed, snaps[-1][2].packed)
+
+    def test_packs_each_block_once(self, monkeypatch):
+        packed_rows = []
+        real = codes.pack_codes
+
+        def counting(dense):
+            packed_rows.append(len(dense))
+            return real(dense)
+
+        monkeypatch.setattr(codes, "pack_codes", counting)
+        blocks = self.blocks([3, 1, 4, 2])
+        round_snapshots(make_state(self.hyper), blocks,
+                        [np.zeros((self.hyper.m, self.hyper.r))] * 4)
+        assert packed_rows == [3, 1, 4, 2]
+        snapshot_index(make_state(self.hyper), blocks)
+        assert packed_rows == [3, 1, 4, 2]
