@@ -10,10 +10,9 @@ from .engine import StreamTrainer
 from .evaluation import (EvalJudgments, average_precision,
                          mean_average_precision, map_per_round,
                          precision_at_k)
-from .kernel import (AnchorSet, build_anchor_set, compute_kernel_width,
-                     rbf_map, select_anchors)
+from .kernel import AnchorSet, build_anchor_set, rbf_map
 from .model import (AccumStats, Hyperparams, ModelState, RoundData,
-                    commit_round, objective_value, true_tag_objective)
+                    commit_round, objective_value)
 from .optimizer import run_round
 from .retrieval import RetrievalIndex, hamming_rank, hash_queries, \
     snapshot_index
@@ -25,9 +24,8 @@ __all__ = [
     "AccumStats", "AnchorSet", "CodeBlock", "EmbeddingTable",
     "EvalJudgments", "Hyperparams", "ModelState", "RetrievalIndex",
     "RoundData", "SemanticChunk", "StreamTrainer", "average_precision",
-    "build_anchor_set", "commit_round", "compute_kernel_width",
-    "hamming_distances", "hamming_rank", "hash_queries", "map_per_round",
-    "mean_average_precision", "objective_value", "pack_codes",
-    "pool_semantics", "precision_at_k", "rbf_map", "run_round",
-    "select_anchors", "snapshot_index", "true_tag_objective",
+    "build_anchor_set", "commit_round", "hamming_distances", "hamming_rank",
+    "hash_queries", "map_per_round", "mean_average_precision",
+    "objective_value", "pack_codes", "pool_semantics", "precision_at_k",
+    "rbf_map", "run_round", "snapshot_index",
 ]

@@ -96,18 +96,10 @@ def _settings(args):
     cfg = {}
     if args.config:
         cfg.update(dataio.load_config(args.config))
-    for key, attr in (
-            ("bits", "bits"), ("chunks", "chunks"), ("seed", "seed"),
-            ("alpha", "alpha"), ("beta", "beta"), ("theta", "theta"),
-            ("mu", "mu"), ("iters", "iters"), ("dcc_sweeps", "dcc_sweeps"),
-            ("anchors", "anchors"), ("manifest", "manifest"),
-            ("embeddings", "embeddings"), ("checkpoint", "checkpoint"),
-            ("metrics", "metrics")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[key] = val
-    for key in ("min_count", "map_cutoff", "precision_k", "queries",
-                "query_labels", "features"):
+    for key in ("bits", "chunks", "seed", "alpha", "beta", "theta", "mu",
+                "iters", "dcc_sweeps", "anchors", "manifest", "embeddings",
+                "checkpoint", "metrics", "min_count", "map_cutoff",
+                "precision_k", "queries", "query_labels", "features"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -223,11 +215,8 @@ def _train(args, overrides=None):
         if tagless:
             print(f"warning: chunk {i} has {tagless} rows with no tags",
                   file=sys.stderr)
-        try:
-            _, trace = trainer.process_chunk(x, y)
-        except RoundAborted:
-            # checkpoint is preserved at the last committed round
-            raise
+        # a RoundAborted leaves the checkpoint at the last committed round
+        _, trace = trainer.process_chunk(x, y)
         rnd = trainer.state.round_index
         rows.append((rnd, trainer.hyper.r, "round_time",
                      f"{trainer.round_times[-1]:.6f}"))

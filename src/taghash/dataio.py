@@ -9,7 +9,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -187,10 +187,13 @@ def read_embedding_file(path):
                     f"{path}: line {lineno}: expected {f} values, "
                     f"got {len(vals)}")
             try:
-                vectors[token] = np.asarray([float(v) for v in vals])
+                vec = np.asarray([float(v) for v in vals])
             except ValueError:
                 raise LoadError(
                     f"{path}: line {lineno}: non-numeric value") from None
+            if not np.all(np.isfinite(vec)):
+                raise LoadError(f"{path}: line {lineno}: NaN or inf value")
+            vectors[token] = vec
     if not vectors:
         raise LoadError(f"{path}: empty embedding file")
     return vectors, f
@@ -326,25 +329,18 @@ def load_config(path):
 
 # -------------------------------------------------------------- checkpoint
 
-_HYPER_FIELDS = ("r", "m", "f", "c", "alpha", "beta", "theta", "mu",
-                 "iters", "dcc_sweeps", "epsilon_norm", "tag_regression")
-
-
-def save_checkpoint(path, state, stats, code_blocks, p_history=None,
-                    seed=None):
+def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     """Serialize the full training state; atomic write, CRC-protected.
 
     code_blocks: per-round CodeBlock list in commit order.  p_history
-    optionally records the hash projection after each round so MAP-per-round
-    curves can be rebuilt at evaluation time.
+    records the hash projection after each round so MAP-per-round curves
+    can be rebuilt at evaluation time.
     """
     rows = np.asarray([cb.n for cb in code_blocks], dtype="<i8")
     if code_blocks:
         codes = np.concatenate([cb.dense for cb in code_blocks], axis=0)
     else:
         codes = np.zeros((0, state.hyper.r), dtype=np.int8)
-    if p_history is None:
-        p_history = []
     ph = np.asarray(p_history, dtype="<f8").reshape(
         len(p_history), state.hyper.m, state.hyper.r)
 
@@ -352,17 +348,15 @@ def save_checkpoint(path, state, stats, code_blocks, p_history=None,
         ("anchors", state.anchors.anchors), ("w", state.w), ("u", state.u),
         ("v", state.v), ("p", state.p),
         ("c1", stats.c1), ("c2", stats.c2), ("c3", stats.c3),
-        ("c4", stats.c4), ("c5", stats.c5), ("d1", stats.d1),
-        ("d2", stats.d2),
+        ("c5", stats.c5), ("d1", stats.d1), ("d2", stats.d2),
         ("codes_rows", rows), ("codes_dense", codes), ("p_history", ph),
     ]
     meta = {
-        "hyper": {k: getattr(state.hyper, k) for k in _HYPER_FIELDS},
+        "hyper": asdict(state.hyper),
         "kernel_width": state.anchors.kernel_width,
         "round_index": state.round_index,
         "total_seen": state.total_seen,
         "rounds_committed": stats.rounds_committed,
-        "total_rows": stats.total_rows,
         "sy_weighted": stats.sy_weighted,
         "sz": stats.sz,
         "seed": seed,
@@ -393,7 +387,10 @@ def save_checkpoint(path, state, stats, code_blocks, p_history=None,
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (state, stats, code_blocks, p_history, seed)."""
+    """Load a checkpoint; returns (state, stats, code_blocks, p_history, seed).
+
+    Fields are read by name; older files' extra c4 and total_rows are unread.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20 or blob[:4] != CHECKPOINT_MAGIC:
@@ -408,30 +405,42 @@ def load_checkpoint(path):
     meta = json.loads(blob[16:16 + hlen].decode())
     offset = 16 + hlen
     arrays = {}
-    for spec in meta["arrays"]:
+    for spec in meta.get("arrays", []):
         dt = np.dtype(spec["dtype"])
         count = int(np.prod(spec["shape"])) if spec["shape"] else 1
         end = offset + dt.itemsize * count
         arrays[spec["name"]] = np.frombuffer(
             blob[offset:end], dtype=dt).reshape(spec["shape"]).copy()
         offset = end
+    fields = {**meta, **arrays}
+    missing = [name for name in (
+        "hyper", "kernel_width", "round_index", "total_seen",
+        "rounds_committed", "sy_weighted", "sz", "seed", "anchors", "w", "u",
+        "v", "p", "c1", "c2", "c3", "c5", "d1", "d2", "codes_rows",
+        "codes_dense", "p_history") if name not in fields]
+    if missing:
+        raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    rows, dense = fields["codes_rows"], fields["codes_dense"]
+    if np.any(rows < 0) or int(np.sum(rows)) != len(dense):
+        raise LoadError(f"{path}: codes_rows {rows.tolist()} do not add up "
+                        f"to the {len(dense)} stored code rows")
 
-    hyper = Hyperparams(**meta["hyper"])
-    anchors = AnchorSet(arrays["anchors"], meta["kernel_width"])
+    try:
+        hyper = Hyperparams(**fields["hyper"])
+    except TypeError as e:          # a missing or unknown hyperparameter
+        raise LoadError(f"{path}: bad hyper: {e}") from None
     state = ModelState(
-        w=arrays["w"], u=arrays["u"], v=arrays["v"], p=arrays["p"],
-        anchors=anchors, hyper=hyper,
-        round_index=meta["round_index"], total_seen=meta["total_seen"])
+        w=fields["w"], u=fields["u"], v=fields["v"], p=fields["p"],
+        anchors=AnchorSet(fields["anchors"], fields["kernel_width"]),
+        hyper=hyper,
+        round_index=fields["round_index"], total_seen=fields["total_seen"])
     stats = AccumStats(
-        c1=arrays["c1"], c2=arrays["c2"], c3=arrays["c3"], c4=arrays["c4"],
-        c5=arrays["c5"], d1=arrays["d1"], d2=arrays["d2"],
-        sy_weighted=meta["sy_weighted"], sz=meta["sz"],
-        rounds_committed=meta["rounds_committed"],
-        total_rows=meta["total_rows"])
+        c1=fields["c1"], c2=fields["c2"], c3=fields["c3"], c5=fields["c5"],
+        d1=fields["d1"], d2=fields["d2"], sy_weighted=fields["sy_weighted"],
+        sz=fields["sz"], rounds_committed=fields["rounds_committed"])
     blocks = []
     start = 0
-    for n in arrays["codes_rows"]:
-        blocks.append(CodeBlock(arrays["codes_dense"][start:start + n]))
+    for n in rows:
+        blocks.append(CodeBlock(dense[start:start + n]))
         start += int(n)
-    p_history = [arrays["p_history"][i] for i in range(arrays["p_history"].shape[0])]
-    return state, stats, blocks, p_history, meta["seed"]
+    return state, stats, blocks, list(fields["p_history"]), fields["seed"]

@@ -29,7 +29,6 @@ class StreamTrainer:
         self.stats = None
         self.code_blocks = []
         self.p_history = []
-        self.traces = []
         self.round_times = []
 
     def prepare_round(self, x, y):
@@ -52,7 +51,6 @@ class StreamTrainer:
         self.round_times.append(time.perf_counter() - start)
         self.code_blocks.append(codes)
         self.p_history.append(self.state.p.copy())
-        self.traces.append(trace)
         return codes, trace
 
     def index(self):

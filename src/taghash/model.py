@@ -5,7 +5,8 @@ the end of each round, so memory and per-round cost never depend on how much
 data has already been seen.  The reweighting diagonal of old data is frozen
 into D1/D2 at commit time; it is never refreshed afterwards.
 """
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +41,12 @@ class Hyperparams:
     def __post_init__(self):
         if self.r < 1 or self.iters < 1 or self.dcc_sweeps < 1:
             raise ValueError("r, iters and dcc_sweeps must all be >= 1")
-        if self.epsilon_norm <= 0:
-            raise ValueError("epsilon_norm must be positive")
+        # written so that NaN, which fails every comparison, is refused too
+        if not 0 < self.epsilon_norm < math.inf:
+            raise ValueError("epsilon_norm must be positive and finite")
         for name in ("alpha", "beta", "theta", "mu"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass
@@ -90,31 +92,33 @@ class AccumStats:
     """Streaming sufficient statistics over all committed chunks.
 
     c1 = sum B'B        (r, r)     c2 = sum B'phi      (r, m)
-    c3 = sum phi'phi    (m, m)     c4 = sum phi'B      (m, r)
-    c5 = sum B'Z        (r, f)
+    c3 = sum phi'phi    (m, m)     c5 = sum B'Z        (r, f)
     d1 = sum B'KB       (r, r)     d2 = sum B'KY       (r, c)
+    c4 = sum phi'B (m, r) is not stored: the property c4 is the view c2'.
     sy_weighted = sum_i K_ii ||Y_i||^2 and sz = sum ||Z||_F^2 are the scalar
     constants needed to evaluate the historical objective terms exactly.
+    rounds_committed guards commit_round against folding a round twice.
     """
 
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
-    c4: np.ndarray
     c5: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     sy_weighted: float = 0.0
     sz: float = 0.0
     rounds_committed: int = 0
-    total_rows: int = 0
+
+    @property
+    def c4(self):
+        return self.c2.T
 
     @classmethod
     def zeros(cls, hyper):
         r, m, f, c = hyper.r, hyper.m, hyper.f, hyper.c
         return cls(
-            c1=np.zeros((r, r)), c2=np.zeros((r, m)),
-            c3=np.zeros((m, m)), c4=np.zeros((m, r)),
+            c1=np.zeros((r, r)), c2=np.zeros((r, m)), c3=np.zeros((m, m)),
             c5=np.zeros((r, f)), d1=np.zeros((r, r)), d2=np.zeros((r, c)))
 
 
@@ -165,7 +169,6 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram=None,
     stats.c1 += b.T @ b
     stats.c2 += bt_phi
     stats.c3 += phi.T @ phi if phi_gram is None else phi_gram
-    stats.c4 += bt_phi.T
     stats.c5 += b.T @ z
     bk = b * k[:, None]
     stats.d1 += bk.T @ b
@@ -173,13 +176,10 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram=None,
     stats.sy_weighted += float(np.sum(k * row_sq_norms(y)))
     stats.sz += float(np.sum(z * z))
     stats.rounds_committed += 1
-    stats.total_rows += b.shape[0]
 
     state.round_index += 1
     state.total_seen += b.shape[0]
     state.check_finite()
-    # the transpose pairing must survive every commit
-    assert np.allclose(stats.c4, stats.c2.T, rtol=1e-12, atol=1e-12)
     return stats
 
 
@@ -189,8 +189,7 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram=None,
 
     Current-chunk tag term uses the supplied weights; historical terms are
     rebuilt exactly from the accumulators.  This is the quantity each
-    optimization step descends; the true row-norm objective is reported
-    separately by true_tag_objective.
+    optimization step descends.
 
     The two kernel-feature terms, ||phi - BU||^2 and ||B - phi P||^2 over
     history and chunk, are expanded into the statistics plus the chunk's
@@ -231,27 +230,13 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram=None,
             + float(np.sum(v * (stats.c1 @ v)))
         total += h.theta * (float(np.sum(res * res)) + hist)
     if h.mu > 0:
-        # sum over history and chunk of ||B - phi P||^2
-        fit = float(np.trace(btb)) \
-            - 2.0 * float(np.sum(p * (stats.c4 + bt_phi.T))) \
+        # sum over history and chunk of ||B - phi P||^2; phi'B is row-major
+        # so that the sum's order, and its last bits, ignore P's layout
+        phi_b = np.add(stats.c4, bt_phi.T, order="C")
+        fit = float(np.trace(btb)) - 2.0 * float(np.sum(p * phi_b)) \
             + float(np.sum(p * ((stats.c3 + phi_gram) @ p)))
         total += h.mu * fit
     total += h.alpha * sum(
         float(np.sum(a * a)) for a in (w, u, v, p))
     return total
 
-
-def true_tag_objective(state, stats, chunk, b_new):
-    """Row-norm tag objective used for descent monitoring.
-
-    sum_i ||(Y - BW)_i||_2 over the current chunk, plus half of the frozen
-    historical quadratic and half the ridge term.  The halves make this the
-    exact quantity the reweight/solve alternation provably never increases.
-    """
-    h = state.hyper
-    w = state.w
-    res = chunk.y - np.asarray(b_new, float) @ w
-    l21 = float(np.sum(np.sqrt(np.sum(res * res, axis=1))))
-    hist = stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
-        + float(np.sum(w * (stats.d1 @ w)))
-    return l21 + 0.5 * hist + 0.5 * h.alpha * float(np.sum(w * w))

@@ -13,7 +13,7 @@ c3 + phi'phi + (alpha/mu) I; commit folds the same phi'phi into c3.  The one
 product of the codes with the kernel features, B'phi, is computed once per
 code matrix: after the random start and after each code step.  It serves
 that iteration's objective, the next iteration's U and P right-hand sides
-(c2 + B'phi and c4 + (B'phi)') and commit's c2 and c4.  The code step's
+(c2 + B'phi and its transpose) and commit's c2.  The code step's
 linear term projects phi once, through beta U' + mu P.  The code step
 builds its coupling products once per call and then updates only the rows
 whose bit flipped (CodeCoupling).  The r x r systems of U, V and W involve B
@@ -152,23 +152,6 @@ def assemble_q(chunk, state, weights):
             proj += h.mu * state.p.T
         qt += proj @ chunk.phi.T
     return qt.T
-
-
-def code_subproblem_value(b, q, state, weights):
-    """Objective of the code step (up to B-independent constants)."""
-    h = state.hyper
-    b = np.asarray(b, float)
-    val = -2.0 * float(np.sum(b * q))
-    if h.beta > 0:
-        bu = b @ state.u
-        val += h.beta * float(np.sum(bu * bu))
-    if h.theta > 0:
-        bv = b @ state.v
-        val += h.theta * float(np.sum(bv * bv))
-    if h.tag_regression:
-        bw = b @ state.w
-        val += float(np.sum(weights * np.sum(bw * bw, axis=1)))
-    return val
 
 
 class CodeCoupling:

@@ -21,6 +21,8 @@ class EmbeddingTable:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
             raise ValueError("embedding table must be (c, f) with f > 0")
+        if not np.all(np.isfinite(self.vectors)):
+            raise ValueError("embedding table contains NaN or inf")
         if self.tag_names and len(self.tag_names) != self.vectors.shape[0]:
             raise ValueError("tag_names length must match table size")
 

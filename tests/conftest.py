@@ -1,3 +1,7 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +42,32 @@ def committed_history(rng, hyper, n_chunks, n):
         codes.append(b)
         weights.append(k)
     return state, stats, chunks, codes, weights
+
+
+def read_checkpoint_fields(path):
+    """(meta, arrays by name) of a checkpoint file, read from its layout."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    meta = json.loads(blob[16:16 + hlen])
+    arrays, offset = {}, 16 + hlen
+    for spec in meta.pop("arrays"):
+        a = np.frombuffer(blob, np.dtype(spec["dtype"]),
+                          int(np.prod(spec["shape"])), offset)
+        arrays[spec["name"]] = a.reshape(spec["shape"])
+        offset += a.nbytes
+    return meta, arrays
+
+
+def write_checkpoint_fields(path, meta, arrays):
+    """Write meta and named arrays in the checkpoint layout, CRC included."""
+    specs = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+             for name, a in arrays.items()]
+    header = json.dumps(dict(meta, arrays=specs), sort_keys=True).encode()
+    body = b"THCK" + struct.pack("<IQ", 1, len(header)) + header + b"".join(
+        np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    with open(path, "wb") as fh:
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
 @pytest.fixture

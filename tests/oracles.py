@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here recomputes quantities from first principles with plain
-loops over concatenated data, deliberately sharing no matrix kernels with
-the production paths.  Intended for test-scale inputs (n <= 2000); never
-wire these into operational code.
+loops over concatenated data or direct evaluation of a definition,
+deliberately sharing no matrix kernels with the production paths.
+Intended for test-scale inputs (n <= 2000); never wire these into
+operational code.
 """
 import numpy as np
 
@@ -138,3 +139,36 @@ def unpack_codes(packed, r):
     bits = ((p[:, :, None] >> shifts) & np.uint64(1)).astype(np.int8)
     bits = bits.reshape(n, words * 64)[:, :r]
     return (2 * bits - 1).astype(np.int8)
+
+
+def code_subproblem_value(b, q, state, weights):
+    """Objective of the code step (up to B-independent constants)."""
+    h = state.hyper
+    b = np.asarray(b, float)
+    val = -2.0 * float(np.sum(b * q))
+    if h.beta > 0:
+        bu = b @ state.u
+        val += h.beta * float(np.sum(bu * bu))
+    if h.theta > 0:
+        bv = b @ state.v
+        val += h.theta * float(np.sum(bv * bv))
+    if h.tag_regression:
+        bw = b @ state.w
+        val += float(np.sum(weights * np.sum(bw * bw, axis=1)))
+    return val
+
+
+def true_tag_objective(state, stats, chunk, b_new):
+    """Row-norm tag objective used for descent monitoring.
+
+    sum_i ||(Y - BW)_i||_2 over the current chunk, plus half of the frozen
+    historical quadratic and half the ridge term.  The halves make this the
+    exact quantity the reweight/solve alternation provably never increases.
+    """
+    h = state.hyper
+    w = state.w
+    res = chunk.y - np.asarray(b_new, float) @ w
+    l21 = float(np.sum(np.sqrt(np.sum(res * res, axis=1))))
+    hist = stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
+        + float(np.sum(w * (stats.d1 @ w)))
+    return l21 + 0.5 * hist + 0.5 * h.alpha * float(np.sum(w * w))

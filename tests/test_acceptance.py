@@ -16,17 +16,16 @@ from taghash.codes import CodeBlock, pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
-from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           true_tag_objective)
-from taghash.optimizer import (assemble_q, code_subproblem_value,
-                               compute_reweights, dcc_bit_column, init_round,
-                               update_b_dcc, update_p, update_u, update_v,
-                               update_w)
+from taghash.model import AccumStats, Hyperparams, RoundData, commit_round
+from taghash.optimizer import (assemble_q, compute_reweights, dcc_bit_column,
+                               init_round, update_b_dcc, update_p, update_u,
+                               update_v, update_w)
 from taghash.retrieval import hamming_rank, hash_queries
 from taghash.synthetic import make_cluster_stream
 
 from conftest import make_state, random_codes, random_round_data
-from oracles import batch_stats, naive_average_precision, naive_map
+from oracles import (batch_stats, code_subproblem_value,
+                     naive_average_precision, naive_map, true_tag_objective)
 
 PASS = "criterion {n:2d} ({name}): PASS"
 

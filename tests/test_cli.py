@@ -14,6 +14,8 @@ from taghash.evaluation import EvalJudgments, mean_average_precision
 from taghash.retrieval import hamming_rank, hash_queries, snapshot_index
 from taghash.synthetic import make_cluster_stream
 
+from conftest import read_checkpoint_fields, write_checkpoint_fields
+
 
 def write_stream(root, stream):
     """Materialize a synthetic stream as manifest + chunk files on disk."""
@@ -416,6 +418,32 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "40 label rows" in err and "60 codes" in err
+
+    def test_checkpoint_missing_field_is_data_error(self, workdir,
+                                                    three_rounds, tmp_path,
+                                                    capsys):
+        meta, arrays = read_checkpoint_fields(three_rounds)
+        del meta["round_index"]
+        ckpt = str(tmp_path / "partial.ckpt")
+        write_checkpoint_fields(ckpt, meta, arrays)
+        rc = cli.main(["query", "--config", workdir["config"],
+                       "--checkpoint", ckpt,
+                       "--features", workdir["queries"]])
+        assert rc == 2
+        assert "lacks round_index" in capsys.readouterr().err
+
+    def test_non_finite_embedding_is_data_error(self, workdir, tmp_path,
+                                                capsys):
+        lines = open(workdir["embeddings"]).read().splitlines()
+        token, _, *rest = lines[1].split()
+        lines[1] = " ".join([token, "nan"] + rest)
+        emb = tmp_path / "emb.txt"
+        emb.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["train", "--config", workdir["config"],
+                       "--embeddings", str(emb),
+                       "--checkpoint", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        assert "line 2: NaN or inf" in capsys.readouterr().err
 
     def test_corrupt_feature_file_is_data_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,11 @@ from taghash.dataio import (ChunkManifest, ConfigError, LoadError,
 from taghash.engine import StreamTrainer
 from taghash.model import Hyperparams
 from taghash.synthetic import make_cluster_stream
+
+from conftest import read_checkpoint_fields, write_checkpoint_fields
+
+PARENT_LAYOUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "parent_layout.ckpt")
 
 
 class TestFeatureFiles:
@@ -180,6 +187,13 @@ class TestEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 x\n")
         with pytest.raises(LoadError, match="non-numeric"):
+            read_embedding_file(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 1.0 2.0\ndog {value} 0.5\n")
+        with pytest.raises(LoadError, match="line 2: NaN or inf"):
             read_embedding_file(str(path))
 
     def test_empty_file(self, tmp_path):
@@ -371,3 +385,89 @@ class TestCheckpoint:
         for got, want in zip(resumed.code_blocks, straight.code_blocks):
             assert np.array_equal(got.dense, want.dense)
         assert np.array_equal(resumed.stats.c1, straight.stats.c1)
+
+    def test_missing_fields_are_named(self, tmp_path):
+        trainer, _ = trained_trainer(1)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        del meta["round_index"], arrays["c2"]
+        write_checkpoint_fields(path, meta, arrays)
+        with pytest.raises(LoadError, match="lacks round_index, c2$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda hyper: hyper.pop("r"),
+        lambda hyper: hyper.update(unknown=1)], ids=["missing", "unknown"])
+    def test_bad_hyperparameters_are_load_error(self, tmp_path, edit):
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        edit(meta["hyper"])
+        path = str(tmp_path / "ck.bin")
+        write_checkpoint_fields(path, meta, arrays)
+        with pytest.raises(LoadError, match="bad hyper"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("rows", [[40, 10], [40, 41], [100, -20]])
+    def test_codes_rows_must_add_up_to_stored_codes(self, tmp_path, rows):
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        assert arrays["codes_dense"].shape == (80, 8)
+        arrays["codes_rows"] = np.asarray(rows, dtype="<i8")
+        write_checkpoint_fields(path, meta, arrays)
+        with pytest.raises(LoadError, match="80 stored code rows"):
+            load_checkpoint(path)
+
+
+def assert_same_checkpoint(got, want):
+    """Two load_checkpoint results hold the same values bit for bit."""
+    (state, stats, blocks, p_history, seed) = got
+    (w_state, w_stats, w_blocks, w_p_history, w_seed) = want
+    assert seed == w_seed
+    assert state.hyper == w_state.hyper
+    assert (state.round_index, state.total_seen) == (
+        w_state.round_index, w_state.total_seen)
+    assert state.anchors.kernel_width == w_state.anchors.kernel_width
+    assert np.array_equal(state.anchors.anchors, w_state.anchors.anchors)
+    for name in ("w", "u", "v", "p"):
+        assert np.array_equal(getattr(state, name), getattr(w_state, name))
+    for name in ("c1", "c2", "c3", "c4", "c5", "d1", "d2"):
+        assert np.array_equal(getattr(stats, name), getattr(w_stats, name))
+    assert (stats.sy_weighted, stats.sz, stats.rounds_committed) == (
+        w_stats.sy_weighted, w_stats.sz, w_stats.rounds_committed)
+    assert len(blocks) == len(w_blocks)
+    for a, b in zip(blocks, w_blocks):
+        assert np.array_equal(a.dense, b.dense)
+    assert len(p_history) == len(w_p_history)
+    for a, b in zip(p_history, w_p_history):
+        assert np.array_equal(a, b)
+
+
+class TestParentLayoutCheckpoint:
+    """A file that also stores c4 and total_rows loads as a current one.
+
+    tests/data/make_parent_layout.py wrote it, with the code that stored
+    those two fields.
+    """
+
+    def test_round_trip_equals_stored_file(self, tmp_path):
+        old = load_checkpoint(PARENT_LAYOUT)
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        state, stats = old[0], old[1]
+        assert np.array_equal(stats.c4, arrays["c4"])
+        assert meta["total_rows"] == state.total_seen == 80
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, *old)
+        assert_same_checkpoint(load_checkpoint(path), old)
+        meta, arrays = read_checkpoint_fields(path)
+        assert "c4" not in arrays and "total_rows" not in meta
+
+    def test_training_resumes(self):
+        stream = make_cluster_stream(n_rounds=4, n_per_round=40, d=8, f=8,
+                                     n_queries=10, seed=3)
+        trainer = StreamTrainer.from_checkpoint(PARENT_LAYOUT, stream.table)
+        trainer.process_chunk(*stream.chunks[2])
+        assert trainer.state.round_index == 3
+        assert trainer.state.total_seen == 120
+        assert np.array_equal(trainer.stats.c4, trainer.stats.c2.T)

@@ -11,6 +11,21 @@ from oracles import batch_stats
 STAT_KEYS = ("c1", "c2", "c3", "c4", "c5", "d1", "d2")
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "theta", "mu",
+                                      "epsilon_norm"])
+    def test_non_finite_weights_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            Hyperparams(r=4, m=6, f=3, c=5, **{name: value})
+
+    def test_zero_weights_accepted_zero_floor_rejected(self):
+        Hyperparams(r=4, m=6, f=3, c=5, alpha=0.0, beta=0.0, theta=0.0,
+                    mu=0.0)
+        with pytest.raises(ValueError, match="epsilon_norm"):
+            Hyperparams(r=4, m=6, f=3, c=5, epsilon_norm=0.0)
+
+
 class TestCommitRound:
     def test_orthogonal_codes_contribution(self, small_hyper):
         h = Hyperparams(r=2, m=3, f=2, c=2)

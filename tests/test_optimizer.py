@@ -6,16 +6,16 @@ import scipy.linalg
 
 from taghash import blas
 from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           objective_value, true_tag_objective)
-from taghash.optimizer import (RoundAborted, assemble_q,
-                               code_subproblem_value, compute_reweights,
+                           objective_value)
+from taghash.optimizer import (RoundAborted, assemble_q, compute_reweights,
                                dcc_bit_column, init_round, run_round,
                                update_b_dcc, update_p, update_u, update_v,
                                update_w)
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
-from oracles import dcc_fresh_products
+from oracles import (code_subproblem_value, dcc_fresh_products,
+                     true_tag_objective)
 
 
 def stacked_problem(rng, hyper, n_hist=3, n_rows=8, n_cur=6):

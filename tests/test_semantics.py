@@ -67,3 +67,9 @@ def test_column_mismatch():
     table = table_from([[1.0], [2.0]])
     with pytest.raises(ValueError):
         pool_semantics(np.zeros((3, 3), dtype=int), table)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_table_rejected(value):
+    with pytest.raises(ValueError, match="NaN or inf"):
+        EmbeddingTable(vectors=[[1.0, 0.0], [0.5, value]])
