@@ -23,11 +23,12 @@ partial = StreamTrainer(hyper, stream.table, seed=102)
 for x, y in stream.chunks[:2]:
     partial.process_chunk(x, y)
 
-path = os.path.join(tempfile.mkdtemp(), "run.ckpt")
-partial.save(path)
-print(f"checkpoint after round 2: {os.path.getsize(path)} bytes")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "run.ckpt")
+    partial.save(path)
+    print(f"checkpoint after round 2: {os.path.getsize(path)} bytes")
+    resumed = StreamTrainer.from_checkpoint(path, stream.table)
 
-resumed = StreamTrainer.from_checkpoint(path, stream.table)
 for x, y in stream.chunks[2:]:
     resumed.process_chunk(x, y)
 

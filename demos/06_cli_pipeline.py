@@ -11,49 +11,50 @@ from taghash import cli, dataio
 from taghash.dataio import ChunkManifest
 from taghash.synthetic import make_cluster_stream
 
-root = tempfile.mkdtemp()
 stream = make_cluster_stream(n_rounds=3, n_per_round=100, d=16, n_queries=40,
                              seed=4)
 
-chunks = []
-for i, ((x, y), labels) in enumerate(zip(stream.chunks, stream.chunk_labels)):
-    paths = {k: os.path.join(root, f"chunk_{i}.{k}")
-             for k in ("features", "tags", "labels")}
-    dataio.save_features(paths["features"], x)
-    dataio.save_tags(paths["tags"], y)
-    dataio.save_tags(paths["labels"], labels)
-    chunks.append(paths)
-manifest = os.path.join(root, "manifest.json")
-ChunkManifest(d=16, c=9, chunks=chunks, labels_dim=3,
-              tag_vocab=list(stream.table.tag_names)).save(manifest)
+with tempfile.TemporaryDirectory() as root:
+    chunks = []
+    pairs = zip(stream.chunks, stream.chunk_labels)
+    for i, ((x, y), labels) in enumerate(pairs):
+        paths = {k: os.path.join(root, f"chunk_{i}.{k}")
+                 for k in ("features", "tags", "labels")}
+        dataio.save_features(paths["features"], x)
+        dataio.save_tags(paths["tags"], y)
+        dataio.save_tags(paths["labels"], labels)
+        chunks.append(paths)
+    manifest = os.path.join(root, "manifest.json")
+    ChunkManifest(d=16, c=9, chunks=chunks, labels_dim=3,
+                  tag_vocab=list(stream.table.tag_names)).save(manifest)
 
-embeddings = os.path.join(root, "emb.txt")
-with open(embeddings, "w") as fh:
-    for name, vec in zip(stream.table.tag_names, stream.table.vectors):
-        fh.write(name + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    embeddings = os.path.join(root, "emb.txt")
+    with open(embeddings, "w") as fh:
+        for name, vec in zip(stream.table.tag_names, stream.table.vectors):
+            fh.write(name + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
-queries = os.path.join(root, "queries.bin")
-query_labels = os.path.join(root, "queries.labels")
-dataio.save_features(queries, stream.query_x)
-dataio.save_tags(query_labels, stream.query_labels)
+    queries = os.path.join(root, "queries.bin")
+    query_labels = os.path.join(root, "queries.labels")
+    dataio.save_features(queries, stream.query_x)
+    dataio.save_tags(query_labels, stream.query_labels)
 
-ckpt = os.path.join(root, "run.ckpt")
-common = ["--manifest", manifest, "--embeddings", embeddings,
-          "--checkpoint", ckpt]
+    ckpt = os.path.join(root, "run.ckpt")
+    common = ["--manifest", manifest, "--embeddings", embeddings,
+              "--checkpoint", ckpt]
 
-print("== train ==")
-rc = cli.main(["train", *common, "--bits", "16", "--anchors", "64",
-               "--seed", "4",
-               "--metrics", os.path.join(root, "train.csv")])
-assert rc == 0
+    print("== train ==")
+    rc = cli.main(["train", *common, "--bits", "16", "--anchors", "64",
+                   "--seed", "4",
+                   "--metrics", os.path.join(root, "train.csv")])
+    assert rc == 0
 
-print("== eval ==")
-rc = cli.main(["eval", *common, "--queries", queries,
-               "--query-labels", query_labels])
-assert rc == 0
+    print("== eval ==")
+    rc = cli.main(["eval", *common, "--queries", queries,
+                   "--query-labels", query_labels])
+    assert rc == 0
 
-print("== query (first 2, top 3) ==")
-two = os.path.join(root, "two.bin")
-dataio.save_features(two, stream.query_x[:2])
-rc = cli.main(["query", *common, "--features", two, "-k", "3"])
-assert rc == 0
+    print("== query (first 2, top 3) ==")
+    two = os.path.join(root, "two.bin")
+    dataio.save_features(two, stream.query_x[:2])
+    rc = cli.main(["query", *common, "--features", two, "-k", "3"])
+    assert rc == 0

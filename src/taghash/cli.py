@@ -92,17 +92,12 @@ def build_parser():
 
 
 def _settings(args):
-    """Merge config-file values with command-line overrides."""
+    """Config-file values, overridden by every argument that is not None."""
     cfg = {}
     if args.config:
         cfg.update(dataio.load_config(args.config))
-    for key in ("bits", "chunks", "seed", "alpha", "beta", "theta", "mu",
-                "iters", "dcc_sweeps", "anchors", "manifest", "embeddings",
-                "checkpoint", "metrics", "min_count", "map_cutoff",
-                "precision_k", "queries", "query_labels", "features"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in vars(args).items()
+               if val is not None)
     return cfg
 
 
@@ -189,6 +184,8 @@ def cmd_preprocess(args):
 
 def _train(args, overrides=None):
     cfg = _settings(args)
+    if "chunks" in cfg and int(cfg["chunks"]) < 1:
+        raise UsageError(f"chunks must be >= 1, got {cfg['chunks']}")
     manifest = ChunkManifest.from_file(_require(cfg, "manifest"))
     table = _load_table(cfg, manifest)
     ckpt_path = _require(cfg, "checkpoint")

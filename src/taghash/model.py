@@ -146,12 +146,11 @@ def row_sq_norms(y, b=None, w=None):
     return out
 
 
-def commit_round(state, stats, chunk, b_new, weights, phi_gram=None,
-                 bt_phi=None):
+def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
     """Fold one finished round into the streaming statistics.
 
     After this the chunk's raw matrices may be discarded; only its codes
-    are kept (by the caller) for retrieval.  phi_gram, if given, is
+    are kept (by the caller) for retrieval.  phi_gram is
     chunk.phi.T @ chunk.phi, and bt_phi is b_new.T @ chunk.phi.
     """
     if stats.rounds_committed != state.round_index:
@@ -159,16 +158,14 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram=None,
             f"round {state.round_index} already committed "
             f"({stats.rounds_committed} rounds in stats)")
     b = np.asarray(b_new, dtype=np.float64)
-    phi, y, z = chunk.phi, chunk.y, chunk.z
+    y, z = chunk.y, chunk.z
     k = np.asarray(weights, dtype=np.float64)
     if np.any(k <= 0):
         raise ValueError("reweighting entries must be strictly positive")
 
-    if bt_phi is None:
-        bt_phi = b.T @ phi
     stats.c1 += b.T @ b
     stats.c2 += bt_phi
-    stats.c3 += phi.T @ phi if phi_gram is None else phi_gram
+    stats.c3 += phi_gram
     stats.c5 += b.T @ z
     bk = b * k[:, None]
     stats.d1 += bk.T @ b
@@ -183,8 +180,7 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram=None,
     return stats
 
 
-def objective_value(state, stats, chunk, b_new, weights, phi_gram=None,
-                    bt_phi=None):
+def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
     """Surrogate objective with frozen reweighting diagonals.
 
     Current-chunk tag term uses the supplied weights; historical terms are
@@ -194,15 +190,13 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram=None,
     The two kernel-feature terms, ||phi - BU||^2 and ||B - phi P||^2 over
     history and chunk, are expanded into the statistics plus the chunk's
     phi'phi (phi_gram) and B'phi (bt_phi), so no n x m residual is formed.
-    Either product is computed here when not given.  A NaN or inf in phi
-    makes the trace of phi'phi non-finite, so phi is checked there.
+    A NaN or inf in phi makes the trace of phi'phi non-finite, so phi is
+    checked there.
     """
     h = state.hyper
     b = np.asarray(b_new, dtype=np.float64)
     y, z = chunk.y, chunk.z
     k = np.asarray(weights, dtype=np.float64)
-    if phi_gram is None:
-        phi_gram = chunk.phi.T @ chunk.phi
     phi_sq = float(np.trace(phi_gram))
     for a in (b, y, z, k, phi_sq):
         if not np.all(np.isfinite(a)):
@@ -215,8 +209,6 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram=None,
         total += stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
             + float(np.sum(w * (stats.d1 @ w)))
     if h.beta > 0 or h.mu > 0:
-        if bt_phi is None:
-            bt_phi = b.T @ chunk.phi
         btb = stats.c1 + b.T @ b
     if h.beta > 0:
         # sum over history and chunk of ||phi - BU||^2

@@ -19,6 +19,9 @@ builds its coupling products once per call and then updates only the rows
 whose bit flipped (CodeCoupling).  The r x r systems of U, V and W involve B
 and are rebuilt and factored every iteration; these per-iteration solves
 run on one LAPACK thread (see taghash.blas).
+
+run_round forms each of these products and passes it to every step that
+uses it, as a required argument; no step has a path that computes one.
 """
 import numpy as np
 import scipy.linalg
@@ -69,40 +72,31 @@ def init_round(chunk, state, seed):
     return b, weights
 
 
-def update_u(stats, chunk, b, hyper, bt_phi=None):
+def update_u(stats, b, hyper, bt_phi):
     """Ridge solve for the codes -> kernel-features projection.
 
-    bt_phi, if given, is b.T @ chunk.phi.
+    bt_phi is b.T @ chunk.phi.
     """
-    if bt_phi is None:
-        bt_phi = b.T @ chunk.phi
     a = stats.c1 + b.T @ b + (hyper.alpha / hyper.beta) * np.eye(hyper.r)
     return RidgeFactor(a).solve(stats.c2 + bt_phi)
 
 
-def factor_p_system(stats, chunk, hyper, phi_gram=None):
+def factor_p_system(stats, phi_gram, hyper):
     """Factor the hash-projection system c3 + phi'phi + (alpha/mu) I.
 
     It does not depend on the codes, so one factor serves every outer
-    iteration of a round.  phi_gram, if given, is chunk.phi.T @ chunk.phi.
+    iteration of a round.  phi_gram is chunk.phi.T @ chunk.phi.
     """
-    if phi_gram is None:
-        phi_gram = chunk.phi.T @ chunk.phi
     a = stats.c3 + phi_gram + (hyper.alpha / hyper.mu) * np.eye(hyper.m)
     return RidgeFactor(a)
 
 
-def update_p(stats, chunk, b, hyper, factor=None, bt_phi=None):
+def update_p(stats, factor, bt_phi):
     """Ridge solve for the hash projection.
 
-    factor, if given, is the round's factor_p_system; without it the system
-    is built and factored here.  bt_phi, if given, is b.T @ chunk.phi; its
-    transpose is the chunk's part of the right-hand side.
+    factor is the round's factor_p_system and bt_phi is b.T @ chunk.phi;
+    its transpose is the chunk's part of the right-hand side.
     """
-    if factor is None:
-        factor = factor_p_system(stats, chunk, hyper)
-    if bt_phi is None:
-        bt_phi = b.T @ chunk.phi
     return factor.solve(stats.c4 + bt_phi.T)
 
 
@@ -206,15 +200,12 @@ class CodeCoupling:
                                  a=self.products, overwrite_a=True)
 
 
-def dcc_bit_column(q, b, l, state, weights, coupling=None):
+def dcc_bit_column(q, b, l, coupling):
     """Optimal value of bit column l with all other bits held fixed.
 
     Sign of the bit's linear coefficient; sign(0) resolves to +1.
-    coupling, if given, is a CodeCoupling of b; without it the coupling
-    products are computed here from b.
+    coupling is the CodeCoupling of b.
     """
-    if coupling is None:
-        coupling = CodeCoupling(b, state, weights)
     # the bit's own coupling is excluded: full product minus its column
     t = q[:, l] - coupling.products[:, l] + b[:, l] * coupling.own(l)
     return np.where(t >= 0.0, 1.0, -1.0)
@@ -232,7 +223,7 @@ def update_b_dcc(q, b, state, weights):
     coupling = CodeCoupling(b, state, weights)
     for _ in range(state.hyper.dcc_sweeps):
         for l in range(state.hyper.r):
-            col = dcc_bit_column(q, b, l, state, weights, coupling)
+            col = dcc_bit_column(q, b, l, coupling)
             rows = np.flatnonzero(col != b[:, l])
             if rows.size:
                 coupling.flip(rows, l, 2.0 * col[rows])
@@ -253,7 +244,7 @@ def run_round(state, stats, chunk, seed):
     phi_gram = chunk.phi.T @ chunk.phi
     bt_phi = b.T @ chunk.phi
     if h.mu > 0:
-        p_factor = factor_p_system(stats, chunk, h, phi_gram)
+        p_factor = factor_p_system(stats, phi_gram, h)
     trace = []
     try:
         # the m x m factor above keeps scipy's default thread count: its
@@ -261,9 +252,9 @@ def run_round(state, stats, chunk, seed):
         with blas.one_lapack_thread():
             for _ in range(h.iters):
                 if h.beta > 0:
-                    state.u = update_u(stats, chunk, b, h, bt_phi)
+                    state.u = update_u(stats, b, h, bt_phi)
                 if h.mu > 0:
-                    state.p = update_p(stats, chunk, b, h, p_factor, bt_phi)
+                    state.p = update_p(stats, p_factor, bt_phi)
                 if h.theta > 0:
                     state.v = update_v(stats, chunk, b, h)
                 if h.tag_regression:

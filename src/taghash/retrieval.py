@@ -19,7 +19,6 @@ class RetrievalIndex:
     packed: np.ndarray           # (N, ceil(r/64)) uint64
     ids: np.ndarray              # (N,) external record identifiers
     r: int
-    model_round: int
 
     def __post_init__(self):
         self.packed = np.asarray(self.packed)
@@ -86,24 +85,20 @@ def hamming_rank(query_packed, index, k=None):
     return index.ids[order], dists[order].astype(np.int64)
 
 
-def snapshot_index(state, code_blocks, ids=None, model_round=None):
+def snapshot_index(state, code_blocks):
     """Concatenate committed code blocks into a retrieval index.
 
     Each block's packed words are built once and cached on the block, so
-    the index is a copy of those words.  ids default to insertion order
-    0..N-1; model_round defaults to the state's committed round counter.
+    the index is a copy of those words.  Its ids are the insertion order
+    0..N-1; an index with other ids is built as a RetrievalIndex directly.
     """
-    if model_round is None:
-        model_round = state.round_index
     r = state.hyper.r
     if code_blocks:
         packed = np.concatenate([cb.packed for cb in code_blocks], axis=0)
     else:
         packed = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
-    if ids is None:
-        ids = np.arange(packed.shape[0], dtype=np.int64)
-    return RetrievalIndex(packed=packed, ids=ids, r=r,
-                          model_round=model_round)
+    ids = np.arange(packed.shape[0], dtype=np.int64)
+    return RetrievalIndex(packed=packed, ids=ids, r=r)
 
 
 def round_snapshots(state, code_blocks, p_history):
@@ -111,15 +106,19 @@ def round_snapshots(state, code_blocks, p_history):
 
     Database codes are never re-hashed; only the query-side projection
     varies by round.  The words are concatenated once; each round's index
-    is a prefix view of them.
+    is a prefix view of them.  There must be one projection per code block.
     """
-    full = snapshot_index(state, code_blocks[:len(p_history)])
+    if len(p_history) != len(code_blocks):
+        raise ValueError(
+            f"{len(p_history)} round projections for {len(code_blocks)} "
+            f"code blocks; need one per round")
+    full = snapshot_index(state, code_blocks)
     out = []
     rows = 0
     for i, p in enumerate(p_history):
         rows += code_blocks[i].n
         snap = replace(state, p=p, round_index=i + 1, total_seen=rows)
         index = RetrievalIndex(packed=full.packed[:rows], ids=full.ids[:rows],
-                               r=full.r, model_round=i + 1)
+                               r=full.r)
         out.append((i + 1, snap, index))
     return out

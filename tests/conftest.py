@@ -37,7 +37,8 @@ def committed_history(rng, hyper, n_chunks, n):
         chunk = random_round_data(rng, n, hyper.m, hyper.c, hyper.f)
         b = random_codes(rng, n, hyper.r)
         k = rng.uniform(0.2, 2.0, size=n)
-        commit_round(state, stats, chunk, b, k)
+        commit_round(state, stats, chunk, b, k, chunk.phi.T @ chunk.phi,
+                     b.T @ chunk.phi)
         chunks.append(chunk)
         codes.append(b)
         weights.append(k)

@@ -17,9 +17,10 @@ from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
 from taghash.model import AccumStats, Hyperparams, RoundData, commit_round
-from taghash.optimizer import (assemble_q, compute_reweights, dcc_bit_column,
-                               init_round, update_b_dcc, update_p, update_u,
-                               update_v, update_w)
+from taghash.optimizer import (CodeCoupling, assemble_q, compute_reweights,
+                               dcc_bit_column, factor_p_system, init_round,
+                               update_b_dcc, update_p, update_u, update_v,
+                               update_w)
 from taghash.retrieval import hamming_rank, hash_queries
 from taghash.synthetic import make_cluster_stream
 
@@ -68,16 +69,20 @@ def test_criterion_01_incremental_matches_batch():
     for rnd in range(5):
         chunk = random_round_data(rng, 50, hyper.m, hyper.c, hyper.f)
         b, weights = init_round(chunk, state, seed=rnd)
+        phi_gram = chunk.phi.T @ chunk.phi
         for _ in range(hyper.iters):
-            state.u = update_u(stats, chunk, b, hyper)
-            state.p = update_p(stats, chunk, b, hyper)
+            state.u = update_u(stats, b, hyper, b.T @ chunk.phi)
+            state.p = update_p(stats,
+                               factor_p_system(stats, phi_gram, hyper),
+                               b.T @ chunk.phi)
             state.v = update_v(stats, chunk, b, hyper)
             weights = compute_reweights(chunk.y, b, state.w,
                                         hyper.epsilon_norm)
             state.w = update_w(stats, chunk, b, weights, hyper)
             q = assemble_q(chunk, state, weights)
             b = update_b_dcc(q, b, state, weights)
-        commit_round(state, stats, chunk, b, weights)
+        commit_round(state, stats, chunk, b, weights, phi_gram,
+                     b.T @ chunk.phi)
         chunks.append(chunk)
         codes.append(b)
         frozen.append(weights)
@@ -103,7 +108,8 @@ def test_criterion_02_closed_form_optimality(small_hyper):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
         b = random_codes(rng, 10, h.r)
         k = rng.uniform(0.2, 2.0, size=10)
-        commit_round(state, stats, chunk, b, k)
+        commit_round(state, stats, chunk, b, k, chunk.phi.T @ chunk.phi,
+                     b.T @ chunk.phi)
         hist_chunks.append(chunk)
         hist_codes.append(b)
         hist_weights.append(k)
@@ -118,11 +124,13 @@ def test_criterion_02_closed_form_optimality(small_hyper):
     s = np.sqrt(k_all)[:, None]
 
     bk = cur_b * cur_k[:, None]
+    bt_phi = cur_b.T @ cur.phi
+    p_factor = factor_p_system(stats, cur.phi.T @ cur.phi, h)
     steps = [
-        (update_u(stats, cur, cur_b, h),
+        (update_u(stats, cur_b, h, bt_phi),
          stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * np.eye(h.r),
          stats.c2 + cur_b.T @ cur.phi, b_all, phi_all, h.alpha / h.beta),
-        (update_p(stats, cur, cur_b, h),
+        (update_p(stats, p_factor, bt_phi),
          stats.c3 + cur.phi.T @ cur.phi + (h.alpha / h.mu) * np.eye(h.m),
          stats.c4 + cur.phi.T @ cur_b, phi_all, b_all, h.alpha / h.mu),
         (update_v(stats, cur, cur_b, h),
@@ -154,8 +162,9 @@ def test_criterion_03_irls_descent(small_hyper):
     stats = AccumStats.zeros(h)
     for _ in range(2):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
-        commit_round(state, stats, chunk, random_codes(rng, 10, h.r),
-                     rng.uniform(0.2, 2.0, size=10))
+        b = random_codes(rng, 10, h.r)
+        commit_round(state, stats, chunk, b, rng.uniform(0.2, 2.0, size=10),
+                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
     chunk = random_round_data(rng, 14, h.m, h.c, h.f)
     b = random_codes(rng, 14, h.r)
     state.w = rng.normal(scale=0.5, size=(h.r, h.c))
@@ -187,14 +196,15 @@ def test_criterion_04_dcc_descent_and_fixed_point():
     prev = code_subproblem_value(b, q, state, k)
     for _ in range(h.dcc_sweeps):
         for l in range(h.r):
-            b[:, l] = dcc_bit_column(q, b, l, state, k)
+            b[:, l] = dcc_bit_column(q, b, l, CodeCoupling(b, state, k))
             cur = code_subproblem_value(b, q, state, k)
             assert cur <= prev + 1e-9
             prev = cur
 
     # fixed point: one more application of every bit rule changes nothing
+    coupling = CodeCoupling(b, state, k)
     for l in range(h.r):
-        assert np.array_equal(dcc_bit_column(q, b, l, state, k), b[:, l])
+        assert np.array_equal(dcc_bit_column(q, b, l, coupling), b[:, l])
 
     base = code_subproblem_value(b, q, state, k)
     for _ in range(1000):
@@ -211,8 +221,7 @@ def test_criterion_05_packed_ranking_matches_dense():
         db_packed = pack_codes(db)
         q_packed = pack_codes(queries)
         from taghash.retrieval import RetrievalIndex
-        index = RetrievalIndex(packed=db_packed, ids=np.arange(1000), r=r,
-                               model_round=1)
+        index = RetrievalIndex(packed=db_packed, ids=np.arange(1000), r=r)
         for qi in range(50):
             ids, dists = hamming_rank(q_packed[qi], index)
             dense_d = np.sum(db != queries[qi], axis=1)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestTrain:
         m2 = str(workdir["root"] / "d2.csv")
         assert run_train(workdir, c1, m1) == 0
         assert run_train(workdir, c2, m2) == 0
-        assert open(c1, "rb").read() == open(c2, "rb").read()
+        assert Path(c1).read_bytes() == Path(c2).read_bytes()
 
         def objective_rows(path):
             with open(path) as fh:
@@ -115,7 +116,7 @@ class TestTrain:
         assert run_train(workdir, straight) == 0
         assert run_train(workdir, resumed, extra=["--chunks", "1"]) == 0
         assert run_train(workdir, resumed, extra=["--resume"]) == 0
-        assert open(straight, "rb").read() == open(resumed, "rb").read()
+        assert Path(straight).read_bytes() == Path(resumed).read_bytes()
 
     def test_chunk_limit(self, workdir):
         ckpt = str(workdir["root"] / "lim.ckpt")
@@ -123,6 +124,25 @@ class TestTrain:
         state, stats, blocks, *_ = load_checkpoint(ckpt)
         assert state.round_index == 2
         assert len(blocks) == 2
+
+    @pytest.mark.parametrize("chunks", ["0", "-1"])
+    def test_chunk_limit_below_one_is_usage_error(self, workdir, chunks):
+        # refused before any file is read: the manifest does not exist
+        ckpt = workdir["root"] / "none.ckpt"
+        rc = run_train(workdir, str(ckpt), extra=[
+            "--chunks", chunks,
+            "--manifest", str(workdir["root"] / "missing.json")])
+        assert rc == 1
+        assert not ckpt.exists()
+
+    def test_chunk_limit_below_one_in_config_is_usage_error(self, workdir,
+                                                            tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(Path(workdir["config"]).read_text() + "chunks = 0\n")
+        ckpt = tmp_path / "none.ckpt"
+        assert cli.main(["train", "--config", str(cfg),
+                         "--checkpoint", str(ckpt)]) == 1
+        assert not ckpt.exists()
 
     def test_cli_override_beats_config(self, workdir):
         ckpt = str(workdir["root"] / "ov.ckpt")
@@ -224,7 +244,7 @@ class TestEvalAndQuery:
             "query", "--config", workdir["config"], "--checkpoint", trained,
             "--features", workdir["queries"], "-k", "4", "--out", out])
         assert rc == 0
-        lines = [ln.split("\t") for ln in open(out).read().splitlines()]
+        lines = [ln.split("\t") for ln in Path(out).read_text().splitlines()]
         assert len(lines) == 30 * 4
 
         state, _, blocks, *_ = load_checkpoint(trained)
@@ -255,7 +275,7 @@ class TestEvalAndQuery:
             "query", "--config", workdir["config"], "--checkpoint", trained,
             "--features", workdir["queries"], "-k", "0", "--out", out])
         assert rc == 0
-        assert open(out).read() == ""
+        assert Path(out).read_text() == ""
 
 
 class TestAblate:
@@ -419,6 +439,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "40 label rows" in err and "60 codes" in err
 
+    @pytest.mark.parametrize("projections", [1, 3])
+    def test_eval_needs_one_projection_per_round(self, workdir, tmp_path,
+                                                 capsys, projections):
+        # a 2-round checkpoint with too few or too many projections cannot
+        # give a MAP curve, but it still serves queries
+        ckpt = str(tmp_path / "two.ckpt")
+        assert run_train(workdir, ckpt, extra=["--chunks", "2"]) == 0
+        state, stats, blocks, p_history, seed = load_checkpoint(ckpt)
+        dataio.save_checkpoint(ckpt, state, stats, blocks,
+                               [p_history[-1]] * projections, seed)
+        rc = cli.main(["eval", "--config", workdir["config"],
+                       "--checkpoint", ckpt,
+                       "--queries", workdir["queries"],
+                       "--query-labels", workdir["query_labels"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{projections} round projections for 2 code blocks" in err
+        assert cli.main(["query", "--config", workdir["config"],
+                         "--checkpoint", ckpt, "--features",
+                         workdir["queries"],
+                         "--out", str(tmp_path / "hits.tsv")]) == 0
+
     def test_checkpoint_missing_field_is_data_error(self, workdir,
                                                     three_rounds, tmp_path,
                                                     capsys):
@@ -434,7 +476,7 @@ class TestExitCodes:
 
     def test_non_finite_embedding_is_data_error(self, workdir, tmp_path,
                                                 capsys):
-        lines = open(workdir["embeddings"]).read().splitlines()
+        lines = Path(workdir["embeddings"]).read_text().splitlines()
         token, _, *rest = lines[1].split()
         lines[1] = " ".join([token, "nan"] + rest)
         emb = tmp_path / "emb.txt"

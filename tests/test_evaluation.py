@@ -18,7 +18,7 @@ def make_index(dense, ids=None):
     return RetrievalIndex(packed=pack_codes(dense),
                           ids=np.arange(len(dense))
                           if ids is None else np.asarray(ids),
-                          r=dense.shape[1], model_round=1)
+                          r=dense.shape[1])
 
 
 def per_query_map(query_codes, index, query_labels, db_labels, cutoff=None):

@@ -59,13 +59,11 @@ class TestFeatureFiles:
             load_features(str(path))
 
     def test_truncated_payload(self, tmp_path):
-        path = str(tmp_path / "x.bin")
-        save_features(path, np.ones((4, 4)))
-        blob = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(blob[:-7])
+        path = tmp_path / "x.bin"
+        save_features(str(path), np.ones((4, 4)))
+        path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(LoadError, match="truncated"):
-            load_features(path)
+            load_features(str(path))
 
     def test_non_finite_rejected_with_position(self, tmp_path):
         x = np.ones((3, 2))
@@ -351,18 +349,18 @@ class TestCheckpoint:
         trainer.save(p1)
         state, stats, blocks, ph, seed = load_checkpoint(p1)
         save_checkpoint(p2, state, stats, blocks, p_history=ph, seed=seed)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert (tmp_path / "a.bin").read_bytes() \
+            == (tmp_path / "b.bin").read_bytes()
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         trainer, _ = trained_trainer(1)
-        path = str(tmp_path / "ck.bin")
-        trainer.save(path)
-        blob = bytearray(open(path, "rb").read())
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        with open(path, "wb") as fh:
-            fh.write(bytes(blob))
+        path.write_bytes(bytes(blob))
         with pytest.raises(LoadError, match="checksum"):
-            load_checkpoint(path)
+            load_checkpoint(str(path))
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "ck.bin"

@@ -34,7 +34,8 @@ class TestCommitRound:
         b = np.array([[1.0, 1.0], [-1.0, 1.0]])
         chunk = RoundData(phi=np.zeros((2, 3)), y=np.zeros((2, 2)),
                           z=np.zeros((2, 2)))
-        commit_round(state, stats, chunk, b, np.ones(2))
+        commit_round(state, stats, chunk, b, np.ones(2),
+                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
         assert np.array_equal(stats.c1, [[2.0, 0.0], [0.0, 2.0]])
 
     def test_unit_weights_make_d1_equal_c1(self, small_hyper):
@@ -44,7 +45,8 @@ class TestCommitRound:
         chunk = random_round_data(rng, 9, small_hyper.m, small_hyper.c,
                                   small_hyper.f)
         b = random_codes(rng, 9, small_hyper.r)
-        commit_round(state, stats, chunk, b, np.ones(9))
+        commit_round(state, stats, chunk, b, np.ones(9),
+                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
         assert np.allclose(stats.d1, stats.c1, atol=1e-12)
 
     def test_five_chunks_match_batch_oracle(self, small_hyper):
@@ -78,10 +80,11 @@ class TestCommitRound:
         chunk = random_round_data(rng, 5, small_hyper.m, small_hyper.c,
                                   small_hyper.f)
         b = random_codes(rng, 5, small_hyper.r)
-        commit_round(state, stats, chunk, b, np.ones(5))
+        products = chunk.phi.T @ chunk.phi, b.T @ chunk.phi
+        commit_round(state, stats, chunk, b, np.ones(5), *products)
         stats.rounds_committed -= 1  # simulate replay of the same round
         with pytest.raises(StateError):
-            commit_round(state, stats, chunk, b, np.ones(5))
+            commit_round(state, stats, chunk, b, np.ones(5), *products)
 
     def test_accumulator_sizes_independent_of_rounds(self, small_hyper):
         rng = np.random.default_rng(4)
@@ -130,7 +133,8 @@ class TestObjectiveValue:
         chunk = random_round_data(rng, 6, h.m, h.c, h.f)
         b = np.zeros((6, h.r))
         k = rng.uniform(0.5, 1.5, size=6)
-        got = objective_value(state, stats, chunk, b, k)
+        got = objective_value(state, stats, chunk, b, k,
+                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
         want = (float(np.sum(k * np.sum(chunk.y ** 2, axis=1)))
                 + h.beta * float(np.sum(chunk.phi ** 2))
                 + h.theta * float(np.sum(chunk.z ** 2)))
@@ -149,7 +153,8 @@ class TestObjectiveValue:
         state.u = np.eye(3)
         state.p = np.eye(3)
         chunk = RoundData(phi=b, y=b @ state.w, z=b @ state.v)
-        got = objective_value(state, stats, chunk, b, np.full(8, 1.0))
+        got = objective_value(state, stats, chunk, b, np.full(8, 1.0),
+                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
         assert got == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_from_scratch_evaluator(self, small_hyper):
@@ -164,7 +169,8 @@ class TestObjectiveValue:
                                 small_hyper.f)
         cur_b = random_codes(rng, 6, small_hyper.r)
         cur_k = rng.uniform(0.3, 1.8, size=6)
-        got = objective_value(state, stats, cur, cur_b, cur_k)
+        got = objective_value(state, stats, cur, cur_b, cur_k,
+                              cur.phi.T @ cur.phi, cur_b.T @ cur.phi)
         want = batch_objective(state, chunks, codes, weights, cur, cur_b,
                                cur_k)
         assert got == pytest.approx(want, rel=1e-9)
@@ -182,5 +188,8 @@ class TestObjectiveValue:
         bad = {"phi": chunk.phi, "y": chunk.y, "z": chunk.z, "weights": k,
                "b": b}[where]
         bad.flat[1] = value
+        phi_gram = chunk.phi.T @ chunk.phi
+        with np.errstate(invalid="ignore"):  # the inf code poisons B'phi
+            bt_phi = b.T @ chunk.phi
         with pytest.raises(FloatingPointError):
-            objective_value(state, stats, chunk, b, k)
+            objective_value(state, stats, chunk, b, k, phi_gram, bt_phi)

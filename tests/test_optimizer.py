@@ -7,8 +7,9 @@ import scipy.linalg
 from taghash import blas
 from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
                            objective_value)
-from taghash.optimizer import (RoundAborted, assemble_q, compute_reweights,
-                               dcc_bit_column, init_round, run_round,
+from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
+                               compute_reweights, dcc_bit_column,
+                               factor_p_system, init_round, run_round,
                                update_b_dcc, update_p, update_u, update_v,
                                update_w)
 
@@ -48,7 +49,7 @@ class TestClosedFormSolves:
         rng = np.random.default_rng(10)
         _, stats, cur, cur_b, _, b_all, phi_all, *_ = stacked_problem(
             rng, small_hyper)
-        got = update_u(stats, cur, cur_b, small_hyper)
+        got = update_u(stats, cur_b, small_hyper, cur_b.T @ cur.phi)
         want = ridge_lstsq(b_all, phi_all,
                            small_hyper.alpha / small_hyper.beta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -57,7 +58,8 @@ class TestClosedFormSolves:
         rng = np.random.default_rng(11)
         _, stats, cur, cur_b, _, b_all, phi_all, *_ = stacked_problem(
             rng, small_hyper)
-        got = update_p(stats, cur, cur_b, small_hyper)
+        factor = factor_p_system(stats, cur.phi.T @ cur.phi, small_hyper)
+        got = update_p(stats, factor, cur_b.T @ cur.phi)
         want = ridge_lstsq(phi_all, b_all, small_hyper.alpha / small_hyper.mu)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -83,10 +85,11 @@ class TestClosedFormSolves:
         h = small_hyper
         _, stats, cur, cur_b, cur_k, *_ = stacked_problem(rng, h)
         eye = np.eye(h.r)
-        u = update_u(stats, cur, cur_b, h)
+        u = update_u(stats, cur_b, h, cur_b.T @ cur.phi)
         a = stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * eye
         assert np.max(np.abs(a @ u - (stats.c2 + cur_b.T @ cur.phi))) <= 1e-8
-        p = update_p(stats, cur, cur_b, h)
+        p = update_p(stats, factor_p_system(stats, cur.phi.T @ cur.phi, h),
+                     cur_b.T @ cur.phi)
         a = stats.c3 + cur.phi.T @ cur.phi + (h.alpha / h.mu) * np.eye(h.m)
         assert np.max(np.abs(a @ p - (stats.c4 + cur.phi.T @ cur_b))) <= 1e-8
         v = update_v(stats, cur, cur_b, h)
@@ -108,10 +111,13 @@ class TestClosedFormSolves:
             return float(np.sum(res * res)) + ridge * float(np.sum(x * x))
 
         s = np.sqrt(k_all)[:, None]
+        bt_phi = cur_b.T @ cur.phi
+        factor = factor_p_system(stats, cur.phi.T @ cur.phi, h)
         solved = [
-            (update_u(stats, cur, cur_b, h), b_all, phi_all,
+            (update_u(stats, cur_b, h, bt_phi), b_all, phi_all,
              h.alpha / h.beta),
-            (update_p(stats, cur, cur_b, h), phi_all, b_all, h.alpha / h.mu),
+            (update_p(stats, factor, bt_phi), phi_all, b_all,
+             h.alpha / h.mu),
             (update_v(stats, cur, cur_b, h), b_all, z_all,
              h.alpha / h.theta),
             (update_w(stats, cur, cur_b, cur_k, h), s * b_all, s * y_all,
@@ -132,7 +138,7 @@ class TestClosedFormSolves:
         stats = AccumStats.zeros(h)
         chunk = random_round_data(rng, 2, h.m, h.c, h.f)
         b = random_codes(rng, 2, h.r)  # rank <= 2 < r
-        u = update_u(stats, chunk, b, h)
+        u = update_u(stats, b, h, b.T @ chunk.phi)
         assert np.all(np.isfinite(u))
         a = b.T @ b
         rhs = b.T @ chunk.phi
@@ -214,7 +220,7 @@ class TestCodeDescent:
         prev = code_subproblem_value(b, q, state, k)
         for _ in range(3):
             for l in range(h.r):
-                b[:, l] = dcc_bit_column(q, b, l, state, k)
+                b[:, l] = dcc_bit_column(q, b, l, CodeCoupling(b, state, k))
                 cur = code_subproblem_value(b, q, state, k)
                 assert cur <= prev + 1e-9
                 prev = cur
@@ -392,8 +398,9 @@ class TestRunRound:
     @pytest.mark.parametrize("case", list(REPLAY_CASES))
     def test_trace_matches_manual_replay(self, case):
         # replay the exact iteration schedule by hand with the standalone
-        # steps, none given a cached round constant, and require the same
-        # bits as run_round: trace, codes, projections and statistics
+        # steps, every product formed afresh at its call rather than cached
+        # for the round, and require the same bits as run_round: trace,
+        # codes, projections and statistics
         overrides, n = self.REPLAY_CASES[case]
         h = Hyperparams(**{**dict(r=4, m=6, f=3, c=5, alpha=2.0, beta=0.5,
                                   theta=0.7, mu=1.3, iters=3, dcc_sweeps=2),
@@ -414,21 +421,24 @@ class TestRunRound:
         manual_trace = []
         for _ in range(h.iters):
             if h.beta > 0:
-                manual.u = update_u(mstats, chunk, b, h)
+                manual.u = update_u(mstats, b, h, b.T @ chunk.phi)
             if h.mu > 0:
-                manual.p = update_p(mstats, chunk, b, h)
+                factor = factor_p_system(mstats, chunk.phi.T @ chunk.phi, h)
+                manual.p = update_p(mstats, factor, b.T @ chunk.phi)
             if h.theta > 0:
                 manual.v = update_v(mstats, chunk, b, h)
             k = compute_reweights(chunk.y, b, manual.w, h.epsilon_norm)
             manual.w = update_w(mstats, chunk, b, k, h)
             q = assemble_q(chunk, manual, k)
             b = update_b_dcc(q, b, manual, k)
-            manual_trace.append(
-                objective_value(manual, mstats, chunk, b, k))
+            manual_trace.append(objective_value(
+                manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
+                b.T @ chunk.phi))
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
         assert np.array_equal(state.p, manual.p)
-        commit_round(manual, mstats, chunk, b, k)
+        commit_round(manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
+                     b.T @ chunk.phi)
         for field in dataclasses.fields(AccumStats):
             assert np.array_equal(getattr(stats, field.name),
                                   getattr(mstats, field.name)), field.name

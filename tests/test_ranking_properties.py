@@ -59,7 +59,7 @@ class TestHammingRankProperties:
         db, q, k = case
         index = RetrievalIndex(packed=pack_codes(db),
                                ids=np.arange(len(db)) * 3 + 11,
-                               r=q.shape[0], model_round=1)
+                               r=q.shape[0])
         ids, dists = hamming_rank(pack_codes(q[None, :])[0], index, k)
         want_idx, want_d = dense_rank(q, db)
         take = len(db) if k is None else min(k, len(db))

@@ -74,7 +74,7 @@ class TestHammingRank:
         return RetrievalIndex(packed=pack_codes(dense),
                               ids=np.arange(len(dense))
                               if ids is None else np.asarray(ids),
-                              r=dense.shape[1], model_round=1)
+                              r=dense.shape[1])
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
@@ -155,7 +155,7 @@ class TestRetrievalIndexShapes:
     def test_one_id_per_code_row(self, ids, match):
         with pytest.raises(ValueError, match=match):
             RetrievalIndex(packed=pack_codes(np.ones((2, 4), dtype=np.int8)),
-                           ids=ids, r=4, model_round=1)
+                           ids=ids, r=4)
 
     @pytest.mark.parametrize("packed, r, match", [
         (np.zeros((2, 1), dtype=np.uint64), 200,
@@ -165,7 +165,7 @@ class TestRetrievalIndexShapes:
     ], ids=["r200_in_one_word", "one_d", "int64"])
     def test_packed_words_fit_code_length(self, packed, r, match):
         with pytest.raises(ValueError, match=match):
-            RetrievalIndex(packed=packed, ids=[7, 9], r=r, model_round=1)
+            RetrievalIndex(packed=packed, ids=[7, 9], r=r)
 
 
 class TestHashQueries:
@@ -214,13 +214,11 @@ class TestHashQueries:
 class TestSnapshotIndex:
     def test_concatenates_blocks_in_round_order(self, small_hyper):
         state = make_state(small_hyper)
-        state.round_index = 2
         rng = np.random.default_rng(11)
         b1 = CodeBlock(random_codes(rng, 3, small_hyper.r).astype(np.int8))
         b2 = CodeBlock(random_codes(rng, 2, small_hyper.r).astype(np.int8))
         index = snapshot_index(state, [b1, b2])
         assert index.size == 5
-        assert index.model_round == 2
         dense = unpack_codes(index.packed, small_hyper.r)
         assert np.array_equal(dense[:3], b1.dense)
         assert np.array_equal(dense[3:], b2.dense)
@@ -231,13 +229,6 @@ class TestSnapshotIndex:
         index = snapshot_index(state, [])
         assert index.size == 0
         assert index.packed.shape == (0, 1)
-
-    def test_custom_ids_and_round(self, small_hyper):
-        state = make_state(small_hyper)
-        block = CodeBlock(np.ones((2, small_hyper.r), dtype=np.int8))
-        index = snapshot_index(state, [block], ids=[7, 9], model_round=4)
-        assert index.ids.tolist() == [7, 9]
-        assert index.model_round == 4
 
 
 class TestRoundSnapshots:
@@ -260,11 +251,21 @@ class TestRoundSnapshots:
             assert index.packed.dtype == np.uint64
             assert np.array_equal(index.packed, pack_codes(dense))
             assert index.ids.tolist() == list(range(len(dense)))
-            assert index.model_round == rnd
             assert snap.round_index == rnd and snap.total_seen == len(dense)
             assert np.array_equal(snap.p, p_history[rnd - 1])
         full = snapshot_index(state, blocks)
         assert np.array_equal(full.packed, snaps[-1][2].packed)
+
+    @pytest.mark.parametrize("projections", [1, 3])
+    def test_one_projection_per_block(self, projections):
+        # a checkpoint may hold more code blocks than projections (a served
+        # database), but a MAP curve needs one projection for every round
+        p_history = [np.zeros((self.hyper.m, self.hyper.r))] * projections
+        with pytest.raises(ValueError,
+                           match=f"{projections} round projections for 2 "
+                                 f"code blocks"):
+            round_snapshots(make_state(self.hyper), self.blocks([3, 1]),
+                            p_history)
 
     def test_packs_each_block_once(self, monkeypatch):
         packed_rows = []
