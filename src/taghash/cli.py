@@ -107,22 +107,31 @@ def _require(cfg, key):
     return cfg[key]
 
 
-def _hyper_from(cfg, c, f, overrides=None):
-    kwargs = {
-        "r": int(_require(cfg, "bits")),
-        "m": int(_require(cfg, "anchors")),
-        "c": c, "f": f,
-    }
-    for key in ("alpha", "beta", "theta", "mu"):
-        if key in cfg:
-            kwargs[key] = float(cfg[key])
-    if "iters" in cfg:
-        kwargs["iters"] = int(cfg["iters"])
-    if "dcc_sweeps" in cfg:
-        kwargs["dcc_sweeps"] = int(cfg["dcc_sweeps"])
-    if overrides:
-        kwargs.update(overrides)
-    return Hyperparams(**kwargs)
+# Hyperparams field -> (setting name, type)
+_HYPER_SETTINGS = {"r": ("bits", int), "m": ("anchors", int),
+                   "alpha": ("alpha", float), "beta": ("beta", float),
+                   "theta": ("theta", float), "mu": ("mu", float),
+                   "iters": ("iters", int), "dcc_sweeps": ("dcc_sweeps", int)}
+
+
+def _given_hyper(cfg, overrides=None):
+    """Hyperparameters set by flag or config, then the variant's overrides."""
+    given = {field: cast(cfg[key])
+             for field, (key, cast) in _HYPER_SETTINGS.items() if key in cfg}
+    given.update(overrides or {})
+    return given
+
+
+def _check_resume(trainer, cfg, overrides):
+    """Refuse given settings that differ from the checkpoint's."""
+    given = {_HYPER_SETTINGS.get(k, (k,))[0]: (v, getattr(trainer.hyper, k))
+             for k, v in _given_hyper(cfg, overrides).items()}
+    given["seed"] = (int(cfg.get("seed", trainer.seed)), trainer.seed)
+    changed = [f"{name} = {new!r}, checkpoint has {old!r}"
+               for name, (new, old) in given.items() if new != old]
+    if changed:
+        raise UsageError("--resume keeps the checkpoint's settings: "
+                         + "; ".join(changed))
 
 
 def _load_table(cfg, manifest):
@@ -193,8 +202,12 @@ def _train(args, overrides=None):
 
     if getattr(args, "resume", False) and os.path.exists(ckpt_path):
         trainer = StreamTrainer.from_checkpoint(ckpt_path, table)
+        _check_resume(trainer, cfg, overrides)
     else:
-        hyper = _hyper_from(cfg, manifest.c, table.f, overrides)
+        _require(cfg, "bits")
+        _require(cfg, "anchors")
+        hyper = Hyperparams(c=manifest.c, f=table.f,
+                            **_given_hyper(cfg, overrides))
         trainer = StreamTrainer(hyper, table, seed)
 
     n_chunks = len(manifest.chunks)
@@ -260,6 +273,8 @@ def cmd_eval(args):
             f"evaluation refused: manifest lists {len(manifest.chunks)} "
             f"chunks but the checkpoint has {len(blocks)} rounds")
     qx = dataio.load_features(cfg["queries"])
+    if len(qx) == 0:
+        raise LoadError(f"{cfg['queries']}: no queries")
     q_labels = dataio.load_tags(cfg["query_labels"], manifest.labels_dim,
                                 qx.shape[0], manifest.tag_format)
     db_labels = []
@@ -307,9 +322,9 @@ def cmd_query(args):
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for qi in range(codes.n):
-            ids, dists = hamming_rank(codes.packed[qi], index, args.k)
-            for rank, (rid, dist) in enumerate(zip(ids, dists), 1):
-                out.write(f"{qi}\t{rid}\t{dist}\t{rank}\n")
+            rows, dists = hamming_rank(codes.packed[qi], index, args.k)
+            for rank, (row, dist) in enumerate(zip(rows, dists), 1):
+                out.write(f"{qi}\t{row}\t{dist}\t{rank}\n")
     finally:
         if args.out:
             out.close()

@@ -242,6 +242,8 @@ def remap_tag_columns(y, surviving):
 
 # ---------------------------------------------------------------- manifest
 
+CHUNK_FILES = ("features", "tags", "labels")     # labels are optional
+
 @dataclass
 class ChunkManifest:
     """Ordered chunk files of one stream, with dimensions declared up front."""
@@ -255,15 +257,15 @@ class ChunkManifest:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r") as fh:
-            doc = json.load(fh)
         try:
+            with open(path, "r") as fh:
+                doc = json.load(fh)
             man = cls(
                 d=int(doc["d"]), c=int(doc["c"]), chunks=list(doc["chunks"]),
                 labels_dim=int(doc.get("labels_dim", 0)),
                 tag_vocab=list(doc.get("tag_vocab", [])),
                 tag_format=doc.get("tag_format"))
-        except (KeyError, TypeError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad manifest: {e}") from None
         if man.tag_format not in TAG_FORMATS + (None,):
             raise LoadError(f"{path}: tag_format must be one of "
@@ -271,11 +273,15 @@ class ChunkManifest:
         if not man.chunks:
             raise LoadError(f"{path}: manifest lists no chunks")
         base = os.path.dirname(os.path.abspath(path))
-        for entry in man.chunks:
-            for key in ("features", "tags"):
-                if key not in entry:
-                    raise LoadError(f"{path}: chunk entry missing '{key}'")
-            for key in ("features", "tags", "labels"):
+        for i, entry in enumerate(man.chunks):
+            if not (isinstance(entry, dict) and "features" in entry
+                    and "tags" in entry and all(
+                        isinstance(entry[key], str) for key in CHUNK_FILES
+                        if key in entry)):
+                raise LoadError(
+                    f"{path}: chunk {i} must map 'features', 'tags' and "
+                    f"optionally 'labels' to path strings, got {entry!r}")
+            for key in CHUNK_FILES:
                 if key in entry and not os.path.isabs(entry[key]):
                     entry[key] = os.path.join(base, entry[key])
         return man

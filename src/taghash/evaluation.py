@@ -22,7 +22,7 @@ class EvalJudgments:
     """Binary label matrices for queries and database records."""
 
     query_labels: np.ndarray     # (n_q, L)
-    db_labels: np.ndarray        # (N, L), rows aligned to database ids
+    db_labels: np.ndarray        # (N, L), one row per database row
 
     def __post_init__(self):
         q, db = np.shape(self.query_labels), np.shape(self.db_labels)
@@ -32,7 +32,7 @@ class EvalJudgments:
                 f"labels {q} and database labels {db}")
 
     def relevance(self, query_idx):
-        """Boolean relevance of every database id to the given queries.
+        """Boolean relevance of every database row to the given queries.
 
         query_idx is one query index, giving an (N,) row, or a slice or
         index array, giving a (queries, N) matrix.  Labels are binarized
@@ -79,8 +79,8 @@ def query_relevance(judgments, n_queries):
         yield from enumerate(block, start)
 
 
-def average_precision(ranked_ids, relevant, total_relevant=None):
-    """AP of one ranked list against a boolean relevance array over ids.
+def average_precision(ranked_rows, relevant, total_relevant=None):
+    """AP of one ranked list against a boolean relevance array over rows.
 
     total_relevant is the number of relevant items in the database being
     ranked; it defaults to the count over the whole relevance array.
@@ -92,17 +92,17 @@ def average_precision(ranked_ids, relevant, total_relevant=None):
         total_relevant = int(relevant.sum())
     if total_relevant == 0:
         return None
-    ranked_ids = np.asarray(ranked_ids)
-    if ranked_ids.size == 0:
+    ranked_rows = np.asarray(ranked_rows)
+    if ranked_rows.size == 0:
         raise ValueError("ranked list is empty")
     # the precision at the i-th hit, found at rank ranks[i - 1], is
     # i / ranks[i - 1]: only the hits are visited
-    ranks = np.flatnonzero(relevant[ranked_ids]) + 1
-    denom = min(total_relevant, len(ranked_ids))
+    ranks = np.flatnonzero(relevant[ranked_rows]) + 1
+    denom = min(total_relevant, len(ranked_rows))
     return float(np.sum(np.arange(1, len(ranks) + 1) / ranks) / denom)
 
 
-def precision_at_k(ranked_ids, relevant, k):
+def precision_at_k(ranked_rows, relevant, k):
     """Fraction of the top k that are relevant.
 
     A cutoff past the end of the list is computed over the available prefix.
@@ -110,24 +110,30 @@ def precision_at_k(ranked_ids, relevant, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     relevant = np.asarray(relevant, dtype=bool)
-    top = np.asarray(ranked_ids)[:k]
+    top = np.asarray(ranked_rows)[:k]
     return float(np.mean(relevant[top]))
 
 
 def mean_average_precision(query_codes, index, judgments, cutoff=None):
     """MAP over all queries with at least one relevant database item.
 
-    Returns (map_value, n_excluded).
+    The index holds the first index.size records of the judgments'
+    database, as every round of a MAP curve does.  Returns (map_value,
+    n_excluded).
     """
+    if index.size > len(judgments.db_labels):
+        raise ValueError(
+            f"index holds {index.size} records but only "
+            f"{len(judgments.db_labels)} database records have labels")
     aps = []
     excluded = 0
     for qi, rel in query_relevance(judgments, query_codes.n):
-        in_db = int(np.count_nonzero(rel[index.ids]))
+        in_db = int(np.count_nonzero(rel[:index.size]))
         if in_db == 0:
             excluded += 1
             continue
-        ids, _ = hamming_rank(query_codes.packed[qi], index, cutoff)
-        aps.append(average_precision(ids, rel, in_db))
+        rows, _ = hamming_rank(query_codes.packed[qi], index, cutoff)
+        aps.append(average_precision(rows, rel, in_db))
     if not aps:
         return float("nan"), excluded
     return float(np.mean(aps)), excluded

@@ -14,15 +14,13 @@ from .kernel import rbf_map
 
 @dataclass
 class RetrievalIndex:
-    """Immutable snapshot of all committed codes, in round order."""
+    """Immutable snapshot of all committed codes; row i is record id i."""
 
     packed: np.ndarray           # (N, ceil(r/64)) uint64
-    ids: np.ndarray              # (N,) external record identifiers
     r: int
 
     def __post_init__(self):
         self.packed = np.asarray(self.packed)
-        self.ids = np.asarray(self.ids)
         words = (self.r + 63) // 64
         if (self.packed.ndim != 2 or self.packed.dtype != np.uint64
                 or self.packed.shape[1] != words):
@@ -30,13 +28,6 @@ class RetrievalIndex:
                 f"packed codes must be 2-D uint64 with ceil(r/64) = {words} "
                 f"columns for r={self.r}, got {self.packed.dtype} "
                 f"{self.packed.shape}")
-        if self.ids.shape != (self.packed.shape[0],):
-            raise ValueError(
-                f"ids must be 1-D with one id per code row, got ids "
-                f"{self.ids.shape} for packed codes {self.packed.shape}")
-        s = np.sort(self.ids)
-        if np.any(s[1:] == s[:-1]):
-            raise ValueError("index ids must be unique")
 
     @property
     def size(self):
@@ -58,8 +49,10 @@ def hamming_rank(query_packed, index, k=None):
     """Rank the database by Hamming distance to one packed query code.
 
     Ascending distance; ties broken by insertion order (stable).  Returns
-    (ids, int64 distances) of the top min(k, N) entries, or the full ranking
-    when k is None.  k must be a non-negative integer.
+    (rows, distances), both int64, of the top min(k, N) entries, or the
+    full ranking when k is None.  Rows are the records' ids, their
+    insertion order; a caller with external ids maps them with
+    their_ids[rows].  k must be a non-negative integer.
 
     Linear in N: distances take only r + 1 values, so a top-k query counts
     them per value, keeps the rows at or below the k-th smallest distance
@@ -82,23 +75,21 @@ def hamming_rank(query_packed, index, k=None):
         cut = np.searchsorted(cum, k)
         cand = np.flatnonzero(dists <= cut)
         order = cand[np.argsort(dists[cand], kind="stable")[:k]]
-    return index.ids[order], dists[order].astype(np.int64)
+    return order, dists[order].astype(np.int64)
 
 
 def snapshot_index(state, code_blocks):
     """Concatenate committed code blocks into a retrieval index.
 
     Each block's packed words are built once and cached on the block, so
-    the index is a copy of those words.  Its ids are the insertion order
-    0..N-1; an index with other ids is built as a RetrievalIndex directly.
+    the index is a copy of those words.
     """
     r = state.hyper.r
     if code_blocks:
         packed = np.concatenate([cb.packed for cb in code_blocks], axis=0)
     else:
         packed = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
-    ids = np.arange(packed.shape[0], dtype=np.int64)
-    return RetrievalIndex(packed=packed, ids=ids, r=r)
+    return RetrievalIndex(packed=packed, r=r)
 
 
 def round_snapshots(state, code_blocks, p_history):
@@ -118,7 +109,6 @@ def round_snapshots(state, code_blocks, p_history):
     for i, p in enumerate(p_history):
         rows += code_blocks[i].n
         snap = replace(state, p=p, round_index=i + 1, total_seen=rows)
-        index = RetrievalIndex(packed=full.packed[:rows], ids=full.ids[:rows],
-                               r=full.r)
+        index = RetrievalIndex(packed=full.packed[:rows], r=full.r)
         out.append((i + 1, snap, index))
     return out

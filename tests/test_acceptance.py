@@ -221,7 +221,7 @@ def test_criterion_05_packed_ranking_matches_dense():
         db_packed = pack_codes(db)
         q_packed = pack_codes(queries)
         from taghash.retrieval import RetrievalIndex
-        index = RetrievalIndex(packed=db_packed, ids=np.arange(1000), r=r)
+        index = RetrievalIndex(packed=db_packed, r=r)
         for qi in range(50):
             ids, dists = hamming_rank(q_packed[qi], index)
             dense_d = np.sum(db != queries[qi], axis=1)

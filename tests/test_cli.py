@@ -118,6 +118,44 @@ class TestTrain:
         assert run_train(workdir, resumed, extra=["--resume"]) == 0
         assert Path(straight).read_bytes() == Path(resumed).read_bytes()
 
+    @pytest.mark.parametrize("extra, config, refused", [
+        (["--bits", "32", "--anchors", "30", "--alpha", "5"], "",
+         ["bits = 32, checkpoint has 16", "anchors = 30, checkpoint has 24",
+          "alpha = 5.0, checkpoint has 300.0"]),
+        ([], "seed = 8\n", ["seed = 8, checkpoint has 7"]),
+    ], ids=["flags", "config_seed"])
+    def test_resume_refuses_changed_settings(self, workdir, tmp_path,
+                                             monkeypatch, capsys, extra,
+                                             config, refused):
+        # refused before any chunk is read, leaving the checkpoint as it was
+        ckpt = tmp_path / "c.ckpt"
+        assert run_train(workdir, str(ckpt), extra=["--chunks", "1"]) == 0
+        before = ckpt.read_bytes()
+        cfg = tmp_path / "changed.cfg"
+        cfg.write_text(Path(workdir["config"]).read_text() + config)
+
+        def no_chunks(self, i):
+            raise AssertionError(f"chunk {i} was read")
+        monkeypatch.setattr(ChunkManifest, "load_chunk", no_chunks)
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", str(cfg), "--checkpoint",
+                       str(ckpt), "--resume"] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert all(text in err for text in refused), err
+        assert ckpt.read_bytes() == before
+
+    def test_resume_compares_after_variant_overrides(self, workdir,
+                                                     tmp_path):
+        ckpt = str(tmp_path / "c.ckpt")
+        assert run_train(workdir, ckpt, extra=["--chunks", "1"]) == 0
+        args = cli.build_parser().parse_args([
+            "train", "--config", workdir["config"], "--checkpoint", ckpt,
+            "--resume"])
+        with pytest.raises(cli.UsageError,
+                           match="theta = 0.0, checkpoint has 0.1"):
+            cli._train(args, overrides=cli.ABLATION_VARIANTS["woh-1"])
+
     def test_chunk_limit(self, workdir):
         ckpt = str(workdir["root"] / "lim.ckpt")
         assert run_train(workdir, ckpt, extra=["--chunks", "2"]) == 0
@@ -385,6 +423,24 @@ class TestExitCodes:
                        "--checkpoint", str(workdir["root"] / "x.ckpt")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, names", [
+        ('{"d": 16, "c": 9, "chunks": [["features", "tags"]]}',
+         "chunk 0 must map 'features', 'tags'"),
+        ('{"d": 16, "c": 9, "chunks": [{"features": 5, "tags": "x"}]}',
+         "path strings, got {'features': 5, 'tags': 'x'}"),
+        ('{"d": 16, "c": 9, "chunks": [{', "bad manifest: Expecting"),
+    ], ids=["list_entry", "number_path", "malformed_json"])
+    def test_malformed_manifest_is_data_error(self, workdir, tmp_path,
+                                              capsys, text, names):
+        man = tmp_path / "bad.json"
+        man.write_text(text)
+        rc = cli.main(["train", "--config", workdir["config"],
+                       "--manifest", str(man),
+                       "--checkpoint", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{man}: " in err and names in err
+
     def test_missing_checkpoint_for_eval_is_data_error(self, workdir):
         rc = cli.main(["eval", "--config", workdir["config"],
                        "--checkpoint", str(workdir["root"] / "nope.ckpt"),
@@ -460,6 +516,18 @@ class TestExitCodes:
                          "--checkpoint", ckpt, "--features",
                          workdir["queries"],
                          "--out", str(tmp_path / "hits.tsv")]) == 0
+
+    def test_eval_without_queries_is_data_error(self, workdir, three_rounds,
+                                                tmp_path, capsys):
+        queries = str(tmp_path / "none.bin")
+        dataio.save_features(queries, np.zeros((0, 16)))
+        labels = tmp_path / "none.labels"
+        labels.write_text("")
+        rc = cli.main(["eval", "--config", workdir["config"],
+                       "--checkpoint", three_rounds, "--queries", queries,
+                       "--query-labels", str(labels)])
+        assert rc == 2
+        assert f"{queries}: no queries" in capsys.readouterr().err
 
     def test_checkpoint_missing_field_is_data_error(self, workdir,
                                                     three_rounds, tmp_path,

@@ -14,11 +14,8 @@ from conftest import make_state, random_codes
 from oracles import naive_average_precision, naive_map
 
 
-def make_index(dense, ids=None):
-    return RetrievalIndex(packed=pack_codes(dense),
-                          ids=np.arange(len(dense))
-                          if ids is None else np.asarray(ids),
-                          r=dense.shape[1])
+def make_index(dense):
+    return RetrievalIndex(packed=pack_codes(dense), r=dense.shape[1])
 
 
 def per_query_map(query_codes, index, query_labels, db_labels, cutoff=None):
@@ -27,7 +24,7 @@ def per_query_map(query_codes, index, query_labels, db_labels, cutoff=None):
     aps, excluded = [], 0
     for qi in range(query_codes.n):
         rel = (db_labels @ query_labels[qi]) > 0
-        in_db = int(rel[index.ids].sum())
+        in_db = int(rel[:index.size].sum())
         if in_db == 0:
             excluded += 1
             continue
@@ -214,20 +211,29 @@ class TestMeanAveragePrecision:
         assert excluded == 1
 
     def test_sub_index_restricts_relevant_counting(self):
-        # database rows 0 and 1 are relevant, but the index only holds
-        # rows 1..3; the AP denominator must count only row 1
+        # database rows 0 and 3 are relevant, but the index only holds
+        # rows 0..2; the AP denominator must count only row 0
         db = np.array([[1, 1, 1, 1],
-                       [1, 1, 1, 1],
                        [-1, -1, -1, -1],
-                       [-1, -1, 1, 1]], dtype=np.int8)
-        labels_db = np.array([[1], [1], [0], [0]])
+                       [-1, -1, 1, 1],
+                       [1, 1, 1, 1]], dtype=np.int8)
+        labels_db = np.array([[1], [0], [0], [1]])
         judgments = EvalJudgments(query_labels=np.array([[1]]),
                                   db_labels=labels_db)
-        index = make_index(db[1:], ids=[1, 2, 3])
+        index = make_index(db[:3])
         queries = CodeBlock(np.ones((1, 4), dtype=np.int8))
         value, excluded = mean_average_precision(queries, index, judgments)
         assert excluded == 0
-        assert value == 1.0  # row 1 ranks first at distance 0
+        assert value == 1.0  # row 0 ranks first at distance 0
+
+    def test_index_larger_than_labelled_database_rejected(self):
+        db = np.ones((4, 4), dtype=np.int8)
+        judgments = EvalJudgments(query_labels=np.array([[1]]),
+                                  db_labels=np.array([[1]] * 3))
+        queries = CodeBlock(np.ones((1, 4), dtype=np.int8))
+        with pytest.raises(ValueError, match="index holds 4 records but only "
+                                             "3 database records"):
+            mean_average_precision(queries, make_index(db), judgments)
 
     def test_random_codes_score_near_prevalence(self):
         rng = np.random.default_rng(3)
@@ -271,11 +277,7 @@ class TestMeanAveragePrecision:
         labels_db = (rng.random((n_db, n_labels)) < 0.25).astype(int)
         labels_q = (rng.random((n_q, n_labels)) < 0.2).astype(int)
         judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
-        if sub_index:
-            ids = np.sort(rng.choice(n_db, size=170, replace=False))[::-1]
-            index = make_index(db[ids], ids=ids)
-        else:
-            index = make_index(db)
+        index = make_index(db[:170] if sub_index else db)
         got = mean_average_precision(queries, index, judgments, cutoff)
         want = per_query_map(queries, index, labels_q, labels_db, cutoff)
         assert want[1] > 0

@@ -70,11 +70,8 @@ class TestHammingDistances:
 
 
 class TestHammingRank:
-    def build_index(self, dense, ids=None):
-        return RetrievalIndex(packed=pack_codes(dense),
-                              ids=np.arange(len(dense))
-                              if ids is None else np.asarray(ids),
-                              r=dense.shape[1])
+    def build_index(self, dense):
+        return RetrievalIndex(packed=pack_codes(dense), r=dense.shape[1])
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
@@ -90,9 +87,10 @@ class TestHammingRank:
     def test_ties_keep_insertion_order(self):
         # four identical codes all tie at distance 0
         db = np.tile(np.array([1, -1, 1], dtype=np.int8), (4, 1))
-        index = self.build_index(db, ids=[10, 11, 12, 13])
-        ids, dists = hamming_rank(pack_codes(db[:1])[0], index)
-        assert ids.tolist() == [10, 11, 12, 13]
+        index = self.build_index(db)
+        rows, dists = hamming_rank(pack_codes(db[:1])[0], index)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [0, 1, 2, 3]
         assert dists.tolist() == [0, 0, 0, 0]
 
     def test_top_k_truncation(self):
@@ -132,31 +130,9 @@ class TestHammingRank:
         with pytest.raises(ValueError):
             hamming_rank(np.zeros(2, dtype=np.uint64), index)
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            self.build_index(np.ones((2, 4), dtype=np.int8), ids=[5, 5])
-
-    @pytest.mark.parametrize("ids", [
-        [4, 9, 2, 7, 9, 0],                    # permuted, not adjacent
-        ["b", "a", "c", "a", "d", "e"],        # strings
-        [0, 1, 2, 3, 4, 4],                    # the last two
-    ], ids=["permuted", "strings", "at_end"])
-    def test_duplicate_ids_rejected_anywhere(self, ids):
-        with pytest.raises(ValueError, match="unique"):
-            self.build_index(np.ones((6, 4), dtype=np.int8), ids=ids)
 
 
 class TestRetrievalIndexShapes:
-    @pytest.mark.parametrize("ids, match", [
-        ([7, 9, 11], r"\(3,\) for packed codes \(2, 1\)"),
-        ([7], r"\(1,\) for packed codes \(2, 1\)"),
-        ([[7, 9]], r"\(1, 2\) for packed codes \(2, 1\)"),
-    ], ids=["three_ids", "one_id", "two_d_ids"])
-    def test_one_id_per_code_row(self, ids, match):
-        with pytest.raises(ValueError, match=match):
-            RetrievalIndex(packed=pack_codes(np.ones((2, 4), dtype=np.int8)),
-                           ids=ids, r=4)
-
     @pytest.mark.parametrize("packed, r, match", [
         (np.zeros((2, 1), dtype=np.uint64), 200,
          r"= 4 columns for r=200, got uint64 \(2, 1\)"),
@@ -165,7 +141,7 @@ class TestRetrievalIndexShapes:
     ], ids=["r200_in_one_word", "one_d", "int64"])
     def test_packed_words_fit_code_length(self, packed, r, match):
         with pytest.raises(ValueError, match=match):
-            RetrievalIndex(packed=packed, ids=[7, 9], r=r)
+            RetrievalIndex(packed=packed, r=r)
 
 
 class TestHashQueries:
@@ -222,7 +198,6 @@ class TestSnapshotIndex:
         dense = unpack_codes(index.packed, small_hyper.r)
         assert np.array_equal(dense[:3], b1.dense)
         assert np.array_equal(dense[3:], b2.dense)
-        assert index.ids.tolist() == [0, 1, 2, 3, 4]
 
     def test_empty_snapshot(self, small_hyper):
         state = make_state(small_hyper)
@@ -250,7 +225,6 @@ class TestRoundSnapshots:
             dense = np.concatenate([b.dense for b in blocks[:rnd]])
             assert index.packed.dtype == np.uint64
             assert np.array_equal(index.packed, pack_codes(dense))
-            assert index.ids.tolist() == list(range(len(dense)))
             assert snap.round_index == rnd and snap.total_seen == len(dense)
             assert np.array_equal(snap.p, p_history[rnd - 1])
         full = snapshot_index(state, blocks)
