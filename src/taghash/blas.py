@@ -5,10 +5,12 @@ keeps its own worker threads.  After a threaded call a worker spins for a
 while before it sleeps, so when the training loop alternates numpy products
 with scipy solves, the spinning workers of one library hold the cores the
 other library's workers need, and a solve of a few microseconds can wait a
-whole scheduler slice.  The optimizer's per-iteration scipy calls are small
-(r x r factorizations and triangular solves), so they run on one thread.
-Their results were the same bytes at one and at two threads; those of the
-m x m Cholesky factor were not, so the optimizer keeps that one outside.
+whole scheduler slice.  So every scipy call of a training round runs on
+one thread: the r x r factorizations and solves, the rank-1 updates of the
+code step, and the m x m Cholesky factor, whose threaded run had cost the
+most waiting.  One thread also makes the m x m factor's rounding, and with
+it P's last bits, independent of scipy's default thread count.  numpy's
+own pool keeps its default: its products are large enough to gain from it.
 
 For other builds of scipy (system or conda packages, MKL) no bundled
 library is found, and the thread count is left alone.

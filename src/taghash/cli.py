@@ -101,6 +101,18 @@ def _settings(args):
     return cfg
 
 
+def _at_least_one(cfg, key):
+    """Integer setting, or None when it is not given; a value below 1 is a
+    usage error naming the flag."""
+    if key not in cfg:
+        return None
+    value = int(cfg[key])
+    if value < 1:
+        raise UsageError(
+            f"--{key.replace('_', '-')} must be >= 1, got {value}")
+    return value
+
+
 def _require(cfg, key):
     if key not in cfg:
         raise UsageError(f"missing required setting '{key}'")
@@ -193,8 +205,7 @@ def cmd_preprocess(args):
 
 def _train(args, overrides=None):
     cfg = _settings(args)
-    if "chunks" in cfg and int(cfg["chunks"]) < 1:
-        raise UsageError(f"chunks must be >= 1, got {cfg['chunks']}")
+    max_chunks = _at_least_one(cfg, "chunks")
     manifest = ChunkManifest.from_file(_require(cfg, "manifest"))
     table = _load_table(cfg, manifest)
     ckpt_path = _require(cfg, "checkpoint")
@@ -211,8 +222,8 @@ def _train(args, overrides=None):
         trainer = StreamTrainer(hyper, table, seed)
 
     n_chunks = len(manifest.chunks)
-    if "chunks" in cfg:
-        n_chunks = min(n_chunks, int(cfg["chunks"]))
+    if max_chunks is not None:
+        n_chunks = min(n_chunks, max_chunks)
     rows = []
     start_round = trainer.state.round_index if trainer.state else 0
     for i in range(start_round, n_chunks):
@@ -262,6 +273,8 @@ def _load_checkpoint_cfg(cfg):
 
 def cmd_eval(args):
     cfg = _settings(args)
+    cutoff = _at_least_one(cfg, "map_cutoff")
+    k = _at_least_one(cfg, "precision_k")
     state, _, blocks, p_history, _ = _load_checkpoint_cfg(cfg)
     if "queries" not in cfg or "query_labels" not in cfg:
         raise UsageError("eval requires --queries and --query-labels")
@@ -291,11 +304,9 @@ def cmd_eval(args):
                               db_labels=np.concatenate(db_labels, axis=0))
 
     snapshots = round_snapshots(state, blocks, p_history)
-    cutoff = int(cfg["map_cutoff"]) if "map_cutoff" in cfg else None
     rows = [(rnd, state.hyper.r, "map", repr(value))
             for rnd, value in map_per_round(snapshots, qx, judgments, cutoff)]
-    if "precision_k" in cfg:
-        k = int(cfg["precision_k"])
+    if k is not None:
         rnd, snap, index = snapshots[-1]
         codes = hash_queries(qx, snap)
         pk = float(np.mean([

@@ -17,6 +17,19 @@ from .retrieval import round_snapshots, snapshot_index
 from .semantics import pool_semantics
 
 
+def _check_chunk(x, y, c):
+    """Refuse features x and tags y that do not form one chunk of c tags."""
+    if x.ndim != 2 or len(x) == 0:
+        raise ValueError(
+            f"features must be a nonempty (n, d) matrix, got shape {x.shape}")
+    if y.shape != (len(x), c):
+        raise ValueError(
+            f"tags must be ({len(x)}, {c}) for {len(x)} feature rows and {c}"
+            f" tags, got shape {y.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("tags must be 0 or 1")
+
+
 class StreamTrainer:
     def __init__(self, hyper, table, seed):
         """hyper: Hyperparams (c and f must match the embedding table)."""
@@ -38,8 +51,15 @@ class StreamTrainer:
         return RoundData(phi=phi, y=np.asarray(y, float), z=sem.z)
 
     def process_chunk(self, x, y):
-        """Run one full round on a raw chunk; returns (codes, trace)."""
+        """Run one full round on a raw chunk; returns (codes, trace).
+
+        A chunk is refused with ValueError before it changes anything when
+        it has no rows or its tags are not an (n, c) matrix of 0s and 1s
+        for its n feature rows.
+        """
         x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y)
+        _check_chunk(x, y, self.hyper.c)
         if self.state is None:
             anchors = build_anchor_set(x, self.hyper.m, self.seed)
             self.state = ModelState.fresh(anchors, self.hyper)

@@ -180,7 +180,8 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
     return stats
 
 
-def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
+def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
+                    tag_sq):
     """Surrogate objective with frozen reweighting diagonals.
 
     Current-chunk tag term uses the supplied weights; historical terms are
@@ -191,7 +192,8 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
     history and chunk, are expanded into the statistics plus the chunk's
     phi'phi (phi_gram) and B'phi (bt_phi), so no n x m residual is formed.
     A NaN or inf in phi makes the trace of phi'phi non-finite, so phi is
-    checked there.
+    checked there.  tag_sq holds the chunk's squared tag residual row
+    norms, row_sq_norms(y, b_new, w); only the tag term reads it.
     """
     h = state.hyper
     b = np.asarray(b_new, dtype=np.float64)
@@ -205,7 +207,7 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
 
     total = 0.0
     if h.tag_regression:
-        total += float(np.sum(k * row_sq_norms(y, b, w)))
+        total += float(np.sum(k * tag_sq))
         total += stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
             + float(np.sum(w * (stats.d1 @ w)))
     if h.beta > 0 or h.mu > 0:

@@ -14,11 +14,15 @@ product of the codes with the kernel features, B'phi, is computed once per
 code matrix: after the random start and after each code step.  It serves
 that iteration's objective, the next iteration's U and P right-hand sides
 (c2 + B'phi and its transpose) and commit's c2.  The code step's
-linear term projects phi once, through beta U' + mu P.  The code step
-builds its coupling products once per call and then updates only the rows
-whose bit flipped (CodeCoupling).  The r x r systems of U, V and W involve B
-and are rebuilt and factored every iteration; these per-iteration solves
-run on one LAPACK thread (see taghash.blas).
+linear term projects phi once, through beta U' + mu P.  The tag residual
+row norms ||y_i - b_i W||^2 are likewise formed once per code matrix: at
+the random start, for the first reweighting, and after each code step, for
+that iteration's objective and the next reweighting.  The code step builds
+its coupling products once per call and then updates only the rows whose
+bit flipped (CodeCoupling).  The r x r systems of U, V and W involve B and
+are rebuilt and factored every iteration.  Every scipy call of the round,
+the m x m factor included, runs on one LAPACK thread, so that it does not
+wait for cores that numpy's threaded products keep busy (see taghash.blas).
 
 run_round forms each of these products and passes it to every step that
 uses it, as a required argument; no step has a path that computes one.
@@ -60,16 +64,18 @@ class RidgeFactor:
 def init_round(chunk, state, seed):
     """Draw random codes for the chunk and the initial reweighting diagonal.
 
-    The tag projection is warm-started from the previous round; at round 1
-    it is drawn Gaussian with standard deviation 0.01.
+    Returns (codes, tag residual row norms, weights); the norms are
+    row_sq_norms(chunk.y, codes, state.w).  The tag projection is
+    warm-started from the previous round; at round 1 it is drawn Gaussian
+    with standard deviation 0.01.
     """
     h = state.hyper
     rng = np.random.default_rng(seed)
     b = rng.integers(0, 2, size=(chunk.n, h.r)).astype(np.float64) * 2.0 - 1.0
     if state.round_index == 0:
         state.w = rng.normal(0.0, 0.01, size=(h.r, h.c))
-    weights = compute_reweights(chunk.y, b, state.w, h.epsilon_norm)
-    return b, weights
+    tag_sq = row_sq_norms(chunk.y, b, state.w)
+    return b, tag_sq, compute_reweights(tag_sq, h.epsilon_norm)
 
 
 def update_u(stats, b, hyper, bt_phi):
@@ -106,11 +112,12 @@ def update_v(stats, chunk, b, hyper):
     return RidgeFactor(a).solve(stats.c5 + b.T @ chunk.z)
 
 
-def compute_reweights(y, b, w, epsilon_norm):
-    """Per-row weights 1 / max(||residual row||, floor) for the tag term."""
-    norms = np.sqrt(row_sq_norms(np.asarray(y, float), np.asarray(b, float),
-                                 w))
-    return 1.0 / np.maximum(norms, epsilon_norm)
+def compute_reweights(tag_sq, epsilon_norm):
+    """Per-row weights 1 / max(||residual row||, floor) for the tag term.
+
+    tag_sq holds the squared residual row norms, row_sq_norms(y, b, w).
+    """
+    return 1.0 / np.maximum(np.sqrt(tag_sq), epsilon_norm)
 
 
 def update_w(stats, chunk, b, weights, hyper):
@@ -240,16 +247,14 @@ def run_round(state, stats, chunk, seed):
     """
     h = state.hyper
     saved = {n: getattr(state, n).copy() for n in ("w", "u", "v", "p")}
-    b, weights = init_round(chunk, state, seed)
+    b, tag_sq, weights = init_round(chunk, state, seed)
     phi_gram = chunk.phi.T @ chunk.phi
     bt_phi = b.T @ chunk.phi
-    if h.mu > 0:
-        p_factor = factor_p_system(stats, phi_gram, h)
     trace = []
     try:
-        # the m x m factor above keeps scipy's default thread count: its
-        # rounding depends on it, unlike that of the solves below
         with blas.one_lapack_thread():
+            if h.mu > 0:
+                p_factor = factor_p_system(stats, phi_gram, h)
             for _ in range(h.iters):
                 if h.beta > 0:
                     state.u = update_u(stats, b, h, bt_phi)
@@ -258,15 +263,16 @@ def run_round(state, stats, chunk, seed):
                 if h.theta > 0:
                     state.v = update_v(stats, chunk, b, h)
                 if h.tag_regression:
-                    weights = compute_reweights(
-                        chunk.y, b, state.w, h.epsilon_norm)
+                    weights = compute_reweights(tag_sq, h.epsilon_norm)
                     state.w = update_w(stats, chunk, b, weights, h)
                 q = assemble_q(chunk, state, weights)
                 b = update_b_dcc(q, b, state, weights)
                 bt_phi = b.T @ chunk.phi
+                if h.tag_regression:
+                    tag_sq = row_sq_norms(chunk.y, b, state.w)
                 try:
-                    obj = objective_value(
-                        state, stats, chunk, b, weights, phi_gram, bt_phi)
+                    obj = objective_value(state, stats, chunk, b, weights,
+                                          phi_gram, bt_phi, tag_sq)
                 except FloatingPointError as exc:
                     raise RoundAborted(str(exc)) from exc
                 if not np.isfinite(obj):

@@ -16,7 +16,8 @@ from taghash.codes import CodeBlock, pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
-from taghash.model import AccumStats, Hyperparams, RoundData, commit_round
+from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
+                           row_sq_norms)
 from taghash.optimizer import (CodeCoupling, assemble_q, compute_reweights,
                                dcc_bit_column, factor_p_system, init_round,
                                update_b_dcc, update_p, update_u, update_v,
@@ -68,7 +69,7 @@ def test_criterion_01_incremental_matches_batch():
     # reweighting diagonals are available to the oracle
     for rnd in range(5):
         chunk = random_round_data(rng, 50, hyper.m, hyper.c, hyper.f)
-        b, weights = init_round(chunk, state, seed=rnd)
+        b, _, weights = init_round(chunk, state, seed=rnd)
         phi_gram = chunk.phi.T @ chunk.phi
         for _ in range(hyper.iters):
             state.u = update_u(stats, b, hyper, b.T @ chunk.phi)
@@ -76,7 +77,7 @@ def test_criterion_01_incremental_matches_batch():
                                factor_p_system(stats, phi_gram, hyper),
                                b.T @ chunk.phi)
             state.v = update_v(stats, chunk, b, hyper)
-            weights = compute_reweights(chunk.y, b, state.w,
+            weights = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                                         hyper.epsilon_norm)
             state.w = update_w(stats, chunk, b, weights, hyper)
             q = assemble_q(chunk, state, weights)
@@ -170,7 +171,8 @@ def test_criterion_03_irls_descent(small_hyper):
     state.w = rng.normal(scale=0.5, size=(h.r, h.c))
     prev = true_tag_objective(state, stats, chunk, b)
     for _ in range(7):
-        k = compute_reweights(chunk.y, b, state.w, h.epsilon_norm)
+        k = compute_reweights(row_sq_norms(chunk.y, b, state.w),
+                              h.epsilon_norm)
         state.w = update_w(stats, chunk, b, k, h)
         cur = true_tag_objective(state, stats, chunk, b)
         assert cur <= prev + 1e-9

@@ -448,6 +448,20 @@ class TestExitCodes:
                        "--query-labels", workdir["query_labels"]])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--map-cutoff", "0"), ("--map-cutoff", "-3"), ("--precision-k", "0"),
+    ])
+    def test_cutoff_below_one_is_usage_error(self, workdir, capsys, flag,
+                                             value):
+        # refused before the (missing) checkpoint is opened
+        rc = cli.main(["eval", "--config", workdir["config"],
+                       "--checkpoint", str(workdir["root"] / "nope.ckpt"),
+                       "--queries", workdir["queries"],
+                       "--query-labels", workdir["query_labels"],
+                       flag, value])
+        assert rc == 1
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
     @pytest.fixture(scope="class")
     @staticmethod
     def three_rounds(workdir):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,43 @@ class TestTrainerInput:
             trainer.process_chunk(x, y)
         assert trainer.state is None
         assert trainer.code_blocks == []
+
+    # the tag checks run before the anchor set is built, so a refused first
+    # chunk leaves no state, and a refused later chunk changes nothing
+
+    @staticmethod
+    def refused_everywhere(chunk_of, match):
+        """chunk_of(x, y) -> a bad chunk; it must be refused as the first
+        chunk and as the second, leaving the trainer as it was."""
+        stream = make_cluster_stream(n_rounds=2, n_per_round=30, d=6, f=4,
+                                     n_queries=5, seed=4)
+        trainer = StreamTrainer(Hyperparams(r=8, m=10, f=4, c=9, iters=2,
+                                            dcc_sweeps=1),
+                                stream.table, seed=0)
+        with pytest.raises(ValueError, match=match):
+            trainer.process_chunk(*chunk_of(*stream.chunks[0]))
+        assert trainer.state is None
+        trainer.process_chunk(*stream.chunks[0])
+        before = copy.deepcopy((trainer.state, trainer.stats,
+                                trainer.code_blocks, trainer.p_history))
+        with pytest.raises(ValueError, match=match):
+            trainer.process_chunk(*chunk_of(*stream.chunks[1]))
+        after = (trainer.state, trainer.stats, trainer.code_blocks,
+                 trainer.p_history)
+        assert pickle.dumps(after) == pickle.dumps(before)
+
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_tag_values_other_than_0_and_1_rejected(self, value):
+        def bad(x, y):
+            y = y.copy()
+            y[4, 1] = value
+            return x, y
+        self.refused_everywhere(bad, "tags must be 0 or 1")
+
+    def test_empty_chunk_rejected(self):
+        self.refused_everywhere(lambda x, y: (x[:0], y[:0]),
+                                "features must be a nonempty")
+
+    def test_fewer_tag_rows_than_features_rejected(self):
+        self.refused_everywhere(lambda x, y: (x, y[:-1]),
+                                r"tags must be \(30, 9\).*shape \(29, 9\)")

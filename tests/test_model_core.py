@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
-                           StateError, commit_round, objective_value)
+                           StateError, commit_round, objective_value,
+                           row_sq_norms)
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
@@ -134,7 +135,8 @@ class TestObjectiveValue:
         b = np.zeros((6, h.r))
         k = rng.uniform(0.5, 1.5, size=6)
         got = objective_value(state, stats, chunk, b, k,
-                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
+                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi,
+                              row_sq_norms(chunk.y, b, state.w))
         want = (float(np.sum(k * np.sum(chunk.y ** 2, axis=1)))
                 + h.beta * float(np.sum(chunk.phi ** 2))
                 + h.theta * float(np.sum(chunk.z ** 2)))
@@ -154,7 +156,8 @@ class TestObjectiveValue:
         state.p = np.eye(3)
         chunk = RoundData(phi=b, y=b @ state.w, z=b @ state.v)
         got = objective_value(state, stats, chunk, b, np.full(8, 1.0),
-                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
+                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi,
+                              row_sq_norms(chunk.y, b, state.w))
         assert got == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_from_scratch_evaluator(self, small_hyper):
@@ -170,7 +173,8 @@ class TestObjectiveValue:
         cur_b = random_codes(rng, 6, small_hyper.r)
         cur_k = rng.uniform(0.3, 1.8, size=6)
         got = objective_value(state, stats, cur, cur_b, cur_k,
-                              cur.phi.T @ cur.phi, cur_b.T @ cur.phi)
+                              cur.phi.T @ cur.phi, cur_b.T @ cur.phi,
+                              row_sq_norms(cur.y, cur_b, state.w))
         want = batch_objective(state, chunks, codes, weights, cur, cur_b,
                                cur_k)
         assert got == pytest.approx(want, rel=1e-9)
@@ -189,7 +193,10 @@ class TestObjectiveValue:
                "b": b}[where]
         bad.flat[1] = value
         phi_gram = chunk.phi.T @ chunk.phi
-        with np.errstate(invalid="ignore"):  # the inf code poisons B'phi
+        # the inf code poisons B'phi and the tag residuals
+        with np.errstate(invalid="ignore"):
             bt_phi = b.T @ chunk.phi
+            tag_sq = row_sq_norms(chunk.y, b, state.w)
         with pytest.raises(FloatingPointError):
-            objective_value(state, stats, chunk, b, k, phi_gram, bt_phi)
+            objective_value(state, stats, chunk, b, k, phi_gram, bt_phi,
+                            tag_sq)

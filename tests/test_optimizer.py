@@ -6,7 +6,7 @@ import scipy.linalg
 
 from taghash import blas
 from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           objective_value)
+                           objective_value, row_sq_norms)
 from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
                                compute_reweights, dcc_bit_column,
                                factor_p_system, init_round, run_round,
@@ -151,13 +151,14 @@ class TestReweighting:
         y = np.array([[3.0, 4.0], [0.0, 0.0]])
         b = np.ones((2, 1))
         w = np.zeros((1, 2))
-        k = compute_reweights(y, b, w, 1e-6)
+        k = compute_reweights(row_sq_norms(y, b, w), 1e-6)
         assert k[0] == pytest.approx(1.0 / 5.0, rel=1e-12)
         assert k[1] == pytest.approx(1e6, rel=1e-12)
 
     def test_floor_applies_only_to_tiny_rows(self):
         y = np.array([[1e-9], [2.0]])
-        k = compute_reweights(y, np.zeros((2, 1)), np.zeros((1, 1)), 1e-6)
+        k = compute_reweights(
+            row_sq_norms(y, np.zeros((2, 1)), np.zeros((1, 1))), 1e-6)
         assert k[0] == pytest.approx(1e6)
         assert k[1] == pytest.approx(0.5)
 
@@ -170,7 +171,8 @@ class TestReweighting:
         state.w = rng.normal(scale=0.5, size=(h.r, h.c))
         values = [true_tag_objective(state, stats, chunk, b)]
         for _ in range(7):
-            k = compute_reweights(chunk.y, b, state.w, h.epsilon_norm)
+            k = compute_reweights(row_sq_norms(chunk.y, b, state.w),
+                                  h.epsilon_norm)
             state.w = update_w(stats, chunk, b, k, h)
             values.append(true_tag_objective(state, stats, chunk, b))
         diffs = np.diff(values)
@@ -417,7 +419,7 @@ class TestRunRound:
 
         manual = make_state(h)
         mstats = AccumStats.zeros(h)
-        b, k = init_round(chunk, manual, seed=3)
+        b, _, k = init_round(chunk, manual, seed=3)
         manual_trace = []
         for _ in range(h.iters):
             if h.beta > 0:
@@ -427,13 +429,14 @@ class TestRunRound:
                 manual.p = update_p(mstats, factor, b.T @ chunk.phi)
             if h.theta > 0:
                 manual.v = update_v(mstats, chunk, b, h)
-            k = compute_reweights(chunk.y, b, manual.w, h.epsilon_norm)
+            k = compute_reweights(row_sq_norms(chunk.y, b, manual.w),
+                                  h.epsilon_norm)
             manual.w = update_w(mstats, chunk, b, k, h)
             q = assemble_q(chunk, manual, k)
             b = update_b_dcc(q, b, manual, k)
             manual_trace.append(objective_value(
                 manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                b.T @ chunk.phi))
+                b.T @ chunk.phi, row_sq_norms(chunk.y, b, manual.w)))
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
         assert np.array_equal(state.p, manual.p)
@@ -464,7 +467,8 @@ def one_round(rng, h, n=9):
     state = make_state(h)
     stats = AccumStats.zeros(h)
     chunk = random_round_data(rng, n, h.m, h.c, h.f)
-    run_round(state, stats, chunk, seed=3)
+    block, _ = run_round(state, stats, chunk, seed=3)
+    return block, state
 
 
 def test_p_system_factored_once_per_round(monkeypatch, small_hyper):
@@ -481,23 +485,53 @@ def test_p_system_factored_once_per_round(monkeypatch, small_hyper):
     assert len(factors) + len(solves) == 1 + 7 * h.iters
 
 
-def test_iteration_solves_run_on_one_lapack_thread(monkeypatch, small_hyper):
+def scipy_pool():
     pool = blas.scipy_openblas()
     if pool is None:
         pytest.skip("this scipy bundles no OpenBLAS")
-    get, put = pool
+    return pool
+
+
+def test_iteration_solves_run_on_one_lapack_thread(monkeypatch, small_hyper):
+    # every factor and solve of a round, the m x m one included, runs on
+    # one thread, and the count is restored after a committed round and
+    # after an aborted one
+    get, put = scipy_pool()
     before = get()
     put(2)
     try:
         calls = record_lapack_calls(monkeypatch)
         one_round(np.random.default_rng(38), small_hyper)
         threads_after = get()
+        state = make_state(small_hyper)
+        stats = AccumStats.zeros(small_hyper)
+        bad = random_round_data(np.random.default_rng(39), 8, small_hyper.m,
+                                small_hyper.c, small_hyper.f)
+        bad.phi[3, 2] = np.nan
+        with pytest.raises(RoundAborted):
+            run_round(state, stats, bad, seed=1)
+        threads_after_abort = get()
     finally:
         put(before)
-    p_factor = [t for name, size, t in calls
-                if name == "cho_factor" and size == small_hyper.m]
-    rest = [t for name, size, t in calls
-            if name == "cho_solve" or size != small_hyper.m]
-    assert p_factor == [2]
-    assert rest and set(rest) == {1}
-    assert threads_after == 2
+    assert any(name == "cho_factor" and size == small_hyper.m
+               for name, size, _ in calls)
+    assert calls and {t for _, _, t in calls} == {1}
+    assert threads_after == threads_after_abort == 2
+
+
+def test_round_ignores_scipy_thread_count():
+    # the m x m system is large enough for OpenBLAS to split its Cholesky
+    # over threads, which changes the factor's rounding
+    h = Hyperparams(r=16, m=256, f=8, c=12, iters=2, dcc_sweeps=1)
+    get, put = scipy_pool()
+    before = get()
+    runs = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            runs.append(one_round(np.random.default_rng(40), h, n=400))
+    finally:
+        put(before)
+    (block1, state1), (block2, state2) = runs
+    assert block1.dense.tobytes() == block2.dense.tobytes()
+    assert state1.p.tobytes() == state2.p.tobytes()
