@@ -14,20 +14,30 @@ from .kernel import build_anchor_set, rbf_map
 from .model import AccumStats, Hyperparams, ModelState, RoundData
 from .optimizer import run_round
 from .retrieval import round_snapshots, snapshot_index
-from .semantics import pool_semantics
+from .semantics import pool_semantics, tag_matrix
 
 
-def _check_chunk(x, y, c):
-    """Refuse features x and tags y that do not form one chunk of c tags."""
+def _checked_chunk(x, y, c):
+    """Features x and tags y as one chunk of c tags, the tags as CSR.
+
+    Refuses, with ValueError, features that are not a nonempty matrix and
+    tags that are not an (n, c) matrix of 0s and 1s for the n feature rows.
+    The values are checked on the nonzeros the CSR is built from, so a NaN
+    tag is refused too.
+    """
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError(
             f"features must be a nonempty (n, d) matrix, got shape {x.shape}")
+    y = np.asarray(y)
     if y.shape != (len(x), c):
         raise ValueError(
             f"tags must be ({len(x)}, {c}) for {len(x)} feature rows and {c}"
             f" tags, got shape {y.shape}")
-    if not np.all((y == 0) | (y == 1)):
+    y = tag_matrix(y)
+    if not np.all(y.data == 1.0):
         raise ValueError("tags must be 0 or 1")
+    return x, y
 
 
 class StreamTrainer:
@@ -45,10 +55,15 @@ class StreamTrainer:
         self.round_times = []
 
     def prepare_round(self, x, y):
-        """Kernelize features and pool tag semantics for one chunk."""
+        """Kernelize features and pool tag semantics for one chunk.
+
+        The tags, dense or sparse, become one float64 CSR matrix, built from
+        their nonzeros, which pooling and the round share.
+        """
         phi = rbf_map(x, self.state.anchors)
+        y = tag_matrix(y)
         sem = pool_semantics(y, self.table)
-        return RoundData(phi=phi, y=np.asarray(y, float), z=sem.z)
+        return RoundData(phi=phi, y=y, z=sem.z)
 
     def process_chunk(self, x, y):
         """Run one full round on a raw chunk; returns (codes, trace).
@@ -57,9 +72,7 @@ class StreamTrainer:
         it has no rows or its tags are not an (n, c) matrix of 0s and 1s
         for its n feature rows.
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        _check_chunk(x, y, self.hyper.c)
+        x, y = _checked_chunk(x, y, self.hyper.c)
         if self.state is None:
             anchors = build_anchor_set(x, self.hyper.m, self.seed)
             self.state = ModelState.fresh(anchors, self.hyper)

@@ -4,13 +4,20 @@ All history-dependent quantities are folded into fixed-size accumulators at
 the end of each round, so memory and per-round cost never depend on how much
 data has already been seen.  The reweighting diagonal of old data is frozen
 into D1/D2 at commit time; it is never refreshed afterwards.
+
+A round's tags Y are a float64 CSR matrix, and every product with them runs
+over their nonzeros.  The tag residual row norms ||y_i - b_i W||^2 are
+expanded into ||y_i||^2 (once per round), b_i . (W y_i') and b_i W W' b_i',
+so they cost n r^2 instead of n r c once W Y' is known.
 """
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .kernel import AnchorSet
+from .semantics import tag_matrix
 
 
 class StateError(RuntimeError):
@@ -54,12 +61,20 @@ class RoundData:
     """Everything the optimizer needs for one round, already preprocessed."""
 
     phi: np.ndarray              # (n, m)
-    y: np.ndarray                # (n, c)
+    y: object                    # (n, c) tags, held as a float64 CSR array
     z: np.ndarray                # (n, f)
+
+    def __post_init__(self):
+        self.y = tag_matrix(self.y)
 
     @property
     def n(self):
         return self.phi.shape[0]
+
+    @cached_property
+    def y_sq(self):
+        """||y_i||^2 per row, summed over the nonzeros."""
+        return self.y.power(2) @ np.ones(self.y.shape[1])
 
 
 @dataclass
@@ -122,28 +137,23 @@ class AccumStats:
             c5=np.zeros((r, f)), d1=np.zeros((r, r)), d2=np.zeros((r, c)))
 
 
-ROW_BLOCK = 1024
+def tag_projection(w, y):
+    """W Y' (r, n) for the CSR tags y, formed through their nonzeros."""
+    return (y @ w.T).T
 
 
-def row_sq_norms(y, b=None, w=None):
-    """Squared norm of each row of y - b @ w, or of y when w is None.
+def tag_residual_sq(y_sq, b, w, w_yt):
+    """Squared norm of each row of Y - B W, at n r^2 cost.
 
-    Taken over blocks of ROW_BLOCK rows, so that no n x c residual is
-    allocated: once larger arrays have been freed, glibc serves arrays of
-    that size from its heap, and freed heap memory can stay resident after
-    the round and add to the process's peak.
+    ||y_i - b_i W||^2 = ||y_i||^2 - 2 b_i . (W y_i') + b_i W W' b_i', from
+    y_sq = ||y_i||^2 per row and w_yt = W Y'.  Rounding can take an exact
+    fit a little below zero, so the result is clamped at 0.
     """
-    out = np.empty(len(y))
-    for i in range(0, len(y), ROW_BLOCK):
-        rows = slice(i, i + ROW_BLOCK)
-        if w is None:
-            res = y[rows] * y[rows]
-        else:
-            res = b[rows] @ w
-            np.subtract(y[rows], res, out=res)
-            np.multiply(res, res, out=res)
-        out[rows] = np.sum(res, axis=1)
-    return out
+    t = b @ (w @ w.T)
+    t -= 2.0 * w_yt.T
+    t *= b
+    out = y_sq + np.sum(t, axis=1)
+    return np.maximum(out, 0.0, out=out)
 
 
 def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
@@ -167,10 +177,11 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
     stats.c2 += bt_phi
     stats.c3 += phi_gram
     stats.c5 += b.T @ z
-    bk = b * k[:, None]
+    # row-major like the sparse product reads it, whatever b's layout
+    bk = np.multiply(b, k[:, None], order="C")
     stats.d1 += bk.T @ b
-    stats.d2 += bk.T @ y
-    stats.sy_weighted += float(np.sum(k * row_sq_norms(y)))
+    stats.d2 += (y.T @ bk).T
+    stats.sy_weighted += float(np.sum(k * chunk.y_sq))
     stats.sz += float(np.sum(z * z))
     stats.rounds_committed += 1
 
@@ -193,14 +204,16 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
     phi'phi (phi_gram) and B'phi (bt_phi), so no n x m residual is formed.
     A NaN or inf in phi makes the trace of phi'phi non-finite, so phi is
     checked there.  tag_sq holds the chunk's squared tag residual row
-    norms, row_sq_norms(y, b_new, w); only the tag term reads it.
+    norms, tag_residual_sq(y_sq, b_new, w, W Y'); only the tag term reads
+    it, and a NaN or inf in y makes it non-finite, so y is checked there.
     """
     h = state.hyper
     b = np.asarray(b_new, dtype=np.float64)
-    y, z = chunk.y, chunk.z
+    z = chunk.z
     k = np.asarray(weights, dtype=np.float64)
     phi_sq = float(np.trace(phi_gram))
-    for a in (b, y, z, k, phi_sq):
+    checked = (b, z, k, phi_sq) + ((tag_sq,) if h.tag_regression else ())
+    for a in checked:
         if not np.all(np.isfinite(a)):
             raise FloatingPointError("non-finite input to objective")
     w, u, v, p = state.w, state.u, state.v, state.p

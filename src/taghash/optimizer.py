@@ -14,13 +14,22 @@ product of the codes with the kernel features, B'phi, is computed once per
 code matrix: after the random start and after each code step.  It serves
 that iteration's objective, the next iteration's U and P right-hand sides
 (c2 + B'phi and its transpose) and commit's c2.  The code step's
-linear term projects phi once, through beta U' + mu P.  The tag residual
-row norms ||y_i - b_i W||^2 are likewise formed once per code matrix: at
-the random start, for the first reweighting, and after each code step, for
-that iteration's objective and the next reweighting.  The code step builds
-its coupling products once per call and then updates only the rows whose
-bit flipped (CodeCoupling).  The r x r systems of U, V and W involve B and
-are rebuilt and factored every iteration.  Every scipy call of the round,
+linear term projects phi once, through beta U' + mu P.
+
+The tags Y are a float64 CSR matrix (RoundData), so every tag product runs
+over their nonzeros.  W Y' is formed once per W: at the random start and
+after each W solve; it serves the code step's linear term and the tag
+residual row norms.  Those norms, ||y_i - b_i W||^2, are expanded into
+||y_i||^2 (once per round), b_i . (W y_i') and b_i W W' b_i'
+(tag_residual_sq), so they cost n r^2 instead of n r c; they are formed once
+per code matrix: at the random start, for the first reweighting, and after
+each code step, for that iteration's objective and the next reweighting.
+
+The codes stay column-major for the whole round, the layout in which the
+code step reads one bit's column.  The code step builds its coupling
+products once per call and then updates only the rows whose bit flipped
+(CodeCoupling).  The r x r systems of U, V and W involve B and are rebuilt
+and factored every iteration.  Every scipy call of the round,
 the m x m factor included, runs on one LAPACK thread, so that it does not
 wait for cores that numpy's threaded products keep busy (see taghash.blas).
 
@@ -33,7 +42,8 @@ from scipy.linalg.blas import dger
 
 from . import blas
 from .codes import CodeBlock
-from .model import commit_round, objective_value, row_sq_norms
+from .model import (commit_round, objective_value, tag_projection,
+                    tag_residual_sq)
 
 
 class RoundAborted(RuntimeError):
@@ -64,18 +74,21 @@ class RidgeFactor:
 def init_round(chunk, state, seed):
     """Draw random codes for the chunk and the initial reweighting diagonal.
 
-    Returns (codes, tag residual row norms, weights); the norms are
-    row_sq_norms(chunk.y, codes, state.w).  The tag projection is
-    warm-started from the previous round; at round 1 it is drawn Gaussian
-    with standard deviation 0.01.
+    Returns (codes, W Y', tag residual row norms, weights); the codes are
+    column-major and the norms are tag_residual_sq of the codes.  The tag
+    projection W is warm-started from the previous round; at round 1 it is
+    drawn Gaussian with standard deviation 0.01.
     """
     h = state.hyper
     rng = np.random.default_rng(seed)
-    b = rng.integers(0, 2, size=(chunk.n, h.r)).astype(np.float64) * 2.0 - 1.0
+    b = rng.integers(0, 2, size=(chunk.n, h.r)).astype(np.float64, order="F")
+    b *= 2.0
+    b -= 1.0
     if state.round_index == 0:
         state.w = rng.normal(0.0, 0.01, size=(h.r, h.c))
-    tag_sq = row_sq_norms(chunk.y, b, state.w)
-    return b, tag_sq, compute_reweights(tag_sq, h.epsilon_norm)
+    w_yt = tag_projection(state.w, chunk.y)
+    tag_sq = tag_residual_sq(chunk.y_sq, b, state.w, w_yt)
+    return b, w_yt, tag_sq, compute_reweights(tag_sq, h.epsilon_norm)
 
 
 def update_u(stats, b, hyper, bt_phi):
@@ -115,7 +128,7 @@ def update_v(stats, chunk, b, hyper):
 def compute_reweights(tag_sq, epsilon_norm):
     """Per-row weights 1 / max(||residual row||, floor) for the tag term.
 
-    tag_sq holds the squared residual row norms, row_sq_norms(y, b, w).
+    tag_sq holds the squared residual row norms, tag_residual_sq(...).
     """
     return 1.0 / np.maximum(np.sqrt(tag_sq), epsilon_norm)
 
@@ -124,25 +137,26 @@ def update_w(stats, chunk, b, weights, hyper):
     """Reweighted ridge solve for the codes -> tags projection.
 
     Historical rows enter through the frozen accumulators; current-chunk
-    rows through the supplied weights.
+    rows through the supplied weights.  B'KY runs over the tags' nonzeros.
     """
-    bk = b * weights[:, None]
+    # row-major like the sparse product reads it, whatever b's layout
+    bk = np.multiply(b, weights[:, None], order="C")
     a = stats.d1 + bk.T @ b + hyper.alpha * np.eye(hyper.r)
-    return RidgeFactor(a).solve(stats.d2 + bk.T @ chunk.y)
+    return RidgeFactor(a).solve(stats.d2 + (chunk.y.T @ bk).T)
 
 
-def assemble_q(chunk, state, weights):
+def assemble_q(chunk, state, weights, w_yt):
     """Linear-term matrix of the code subproblem for the current chunk.
 
-    Both kernel-feature terms, beta phi U' and mu phi P, come from one
-    projection of phi.
+    w_yt is W Y' (tag_projection) for the current W.  Both kernel-feature
+    terms, beta phi U' and mu phi P, come from one projection of phi.
     """
     h = state.hyper
     # built bit-major and returned as its column-major transpose, the
     # layout in which update_b_dcc reads one bit's column
     qt = np.zeros((h.r, chunk.n))
     if h.tag_regression:
-        qt += (state.w @ chunk.y.T) * weights
+        qt += w_yt * weights
     if h.theta > 0:
         qt += h.theta * (state.v @ chunk.z.T)
     if h.beta > 0 or h.mu > 0:
@@ -223,9 +237,10 @@ def update_b_dcc(q, b, state, weights):
 
     Each bit column is set to its single-bit optimum given the others;
     runs the configured number of full sweeps.  The coupling products are
-    built once and then updated on the rows whose bit flipped.
+    built once and then updated on the rows whose bit flipped.  Works on a
+    column-major copy of b, so that each bit column is contiguous, and
+    returns it in that layout.
     """
-    # column-major so that each bit column is contiguous
     b = np.array(b, dtype=float, order="F")
     coupling = CodeCoupling(b, state, weights)
     for _ in range(state.hyper.dcc_sweeps):
@@ -235,7 +250,7 @@ def update_b_dcc(q, b, state, weights):
             if rows.size:
                 coupling.flip(rows, l, 2.0 * col[rows])
                 b[rows, l] = col[rows]
-    return np.ascontiguousarray(b)
+    return b
 
 
 def run_round(state, stats, chunk, seed):
@@ -247,7 +262,7 @@ def run_round(state, stats, chunk, seed):
     """
     h = state.hyper
     saved = {n: getattr(state, n).copy() for n in ("w", "u", "v", "p")}
-    b, tag_sq, weights = init_round(chunk, state, seed)
+    b, w_yt, tag_sq, weights = init_round(chunk, state, seed)
     phi_gram = chunk.phi.T @ chunk.phi
     bt_phi = b.T @ chunk.phi
     trace = []
@@ -265,11 +280,12 @@ def run_round(state, stats, chunk, seed):
                 if h.tag_regression:
                     weights = compute_reweights(tag_sq, h.epsilon_norm)
                     state.w = update_w(stats, chunk, b, weights, h)
-                q = assemble_q(chunk, state, weights)
+                    w_yt = tag_projection(state.w, chunk.y)
+                q = assemble_q(chunk, state, weights, w_yt)
                 b = update_b_dcc(q, b, state, weights)
                 bt_phi = b.T @ chunk.phi
                 if h.tag_regression:
-                    tag_sq = row_sq_norms(chunk.y, b, state.w)
+                    tag_sq = tag_residual_sq(chunk.y_sq, b, state.w, w_yt)
                 try:
                     obj = objective_value(state, stats, chunk, b, weights,
                                           phi_gram, bt_phi, tag_sq)

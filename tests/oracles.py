@@ -7,6 +7,18 @@ Intended for test-scale inputs (n <= 2000); never wire these into
 operational code.
 """
 import numpy as np
+import scipy.sparse
+
+
+def as_dense(a):
+    """a as a dense ndarray, whether it is sparse or not."""
+    return a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
+
+
+def row_sq_norms(y, b, w):
+    """Squared norm of each row of y - b @ w, by the definition."""
+    res = as_dense(y) - np.asarray(b, float) @ w
+    return np.sum(res * res, axis=1)
 
 
 def batch_stats(chunks, codes, frozen_weights, hyper):
@@ -25,6 +37,7 @@ def batch_stats(chunks, codes, frozen_weights, hyper):
     }
     for chunk, b, k in zip(chunks, codes, frozen_weights):
         b = np.asarray(b, float)
+        y = as_dense(chunk.y)
         for i in range(b.shape[0]):
             bi = b[i]
             out["c1"] += np.outer(bi, bi)
@@ -33,8 +46,8 @@ def batch_stats(chunks, codes, frozen_weights, hyper):
             out["c4"] += np.outer(chunk.phi[i], bi)
             out["c5"] += np.outer(bi, chunk.z[i])
             out["d1"] += k[i] * np.outer(bi, bi)
-            out["d2"] += k[i] * np.outer(bi, chunk.y[i])
-            out["sy_weighted"] += k[i] * float(np.dot(chunk.y[i], chunk.y[i]))
+            out["d2"] += k[i] * np.outer(bi, y[i])
+            out["sy_weighted"] += k[i] * float(np.dot(y[i], y[i]))
             out["sz"] += float(np.dot(chunk.z[i], chunk.z[i]))
     return out
 
@@ -167,7 +180,7 @@ def true_tag_objective(state, stats, chunk, b_new):
     """
     h = state.hyper
     w = state.w
-    res = chunk.y - np.asarray(b_new, float) @ w
+    res = as_dense(chunk.y) - np.asarray(b_new, float) @ w
     l21 = float(np.sum(np.sqrt(np.sum(res * res, axis=1))))
     hist = stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
         + float(np.sum(w * (stats.d1 @ w)))

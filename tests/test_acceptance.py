@@ -17,7 +17,7 @@ from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
 from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           row_sq_norms)
+                           tag_projection)
 from taghash.optimizer import (CodeCoupling, assemble_q, compute_reweights,
                                dcc_bit_column, factor_p_system, init_round,
                                update_b_dcc, update_p, update_u, update_v,
@@ -26,8 +26,9 @@ from taghash.retrieval import hamming_rank, hash_queries
 from taghash.synthetic import make_cluster_stream
 
 from conftest import make_state, random_codes, random_round_data
-from oracles import (batch_stats, code_subproblem_value,
-                     naive_average_precision, naive_map, true_tag_objective)
+from oracles import (as_dense, batch_stats, code_subproblem_value,
+                     naive_average_precision, naive_map, row_sq_norms,
+                     true_tag_objective)
 
 PASS = "criterion {n:2d} ({name}): PASS"
 
@@ -69,7 +70,7 @@ def test_criterion_01_incremental_matches_batch():
     # reweighting diagonals are available to the oracle
     for rnd in range(5):
         chunk = random_round_data(rng, 50, hyper.m, hyper.c, hyper.f)
-        b, _, weights = init_round(chunk, state, seed=rnd)
+        b, _, _, weights = init_round(chunk, state, seed=rnd)
         phi_gram = chunk.phi.T @ chunk.phi
         for _ in range(hyper.iters):
             state.u = update_u(stats, b, hyper, b.T @ chunk.phi)
@@ -80,7 +81,8 @@ def test_criterion_01_incremental_matches_batch():
             weights = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                                         hyper.epsilon_norm)
             state.w = update_w(stats, chunk, b, weights, hyper)
-            q = assemble_q(chunk, state, weights)
+            q = assemble_q(chunk, state, weights,
+                           tag_projection(state.w, chunk.y))
             b = update_b_dcc(q, b, state, weights)
         commit_round(state, stats, chunk, b, weights, phi_gram,
                      b.T @ chunk.phi)
@@ -119,7 +121,7 @@ def test_criterion_02_closed_form_optimality(small_hyper):
     cur_k = rng.uniform(0.2, 2.0, size=8)
     b_all = np.vstack(hist_codes + [cur_b])
     phi_all = np.vstack([c.phi for c in hist_chunks] + [cur.phi])
-    y_all = np.vstack([c.y for c in hist_chunks] + [cur.y])
+    y_all = np.vstack([as_dense(c.y) for c in hist_chunks + [cur]])
     z_all = np.vstack([c.z for c in hist_chunks] + [cur.z])
     k_all = np.concatenate(hist_weights + [cur_k])
     s = np.sqrt(k_all)[:, None]
@@ -191,7 +193,7 @@ def test_criterion_04_dcc_descent_and_fixed_point():
     state.p = rng.normal(size=(h.m, h.r))
     chunk = random_round_data(rng, 4, h.m, h.c, h.f)
     k = rng.uniform(0.5, 1.5, size=4)
-    q = assemble_q(chunk, state, k)
+    q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
     b = random_codes(rng, 4, h.r)
 
     # per-bit descent over the 3 sweeps

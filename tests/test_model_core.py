@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
-                           StateError, commit_round, objective_value,
-                           row_sq_norms)
+                           StateError, commit_round, objective_value)
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
-from oracles import batch_stats
+from oracles import batch_stats, row_sq_norms
 
 STAT_KEYS = ("c1", "c2", "c3", "c4", "c5", "d1", "d2")
 
@@ -189,8 +188,9 @@ class TestObjectiveValue:
                                   small_hyper.f)
         b = random_codes(rng, 4, small_hyper.r)
         k = np.ones(4)
-        bad = {"phi": chunk.phi, "y": chunk.y, "z": chunk.z, "weights": k,
-               "b": b}[where]
+        # y is held sparse: its stored tag values take the bad value
+        bad = {"phi": chunk.phi, "y": chunk.y.data, "z": chunk.z,
+               "weights": k, "b": b}[where]
         bad.flat[1] = value
         phi_gram = chunk.phi.T @ chunk.phi
         # the inf code poisons B'phi and the tag residuals

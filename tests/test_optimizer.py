@@ -6,7 +6,7 @@ import scipy.linalg
 
 from taghash import blas
 from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           objective_value, row_sq_norms)
+                           objective_value, tag_projection, tag_residual_sq)
 from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
                                compute_reweights, dcc_bit_column,
                                factor_p_system, init_round, run_round,
@@ -15,8 +15,8 @@ from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
-from oracles import (code_subproblem_value, dcc_fresh_products,
-                     true_tag_objective)
+from oracles import (as_dense, code_subproblem_value, dcc_fresh_products,
+                     row_sq_norms, true_tag_objective)
 
 
 def stacked_problem(rng, hyper, n_hist=3, n_rows=8, n_cur=6):
@@ -29,7 +29,7 @@ def stacked_problem(rng, hyper, n_hist=3, n_rows=8, n_cur=6):
     cur_k = rng.uniform(0.2, 2.0, size=n_cur)
     b_all = np.vstack(codes + [cur_b])
     phi_all = np.vstack([ch.phi for ch in chunks] + [cur.phi])
-    y_all = np.vstack([ch.y for ch in chunks] + [cur.y])
+    y_all = np.vstack([as_dense(ch.y) for ch in chunks + [cur]])
     z_all = np.vstack([ch.z for ch in chunks] + [cur.z])
     k_all = np.concatenate(weights + [cur_k])
     return state, stats, cur, cur_b, cur_k, b_all, phi_all, y_all, z_all, k_all
@@ -202,7 +202,7 @@ class TestCodeDescent:
         state.p[:, 2] = 0.0  # forces a zero column in Q
         chunk = random_round_data(rng, 7, h.m, h.c, h.f)
         k = np.ones(7)
-        q = assemble_q(chunk, state, k)
+        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b = update_b_dcc(q, random_codes(rng, 7, h.r), state, k)
         want = np.where(chunk.phi @ state.p >= 0, 1.0, -1.0)
         assert np.array_equal(b, want)
@@ -217,7 +217,7 @@ class TestCodeDescent:
         state.v = rng.normal(size=(h.r, h.f))
         chunk = random_round_data(rng, 15, h.m, h.c, h.f)
         k = rng.uniform(0.2, 2.0, size=15)
-        q = assemble_q(chunk, state, k)
+        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b = random_codes(rng, 15, h.r)
         prev = code_subproblem_value(b, q, state, k)
         for _ in range(3):
@@ -255,7 +255,7 @@ class TestCodeDescent:
         n = 400
         chunk = random_round_data(rng, n, h.m, h.c, h.f)
         k = np.exp(rng.normal(scale=3.0, size=n))
-        q = assemble_q(chunk, state, k)
+        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b0 = random_codes(rng, n, h.r)
         got = update_b_dcc(q, b0, state, k)
         assert np.array_equal(got, dcc_fresh_products(q, b0, state, k))
@@ -272,7 +272,7 @@ class TestCodeDescent:
         state.p = rng.normal(size=(h.m, r))
         chunk = random_round_data(rng, n, h.m, h.c, h.f)
         k = rng.uniform(0.5, 1.5, size=n)
-        q = assemble_q(chunk, state, k)
+        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b = random_codes(rng, n, r)
         for _ in range(50):
             nxt = update_b_dcc(q, b, state, k)
@@ -419,7 +419,7 @@ class TestRunRound:
 
         manual = make_state(h)
         mstats = AccumStats.zeros(h)
-        b, _, k = init_round(chunk, manual, seed=3)
+        b, _, _, k = init_round(chunk, manual, seed=3)
         manual_trace = []
         for _ in range(h.iters):
             if h.beta > 0:
@@ -429,14 +429,19 @@ class TestRunRound:
                 manual.p = update_p(mstats, factor, b.T @ chunk.phi)
             if h.theta > 0:
                 manual.v = update_v(mstats, chunk, b, h)
-            k = compute_reweights(row_sq_norms(chunk.y, b, manual.w),
-                                  h.epsilon_norm)
+            k = compute_reweights(
+                tag_residual_sq(chunk.y_sq, b, manual.w,
+                                tag_projection(manual.w, chunk.y)),
+                h.epsilon_norm)
             manual.w = update_w(mstats, chunk, b, k, h)
-            q = assemble_q(chunk, manual, k)
+            q = assemble_q(chunk, manual, k,
+                           tag_projection(manual.w, chunk.y))
             b = update_b_dcc(q, b, manual, k)
             manual_trace.append(objective_value(
                 manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                b.T @ chunk.phi, row_sq_norms(chunk.y, b, manual.w)))
+                b.T @ chunk.phi,
+                tag_residual_sq(chunk.y_sq, b, manual.w,
+                                tag_projection(manual.w, chunk.y))))
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
         assert np.array_equal(state.p, manual.p)
