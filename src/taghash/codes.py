@@ -1,12 +1,25 @@
-"""Binary code blocks: dense +-1 working form and packed 64-bit query form.
+"""Binary code blocks, held as packed 64-bit words from round to file.
 
-Bit convention: bit j of word j//64 is 1 where the dense code is +1.  Bits
+Bit convention: bit j of word j//64 is 1 where the code is +1.  Bits
 past the code length in the last word are always zero, so XOR+popcount over
-whole words is the exact Hamming distance.
+whole words is the exact Hamming distance.  The +-1 form of a block is
+derived from its words on request (CodeBlock.dense) and never kept.
 """
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def pack_signs(positive):
+    """Pack an (n, r) boolean matrix, True where the code is +1, into
+    (n, ceil(r/64)) native uint64 words."""
+    positive = np.ascontiguousarray(positive, dtype=bool)
+    n, r = positive.shape
+    words = np.zeros((n, (r + 63) // 64 * 8), dtype=np.uint8)
+    # little-endian bit order puts bit j of each byte at column 8*byte + j,
+    # and little-endian words put byte b at bits 8*b..8*b+7 of the word
+    words[:, :(r + 7) // 8] = np.packbits(positive, axis=1, bitorder="little")
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
 def pack_codes(dense):
@@ -16,14 +29,35 @@ def pack_codes(dense):
         raise ValueError("dense codes must be 2-D")
     if not np.all(np.abs(d) == 1):
         raise ValueError("dense codes must be +-1 with no zeros")
-    n, r = d.shape
+    return pack_signs(d > 0)
+
+
+def unpack_codes(packed, r):
+    """Inverse of pack_codes; returns (n, r) int8 +-1 codes."""
+    p = check_words(packed, r)
+    octets = np.ascontiguousarray(p, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(octets, axis=1, count=r, bitorder="little")
+    return bits.view(np.int8) * 2 - 1
+
+
+def check_words(packed, r):
+    """packed as an array, refused unless it is (n, ceil(r/64)) uint64."""
+    packed = np.asarray(packed)
     words = (r + 63) // 64
-    bits = np.zeros((n, words * 64), dtype=bool)
-    bits[:, :r] = d > 0
-    # little-endian bit order puts bit j of each byte at column 8*byte + j,
-    # and little-endian words put byte b at bits 8*b..8*b+7 of the word
-    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    return packed.astype(np.uint64, copy=False)
+    if packed.ndim != 2 or packed.dtype != np.uint64 \
+            or packed.shape[1] != words:
+        raise ValueError(
+            f"packed codes must be 2-D uint64 with ceil(r/64) = {words} "
+            f"columns for r={r}, got {packed.dtype} {packed.shape}")
+    return packed
+
+
+def padding_bits(packed, r):
+    """Whether any bit past r is set in the last word of a row."""
+    if r % 64 == 0:
+        return False
+    past = ~np.uint64((1 << (r % 64)) - 1)
+    return bool(np.any(packed[:, -1] & past))
 
 
 def hamming_distances(query_packed, db_packed):
@@ -39,28 +73,19 @@ def hamming_distances(query_packed, db_packed):
 
 @dataclass
 class CodeBlock:
-    """Codes of one chunk; packed form built lazily on first use."""
+    """Codes of one chunk, as their packed words."""
 
-    dense: np.ndarray            # (n, r) int8 +-1
+    packed: np.ndarray           # (n, ceil(r/64)) uint64
+    r: int
 
     def __post_init__(self):
-        self.dense = np.asarray(self.dense)
-        if self.dense.dtype != np.int8:
-            if not np.all(np.abs(self.dense) == 1):
-                raise ValueError("codes must be +-1")
-            self.dense = self.dense.astype(np.int8)
-        self._packed = None
+        self.packed = check_words(self.packed, self.r)
 
     @property
     def n(self):
-        return self.dense.shape[0]
+        return self.packed.shape[0]
 
     @property
-    def r(self):
-        return self.dense.shape[1]
-
-    @property
-    def packed(self):
-        if self._packed is None:
-            self._packed = pack_codes(self.dense)
-        return self._packed
+    def dense(self):
+        """The (n, r) int8 +-1 codes, unpacked afresh on every access."""
+        return unpack_codes(self.packed, self.r)

@@ -2,8 +2,9 @@
 
 Features travel as 32-bit floats on disk ("WOHF" binary container or plain
 CSV) but are promoted to 64-bit for all computation; checkpoints serialize
-every matrix as raw little-endian 64-bit floats so a resumed run is
-bit-identical to an uninterrupted one.
+every matrix as raw little-endian 64-bit floats, so a resumed run is
+bit-identical to an uninterrupted one, and the codes as their packed
+64-bit words.
 """
 import json
 import os
@@ -13,14 +14,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .codes import CodeBlock
+from .codes import CodeBlock, pack_codes, padding_bits
 from .kernel import AnchorSet
 from .model import AccumStats, Hyperparams, ModelState
 from .semantics import EmbeddingTable
 
 FEATURE_MAGIC = b"WOHF"
 CHECKPOINT_MAGIC = b"THCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class LoadError(ValueError):
@@ -334,29 +335,57 @@ def load_config(path):
 
 
 # -------------------------------------------------------------- checkpoint
+#
+# Layout: magic, version (<u4), header length (<u8), a JSON header of meta
+# fields and array specs, the listed arrays back to back as raw
+# little-endian bytes in the listed order, and a CRC-32 of everything before
+# it.  Version 2 stores the codes as their packed words, codes_packed (<u8,
+# N x ceil(r/64)); version 1 stored them as codes_dense (int8 +-1, N x r),
+# and such files still load, their codes packed once.
+
+CODE_FIELDS = {1: "codes_dense", 2: "codes_packed"}      # by version
+META_FIELDS = ("hyper", "kernel_width", "round_index", "total_seen",
+               "rounds_committed", "sy_weighted", "sz", "seed")
+STATE_ARRAYS = ("anchors", "w", "u", "v", "p", "c1", "c2", "c3", "c5", "d1",
+                "d2", "codes_rows", "p_history")
+
+
+def _stored_arrays(state, stats, code_blocks, p_history):
+    """(name, dtype, shape, parts) of every stored array, in file order.
+
+    An array is written as its parts, C-ordered and back to back: the codes
+    as each block's words and the history as each round's projection, so
+    neither is concatenated first.
+    """
+    h = state.hyper
+    rows = np.asarray([cb.n for cb in code_blocks], dtype="<i8")
+    out = [(name, "<f8", np.shape(a), [a]) for name, a in (
+        ("anchors", state.anchors.anchors), ("w", state.w), ("u", state.u),
+        ("v", state.v), ("p", state.p), ("c1", stats.c1), ("c2", stats.c2),
+        ("c3", stats.c3), ("c5", stats.c5), ("d1", stats.d1),
+        ("d2", stats.d2))]
+    out += [
+        ("codes_rows", "<i8", rows.shape, [rows]),
+        ("codes_packed", "<u8", (int(rows.sum()), (h.r + 63) // 64),
+         [cb.packed for cb in code_blocks]),
+        ("p_history", "<f8", (len(p_history), h.m, h.r), p_history)]
+    return [(name, dtype, shape,
+             [np.ascontiguousarray(a, dtype=dtype) for a in parts])
+            for name, dtype, shape, parts in out]
+
 
 def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
-    """Serialize the full training state; atomic write, CRC-protected.
+    """Serialize the full training state; atomic, durable, CRC-protected.
 
     code_blocks: per-round CodeBlock list in commit order.  p_history
     records the hash projection after each round so MAP-per-round curves
-    can be rebuilt at evaluation time.
+    can be rebuilt at evaluation time.  The file is written beside path,
+    fsynced, renamed over path, and the directory is fsynced.
     """
-    rows = np.asarray([cb.n for cb in code_blocks], dtype="<i8")
-    if code_blocks:
-        codes = np.concatenate([cb.dense for cb in code_blocks], axis=0)
-    else:
-        codes = np.zeros((0, state.hyper.r), dtype=np.int8)
-    ph = np.asarray(p_history, dtype="<f8").reshape(
-        len(p_history), state.hyper.m, state.hyper.r)
-
-    arrays = [
-        ("anchors", state.anchors.anchors), ("w", state.w), ("u", state.u),
-        ("v", state.v), ("p", state.p),
-        ("c1", stats.c1), ("c2", stats.c2), ("c3", stats.c3),
-        ("c5", stats.c5), ("d1", stats.d1), ("d2", stats.d2),
-        ("codes_rows", rows), ("codes_dense", codes), ("p_history", ph),
-    ]
+    arrays = _stored_arrays(state, stats, code_blocks, p_history)
+    for name, _, shape, parts in arrays:
+        if sum(a.size for a in parts) != int(np.prod(shape)):
+            raise ValueError(f"{name} does not fill its shape {shape}")
     meta = {
         "hyper": asdict(state.hyper),
         "kernel_width": state.anchors.kernel_width,
@@ -366,75 +395,114 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
         "sy_weighted": stats.sy_weighted,
         "sz": stats.sz,
         "seed": seed,
-        "arrays": [
-            {"name": name,
-             "dtype": "<i1" if a.dtype == np.int8 else
-                      ("<i8" if a.dtype.kind == "i" else "<f8"),
-             "shape": list(a.shape)}
-            for name, a in arrays
-        ],
+        "arrays": [{"name": name, "dtype": dtype, "shape": list(shape)}
+                   for name, dtype, shape, _ in arrays],
     }
     header = json.dumps(meta, sort_keys=True).encode()
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
-    body += struct.pack("<Q", len(header))
-    body += header
-    for (_, a), spec in zip(arrays, meta["arrays"]):
-        body += np.ascontiguousarray(a).astype(spec["dtype"]).tobytes("C")
-    body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+    head = CHECKPOINT_MAGIC + struct.pack(
+        "<IQ", CHECKPOINT_VERSION, len(header)) + header
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(bytes(body))
+        crc = zlib.crc32(head)
+        fh.write(head)
+        for _, _, _, parts in arrays:
+            for a in parts:
+                crc = zlib.crc32(a, crc)
+                fh.write(a)
+        fh.write(struct.pack("<I", crc))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _read_arrays(path, blob, offset, specs):
+    """Arrays by name, each copied once out of the file's bytes."""
+    arrays = {}
+    for spec in specs:
+        dt = np.dtype(spec["dtype"])
+        count = int(np.prod(spec["shape"]))
+        if offset + dt.itemsize * count > len(blob) - 4:
+            raise LoadError(f"{path}: {spec['name']} runs past the end of "
+                            f"the file")
+        arrays[spec["name"]] = np.frombuffer(
+            blob, dtype=dt, count=count, offset=offset).reshape(
+                spec["shape"]).copy()
+        offset += dt.itemsize * count
+    return arrays
+
+
+def _check_arrays(path, fields, hyper, code_field):
+    """Refuse, naming the field, an array whose dtype or shape does not fit
+    the hyperparameters (None is a free dimension)."""
+    r, m, f, c = hyper.r, hyper.m, hyper.f, hyper.c
+    floats = {"anchors": (m, None), "w": (r, c), "u": (r, m), "v": (r, f),
+              "p": (m, r), "c1": (r, r), "c2": (r, m), "c3": (m, m),
+              "c5": (r, f), "d1": (r, r), "d2": (r, c),
+              "p_history": (None, m, r)}
+    want = {name: ("<f8", shape) for name, shape in floats.items()}
+    want["codes_rows"] = ("<i8", (None,))
+    want["codes_dense"] = ("<i1", (None, r))
+    want["codes_packed"] = ("<u8", (None, (r + 63) // 64))
+    for name in STATE_ARRAYS + (code_field,):
+        dtype, shape = want[name]
+        a = fields[name]
+        if a.dtype != np.dtype(dtype) or a.ndim != len(shape) or any(
+                d is not None and d != got for d, got in zip(shape, a.shape)):
+            dims = ", ".join("*" if d is None else str(d) for d in shape)
+            raise LoadError(
+                f"{path}: {name} is {a.dtype} {a.shape}, expected {dtype} "
+                f"({dims}) for r={r}, m={m}, f={f}, c={c}")
 
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (state, stats, code_blocks, p_history, seed).
 
     Fields are read by name; older files' extra c4 and total_rows are unread.
+    Every array must fit the stored hyperparameters, and the codes their
+    code length, or the file is refused with a LoadError naming the field.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20 or blob[:4] != CHECKPOINT_MAGIC:
         raise LoadError(f"{path}: not a checkpoint file")
-    (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
         raise LoadError(f"{path}: checksum mismatch")
-    (version,) = struct.unpack("<I", blob[4:8])
-    if version != CHECKPOINT_VERSION:
+    version, hlen = struct.unpack_from("<IQ", blob, 4)
+    if version not in CODE_FIELDS:
         raise LoadError(f"{path}: unsupported version {version}")
-    (hlen,) = struct.unpack("<Q", blob[8:16])
     meta = json.loads(blob[16:16 + hlen].decode())
-    offset = 16 + hlen
-    arrays = {}
-    for spec in meta.get("arrays", []):
-        dt = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        end = offset + dt.itemsize * count
-        arrays[spec["name"]] = np.frombuffer(
-            blob[offset:end], dtype=dt).reshape(spec["shape"]).copy()
-        offset = end
-    fields = {**meta, **arrays}
-    missing = [name for name in (
-        "hyper", "kernel_width", "round_index", "total_seen",
-        "rounds_committed", "sy_weighted", "sz", "seed", "anchors", "w", "u",
-        "v", "p", "c1", "c2", "c3", "c5", "d1", "d2", "codes_rows",
-        "codes_dense", "p_history") if name not in fields]
+    fields = {**meta, **_read_arrays(path, blob, 16 + hlen,
+                                     meta.get("arrays", []))}
+    code_field = CODE_FIELDS[version]
+    missing = [name for name in META_FIELDS + STATE_ARRAYS + (code_field,)
+               if name not in fields]
     if missing:
         raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    rows, dense = fields["codes_rows"], fields["codes_dense"]
-    if np.any(rows < 0) or int(np.sum(rows)) != len(dense):
-        raise LoadError(f"{path}: codes_rows {rows.tolist()} do not add up "
-                        f"to the {len(dense)} stored code rows")
-
     try:
         hyper = Hyperparams(**fields["hyper"])
     except TypeError as e:          # a missing or unknown hyperparameter
         raise LoadError(f"{path}: bad hyper: {e}") from None
+    _check_arrays(path, fields, hyper, code_field)
+    rows, codes = fields["codes_rows"], fields[code_field]
+    if np.any(rows < 0) or int(np.sum(rows)) != len(codes):
+        raise LoadError(f"{path}: codes_rows {rows.tolist()} do not add up "
+                        f"to the {len(codes)} stored code rows")
+    if version == 1:
+        try:
+            codes = pack_codes(codes)
+        except ValueError:
+            raise LoadError(f"{path}: codes_dense holds values other than "
+                            f"+-1") from None
+    elif padding_bits(codes, hyper.r):
+        raise LoadError(f"{path}: codes_packed sets bits past r={hyper.r}")
+
     state = ModelState(
         w=fields["w"], u=fields["u"], v=fields["v"], p=fields["p"],
         anchors=AnchorSet(fields["anchors"], fields["kernel_width"]),
@@ -446,7 +514,7 @@ def load_checkpoint(path):
         sz=fields["sz"], rounds_committed=fields["rounds_committed"])
     blocks = []
     start = 0
-    for n in rows:
-        blocks.append(CodeBlock(dense[start:start + n]))
-        start += int(n)
+    for n in rows.tolist():
+        blocks.append(CodeBlock(codes[start:start + n], hyper.r))
+        start += n
     return state, stats, blocks, list(fields["p_history"]), fields["seed"]

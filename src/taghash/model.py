@@ -156,12 +156,14 @@ def tag_residual_sq(y_sq, b, w, w_yt):
     return np.maximum(out, 0.0, out=out)
 
 
-def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
+def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
+                 bt_b):
     """Fold one finished round into the streaming statistics.
 
     After this the chunk's raw matrices may be discarded; only its codes
     are kept (by the caller) for retrieval.  phi_gram is
-    chunk.phi.T @ chunk.phi, and bt_phi is b_new.T @ chunk.phi.
+    chunk.phi.T @ chunk.phi, bt_phi is b_new.T @ chunk.phi and bt_b is
+    b_new.T @ b_new.
     """
     if stats.rounds_committed != state.round_index:
         raise StateError(
@@ -173,7 +175,7 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
     if np.any(k <= 0):
         raise ValueError("reweighting entries must be strictly positive")
 
-    stats.c1 += b.T @ b
+    stats.c1 += bt_b
     stats.c2 += bt_phi
     stats.c3 += phi_gram
     stats.c5 += b.T @ z
@@ -192,7 +194,7 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi):
 
 
 def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
-                    tag_sq):
+                    bt_b, tag_sq):
     """Surrogate objective with frozen reweighting diagonals.
 
     Current-chunk tag term uses the supplied weights; historical terms are
@@ -201,7 +203,8 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
 
     The two kernel-feature terms, ||phi - BU||^2 and ||B - phi P||^2 over
     history and chunk, are expanded into the statistics plus the chunk's
-    phi'phi (phi_gram) and B'phi (bt_phi), so no n x m residual is formed.
+    phi'phi (phi_gram), B'phi (bt_phi) and B'B (bt_b), so no n x m residual
+    is formed.
     A NaN or inf in phi makes the trace of phi'phi non-finite, so phi is
     checked there.  tag_sq holds the chunk's squared tag residual row
     norms, tag_residual_sq(y_sq, b_new, w, W Y'); only the tag term reads
@@ -224,7 +227,7 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
         total += stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
             + float(np.sum(w * (stats.d1 @ w)))
     if h.beta > 0 or h.mu > 0:
-        btb = stats.c1 + b.T @ b
+        btb = stats.c1 + bt_b
     if h.beta > 0:
         # sum over history and chunk of ||phi - BU||^2
         fit = float(np.trace(stats.c3)) + phi_sq \

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CodeBlock, hamming_distances
+from .codes import CodeBlock, check_words, hamming_distances, pack_signs
 from .kernel import rbf_map
 
 
@@ -20,14 +20,7 @@ class RetrievalIndex:
     r: int
 
     def __post_init__(self):
-        self.packed = np.asarray(self.packed)
-        words = (self.r + 63) // 64
-        if (self.packed.ndim != 2 or self.packed.dtype != np.uint64
-                or self.packed.shape[1] != words):
-            raise ValueError(
-                f"packed codes must be 2-D uint64 with ceil(r/64) = {words} "
-                f"columns for r={self.r}, got {self.packed.dtype} "
-                f"{self.packed.shape}")
+        self.packed = check_words(self.packed, self.r)
 
     @property
     def size(self):
@@ -37,12 +30,11 @@ class RetrievalIndex:
 def hash_queries(x_q, state):
     """Hash raw query features: sign of projected kernel features.
 
-    sign(0) resolves to +1, matching the optimizer's convention.
+    sign(0) resolves to +1, matching the optimizer's convention.  The signs
+    are packed straight into the block's words.
     """
     phi = rbf_map(x_q, state.anchors)
-    proj = phi @ state.p
-    dense = np.where(proj >= 0.0, 1, -1).astype(np.int8)
-    return CodeBlock(dense)
+    return CodeBlock(pack_signs(phi @ state.p >= 0.0), state.hyper.r)
 
 
 def hamming_rank(query_packed, index, k=None):
@@ -81,8 +73,7 @@ def hamming_rank(query_packed, index, k=None):
 def snapshot_index(state, code_blocks):
     """Concatenate committed code blocks into a retrieval index.
 
-    Each block's packed words are built once and cached on the block, so
-    the index is a copy of those words.
+    Blocks hold only their packed words, so the index is a copy of them.
     """
     r = state.hyper.r
     if code_blocks:

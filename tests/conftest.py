@@ -5,6 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
+from taghash.codes import CodeBlock, pack_codes
+from taghash.dataio import CHECKPOINT_VERSION
 from taghash.kernel import AnchorSet
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
                            commit_round)
@@ -19,6 +21,12 @@ def random_round_data(rng, n, m, c, f):
 
 def random_codes(rng, n, r):
     return rng.integers(0, 2, size=(n, r)).astype(float) * 2.0 - 1.0
+
+
+def code_block(dense):
+    """A CodeBlock of (n, r) +-1 codes, built from their packed words."""
+    dense = np.asarray(dense)
+    return CodeBlock(pack_codes(dense), dense.shape[1])
 
 
 def make_state(hyper, rng=None):
@@ -38,7 +46,7 @@ def committed_history(rng, hyper, n_chunks, n):
         b = random_codes(rng, n, hyper.r)
         k = rng.uniform(0.2, 2.0, size=n)
         commit_round(state, stats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                     b.T @ chunk.phi)
+                     b.T @ chunk.phi, b.T @ b)
         chunks.append(chunk)
         codes.append(b)
         weights.append(k)
@@ -60,13 +68,19 @@ def read_checkpoint_fields(path):
     return meta, arrays
 
 
-def write_checkpoint_fields(path, meta, arrays):
-    """Write meta and named arrays in the checkpoint layout, CRC included."""
+def write_checkpoint_fields(path, meta, arrays,
+                            version=CHECKPOINT_VERSION):
+    """Write meta and named arrays in the checkpoint layout, CRC included.
+
+    A file read from tests/data/parent_layout.ckpt is rewritten with
+    version=1, the layout of its dense codes.
+    """
     specs = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
              for name, a in arrays.items()]
     header = json.dumps(dict(meta, arrays=specs), sort_keys=True).encode()
-    body = b"THCK" + struct.pack("<IQ", 1, len(header)) + header + b"".join(
-        np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    body = b"THCK" + struct.pack("<IQ", version, len(header)) + header
+    body += b"".join(np.ascontiguousarray(a).tobytes()
+                     for a in arrays.values())
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
 

@@ -7,8 +7,11 @@ committed file was written by that commit's code:
     mkdir old && git archive e51c751 src | tar -x -C old
     PYTHONPATH=old/src python tests/data/make_parent_layout.py
 
-Run against later code it writes the current layout instead, so keep the
-committed file and regenerate it only from that commit.
+The committed file is also the version 1 layout, which stored the codes
+as dense int8 +-1 (codes_dense) instead of their packed words, and the
+tests read it as such.  Run against later code this script writes the
+current layout instead (version 2, packed codes, no c4), so keep the
+committed file and never regenerate it except from that commit.
 """
 import os
 

@@ -142,18 +142,6 @@ def pack_codes_loop(dense):
     return packed
 
 
-def unpack_codes(packed, r):
-    """Inverse of pack_codes; returns (n, r) int8 +-1 codes."""
-    p = np.asarray(packed, dtype=np.uint64)
-    n, words = p.shape
-    if words != (r + 63) // 64:
-        raise ValueError(f"{words} words cannot hold {r}-bit codes")
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = ((p[:, :, None] >> shifts) & np.uint64(1)).astype(np.int8)
-    bits = bits.reshape(n, words * 64)[:, :r]
-    return (2 * bits - 1).astype(np.int8)
-
-
 def code_subproblem_value(b, q, state, weights):
     """Objective of the code step (up to B-independent constants)."""
     h = state.hyper

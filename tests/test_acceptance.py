@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from taghash.codes import CodeBlock, pack_codes
+from taghash.codes import pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
@@ -25,7 +25,8 @@ from taghash.optimizer import (CodeCoupling, assemble_q, compute_reweights,
 from taghash.retrieval import hamming_rank, hash_queries
 from taghash.synthetic import make_cluster_stream
 
-from conftest import make_state, random_codes, random_round_data
+from conftest import (code_block, make_state, random_codes,
+                      random_round_data)
 from oracles import (as_dense, batch_stats, code_subproblem_value,
                      naive_average_precision, naive_map, row_sq_norms,
                      true_tag_objective)
@@ -73,11 +74,11 @@ def test_criterion_01_incremental_matches_batch():
         b, _, _, weights = init_round(chunk, state, seed=rnd)
         phi_gram = chunk.phi.T @ chunk.phi
         for _ in range(hyper.iters):
-            state.u = update_u(stats, b, hyper, b.T @ chunk.phi)
+            state.u = update_u(stats, hyper, b.T @ b, b.T @ chunk.phi)
             state.p = update_p(stats,
                                factor_p_system(stats, phi_gram, hyper),
                                b.T @ chunk.phi)
-            state.v = update_v(stats, chunk, b, hyper)
+            state.v = update_v(stats, chunk, b, hyper, b.T @ b)
             weights = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                                         hyper.epsilon_norm)
             state.w = update_w(stats, chunk, b, weights, hyper)
@@ -85,7 +86,7 @@ def test_criterion_01_incremental_matches_batch():
                            tag_projection(state.w, chunk.y))
             b = update_b_dcc(q, b, state, weights)
         commit_round(state, stats, chunk, b, weights, phi_gram,
-                     b.T @ chunk.phi)
+                     b.T @ chunk.phi, b.T @ b)
         chunks.append(chunk)
         codes.append(b)
         frozen.append(weights)
@@ -112,7 +113,7 @@ def test_criterion_02_closed_form_optimality(small_hyper):
         b = random_codes(rng, 10, h.r)
         k = rng.uniform(0.2, 2.0, size=10)
         commit_round(state, stats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                     b.T @ chunk.phi)
+                     b.T @ chunk.phi, b.T @ b)
         hist_chunks.append(chunk)
         hist_codes.append(b)
         hist_weights.append(k)
@@ -130,13 +131,13 @@ def test_criterion_02_closed_form_optimality(small_hyper):
     bt_phi = cur_b.T @ cur.phi
     p_factor = factor_p_system(stats, cur.phi.T @ cur.phi, h)
     steps = [
-        (update_u(stats, cur_b, h, bt_phi),
+        (update_u(stats, h, cur_b.T @ cur_b, bt_phi),
          stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * np.eye(h.r),
          stats.c2 + cur_b.T @ cur.phi, b_all, phi_all, h.alpha / h.beta),
         (update_p(stats, p_factor, bt_phi),
          stats.c3 + cur.phi.T @ cur.phi + (h.alpha / h.mu) * np.eye(h.m),
          stats.c4 + cur.phi.T @ cur_b, phi_all, b_all, h.alpha / h.mu),
-        (update_v(stats, cur, cur_b, h),
+        (update_v(stats, cur, cur_b, h, cur_b.T @ cur_b),
          stats.c1 + cur_b.T @ cur_b + (h.alpha / h.theta) * np.eye(h.r),
          stats.c5 + cur_b.T @ cur.z, b_all, z_all, h.alpha / h.theta),
         (update_w(stats, cur, cur_b, cur_k, h),
@@ -167,7 +168,7 @@ def test_criterion_03_irls_descent(small_hyper):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
         b = random_codes(rng, 10, h.r)
         commit_round(state, stats, chunk, b, rng.uniform(0.2, 2.0, size=10),
-                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
+                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b)
     chunk = random_round_data(rng, 14, h.m, h.c, h.f)
     b = random_codes(rng, 14, h.r)
     state.w = rng.normal(scale=0.5, size=(h.r, h.c))
@@ -267,8 +268,8 @@ def test_criterion_07_end_to_end_learning_signal():
 
         # baseline (a): random query codes against the same database
         rng = np.random.default_rng(seed + 500)
-        rand_codes = CodeBlock(
-            random_codes(rng, len(stream.query_x), hyper.r).astype(np.int8))
+        rand_codes = code_block(
+            random_codes(rng, len(stream.query_x), hyper.r))
         random_map = stream_map(trainer, stream, query_codes=rand_codes)
 
         # baseline (b): queries hashed with the round-1 projection

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taghash.codes import CodeBlock, pack_codes
+from taghash.codes import pack_codes
 from taghash.model import Hyperparams
 from taghash.evaluation import (QUERY_BLOCK, EvalJudgments,
                                 average_precision, map_per_round,
@@ -10,7 +10,7 @@ from taghash.evaluation import (QUERY_BLOCK, EvalJudgments,
 from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
                                round_snapshots)
 
-from conftest import make_state, random_codes
+from conftest import code_block, make_state, random_codes
 from oracles import naive_average_precision, naive_map
 
 
@@ -171,7 +171,7 @@ class TestMeanAveragePrecision:
         rng = np.random.default_rng(2)
         n_db, n_q, r = 50, 200, 16
         db = random_codes(rng, n_db, r).astype(np.int8)
-        queries = CodeBlock(random_codes(rng, n_q, r).astype(np.int8))
+        queries = code_block(random_codes(rng, n_q, r))
         labels_db = (rng.random((n_db, 3)) < 0.4).astype(int)
         labels_q = (rng.random((n_q, 3)) < 0.4).astype(int)
         judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
@@ -194,7 +194,7 @@ class TestMeanAveragePrecision:
         labels_db = np.array([[1, 0]] * 4)
         labels_q = np.array([[1, 0], [0, 1], [0, 1]])
         judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
-        queries = CodeBlock(np.ones((3, 4), dtype=np.int8))
+        queries = code_block(np.ones((3, 4)))
         value, excluded = mean_average_precision(queries, make_index(db),
                                                  judgments)
         assert excluded == 2
@@ -204,7 +204,7 @@ class TestMeanAveragePrecision:
         db = np.ones((2, 4), dtype=np.int8)
         judgments = EvalJudgments(query_labels=np.array([[0, 1]]),
                                   db_labels=np.array([[1, 0]] * 2))
-        queries = CodeBlock(np.ones((1, 4), dtype=np.int8))
+        queries = code_block(np.ones((1, 4)))
         value, excluded = mean_average_precision(queries, make_index(db),
                                                  judgments)
         assert np.isnan(value)
@@ -221,7 +221,7 @@ class TestMeanAveragePrecision:
         judgments = EvalJudgments(query_labels=np.array([[1]]),
                                   db_labels=labels_db)
         index = make_index(db[:3])
-        queries = CodeBlock(np.ones((1, 4), dtype=np.int8))
+        queries = code_block(np.ones((1, 4)))
         value, excluded = mean_average_precision(queries, index, judgments)
         assert excluded == 0
         assert value == 1.0  # row 0 ranks first at distance 0
@@ -230,7 +230,7 @@ class TestMeanAveragePrecision:
         db = np.ones((4, 4), dtype=np.int8)
         judgments = EvalJudgments(query_labels=np.array([[1]]),
                                   db_labels=np.array([[1]] * 3))
-        queries = CodeBlock(np.ones((1, 4), dtype=np.int8))
+        queries = code_block(np.ones((1, 4)))
         with pytest.raises(ValueError, match="index holds 4 records but only "
                                              "3 database records"):
             mean_average_precision(queries, make_index(db), judgments)
@@ -239,7 +239,7 @@ class TestMeanAveragePrecision:
         rng = np.random.default_rng(3)
         n_db, n_q, r = 400, 200, 32
         db = random_codes(rng, n_db, r).astype(np.int8)
-        queries = CodeBlock(random_codes(rng, n_q, r).astype(np.int8))
+        queries = code_block(random_codes(rng, n_q, r))
         # one label out of four per record, uniform
         labels_db = np.eye(4, dtype=int)[rng.integers(0, 4, n_db)]
         labels_q = np.eye(4, dtype=int)[rng.integers(0, 4, n_q)]
@@ -251,7 +251,7 @@ class TestMeanAveragePrecision:
     def test_cutoff_changes_denominator_consistently(self):
         rng = np.random.default_rng(4)
         db = random_codes(rng, 30, 8).astype(np.int8)
-        queries = CodeBlock(random_codes(rng, 5, 8).astype(np.int8))
+        queries = code_block(random_codes(rng, 5, 8))
         labels_db = (rng.random((30, 2)) < 0.5).astype(int)
         labels_q = np.ones((5, 2), dtype=int)
         judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
@@ -272,7 +272,7 @@ class TestMeanAveragePrecision:
         rng = np.random.default_rng(n_q + 10 * sub_index + (cutoff or 0))
         n_db, r, n_labels = 300, 12, 6
         db = random_codes(rng, n_db, r).astype(np.int8)
-        queries = CodeBlock(random_codes(rng, n_q, r).astype(np.int8))
+        queries = code_block(random_codes(rng, n_q, r))
         # multi-label records; some queries have no relevant item
         labels_db = (rng.random((n_db, n_labels)) < 0.25).astype(int)
         labels_q = (rng.random((n_q, n_labels)) < 0.2).astype(int)
@@ -289,7 +289,7 @@ class TestMapPerRound:
         rng = np.random.default_rng(n_q)
         hyper = Hyperparams(r=16, m=6, f=3, c=5)
         state = make_state(hyper, rng)
-        blocks = [CodeBlock(random_codes(rng, n, hyper.r).astype(np.int8))
+        blocks = [code_block(random_codes(rng, n, hyper.r))
                   for n in (40, 25, 60)]
         p_history = [rng.normal(size=(hyper.m, hyper.r)) for _ in blocks]
         snapshots = round_snapshots(state, blocks, p_history)

@@ -1,8 +1,13 @@
 import os
+import stat
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from taghash import codes, dataio, retrieval
+from taghash.codes import pack_codes
 from taghash.dataio import (ChunkManifest, ConfigError, LoadError,
                             load_checkpoint, load_config, load_embeddings,
                             load_features, load_tags, prune_vocab,
@@ -401,7 +406,7 @@ class TestCheckpoint:
         meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
         edit(meta["hyper"])
         path = str(tmp_path / "ck.bin")
-        write_checkpoint_fields(path, meta, arrays)
+        write_checkpoint_fields(path, meta, arrays, version=1)
         with pytest.raises(LoadError, match="bad hyper"):
             load_checkpoint(path)
 
@@ -411,11 +416,145 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.bin")
         trainer.save(path)
         meta, arrays = read_checkpoint_fields(path)
-        assert arrays["codes_dense"].shape == (80, 8)
+        assert arrays["codes_packed"].shape == (80, 1)
         arrays["codes_rows"] = np.asarray(rows, dtype="<i8")
         write_checkpoint_fields(path, meta, arrays)
         with pytest.raises(LoadError, match="80 stored code rows"):
             load_checkpoint(path)
+
+
+    def test_save_fsyncs_the_file_and_its_directory(self, tmp_path,
+                                                     monkeypatch):
+        trainer, _ = trained_trainer(1)
+        synced = []
+        real = os.fsync
+
+        def recording(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real(fd)
+
+        monkeypatch.setattr(dataio.os, "fsync", recording)
+        trainer.save(str(tmp_path / "ck.bin"))
+        assert synced == [False, True]
+        assert os.listdir(tmp_path) == ["ck.bin"]
+
+    def test_v2_stores_the_packed_words(self, tmp_path):
+        trainer, _ = trained_trainer(2)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        blob = path.read_bytes()
+        assert struct.unpack_from("<I", blob, 4) == (2,)
+        meta, arrays = read_checkpoint_fields(str(path))
+        assert "codes_dense" not in arrays
+        words = arrays["codes_packed"]
+        n, r = 80, trainer.hyper.r
+        assert words.dtype == np.dtype("<u8")
+        assert words.nbytes == n * ((r + 63) // 64) * 8
+        assert np.array_equal(words, np.concatenate(
+            [cb.packed for cb in trainer.code_blocks]))
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        assert len(blob) == 16 + hlen + sum(
+            a.nbytes for a in arrays.values()) + 4
+
+    def test_opening_an_index_packs_nothing(self, tmp_path, monkeypatch):
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        calls = count_packing(monkeypatch)
+        state, _, blocks, _, _ = load_checkpoint(path)
+        index = retrieval.snapshot_index(state, blocks)
+        assert calls == []
+        assert np.array_equal(index.packed, trainer.index().packed)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("w", (8, 8)), ("u", (8, 15)), ("v", (7, 8)), ("p", (15, 8)),
+        ("c1", (8, 9)), ("c3", (16, 15)), ("d2", (8, 8)),
+        ("anchors", (15, 8)), ("p_history", (2, 16, 7))])
+    def test_misshaped_array_is_named(self, tmp_path, name, shape):
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        arrays[name] = np.zeros(shape)
+        path = str(tmp_path / "ck.bin")
+        write_checkpoint_fields(path, meta, arrays, version=1)
+        with pytest.raises(LoadError, match=rf"{name} is float64 "
+                                            rf"\({shape[0]}, .*r=8, m=16"):
+            load_checkpoint(path)
+
+    def test_dense_codes_of_the_wrong_width_are_refused(self, tmp_path):
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        arrays["codes_dense"] = arrays["codes_dense"][:, :7]
+        path = str(tmp_path / "ck.bin")
+        write_checkpoint_fields(path, meta, arrays, version=1)
+        with pytest.raises(LoadError, match=r"codes_dense is int8 \(80, 7\)"):
+            load_checkpoint(path)
+
+    def test_dense_codes_must_be_plus_minus_one(self, tmp_path):
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        dense = arrays["codes_dense"].copy()
+        dense[5, 3] = 0
+        arrays["codes_dense"] = dense
+        path = str(tmp_path / "ck.bin")
+        write_checkpoint_fields(path, meta, arrays, version=1)
+        with pytest.raises(LoadError, match="codes_dense holds values "
+                                            "other than"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("words", [
+        np.zeros((80, 2), dtype="<u8"), np.zeros((80, 1), dtype="<i8"),
+        np.zeros(80, dtype="<u8")], ids=["two-words", "signed", "1-d"])
+    def test_packed_codes_must_fit_the_code_length(self, tmp_path, words):
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        arrays["codes_packed"] = words
+        write_checkpoint_fields(path, meta, arrays)
+        with pytest.raises(LoadError, match=r"codes_packed is .*expected "
+                                            r"<u8 \(\*, 1\)"):
+            load_checkpoint(path)
+
+    def test_packed_padding_bits_must_be_zero(self, tmp_path):
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        words = arrays["codes_packed"].copy()
+        words[7, 0] |= np.uint64(1 << 8)
+        arrays["codes_packed"] = words
+        write_checkpoint_fields(path, meta, arrays)
+        with pytest.raises(LoadError, match="codes_packed sets bits past r=8"):
+            load_checkpoint(path)
+
+    def test_array_past_the_end_is_named(self, tmp_path):
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        path = tmp_path / "ck.bin"
+        write_checkpoint_fields(str(path), meta, arrays, version=1)
+        blob = bytearray(path.read_bytes())
+        hlen = struct.unpack_from("<Q", blob, 8)[0]
+        header = blob[16:16 + hlen].replace(b'"shape": [2, 16, 8]',
+                                            b'"shape": [9, 16, 8]')
+        assert len(header) == hlen
+        blob[16:16 + hlen] = header
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(LoadError, match="p_history runs past the end"):
+            load_checkpoint(str(path))
+
+
+def count_packing(monkeypatch):
+    """Record the rows of every pack_codes and pack_signs call, under every
+    name a taghash module binds them to."""
+    calls = []
+    for name in ("pack_codes", "pack_signs"):
+        real = getattr(codes, name)
+
+        def counting(a, real=real, name=name):
+            calls.append((name, len(a)))
+            return real(a)
+
+        for module in (codes, dataio, retrieval):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def assert_same_checkpoint(got, want):
@@ -446,7 +585,8 @@ class TestParentLayoutCheckpoint:
     """A file that also stores c4 and total_rows loads as a current one.
 
     tests/data/make_parent_layout.py wrote it, with the code that stored
-    those two fields.
+    those two fields.  It is also a version 1 file, whose codes are dense
+    int8 +-1 (codes_dense).
     """
 
     def test_round_trip_equals_stored_file(self, tmp_path):
@@ -460,6 +600,23 @@ class TestParentLayoutCheckpoint:
         assert_same_checkpoint(load_checkpoint(path), old)
         meta, arrays = read_checkpoint_fields(path)
         assert "c4" not in arrays and "total_rows" not in meta
+
+    def test_resaved_as_v2_reloads_equal(self, tmp_path):
+        old = load_checkpoint(PARENT_LAYOUT)
+        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, *old)
+        assert_same_checkpoint(load_checkpoint(path), old)
+        _, saved = read_checkpoint_fields(path)
+        assert "codes_dense" not in saved
+        assert np.array_equal(saved["codes_packed"],
+                              pack_codes(arrays["codes_dense"]))
+
+    def test_v1_codes_are_packed_once_on_load(self, monkeypatch):
+        calls = count_packing(monkeypatch)
+        _, _, blocks, _, _ = load_checkpoint(PARENT_LAYOUT)
+        assert calls == [("pack_codes", 80), ("pack_signs", 80)]
+        assert [cb.n for cb in blocks] == [40, 40]
 
     def test_training_resumes(self):
         stream = make_cluster_stream(n_rounds=4, n_per_round=40, d=8, f=8,

@@ -35,7 +35,7 @@ class TestCommitRound:
         chunk = RoundData(phi=np.zeros((2, 3)), y=np.zeros((2, 2)),
                           z=np.zeros((2, 2)))
         commit_round(state, stats, chunk, b, np.ones(2),
-                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
+                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b)
         assert np.array_equal(stats.c1, [[2.0, 0.0], [0.0, 2.0]])
 
     def test_unit_weights_make_d1_equal_c1(self, small_hyper):
@@ -46,7 +46,7 @@ class TestCommitRound:
                                   small_hyper.f)
         b = random_codes(rng, 9, small_hyper.r)
         commit_round(state, stats, chunk, b, np.ones(9),
-                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi)
+                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b)
         assert np.allclose(stats.d1, stats.c1, atol=1e-12)
 
     def test_five_chunks_match_batch_oracle(self, small_hyper):
@@ -80,7 +80,7 @@ class TestCommitRound:
         chunk = random_round_data(rng, 5, small_hyper.m, small_hyper.c,
                                   small_hyper.f)
         b = random_codes(rng, 5, small_hyper.r)
-        products = chunk.phi.T @ chunk.phi, b.T @ chunk.phi
+        products = chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b
         commit_round(state, stats, chunk, b, np.ones(5), *products)
         stats.rounds_committed -= 1  # simulate replay of the same round
         with pytest.raises(StateError):
@@ -135,7 +135,7 @@ class TestObjectiveValue:
         k = rng.uniform(0.5, 1.5, size=6)
         got = objective_value(state, stats, chunk, b, k,
                               chunk.phi.T @ chunk.phi, b.T @ chunk.phi,
-                              row_sq_norms(chunk.y, b, state.w))
+                              b.T @ b, row_sq_norms(chunk.y, b, state.w))
         want = (float(np.sum(k * np.sum(chunk.y ** 2, axis=1)))
                 + h.beta * float(np.sum(chunk.phi ** 2))
                 + h.theta * float(np.sum(chunk.z ** 2)))
@@ -156,7 +156,7 @@ class TestObjectiveValue:
         chunk = RoundData(phi=b, y=b @ state.w, z=b @ state.v)
         got = objective_value(state, stats, chunk, b, np.full(8, 1.0),
                               chunk.phi.T @ chunk.phi, b.T @ chunk.phi,
-                              row_sq_norms(chunk.y, b, state.w))
+                              b.T @ b, row_sq_norms(chunk.y, b, state.w))
         assert got == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_from_scratch_evaluator(self, small_hyper):
@@ -173,6 +173,7 @@ class TestObjectiveValue:
         cur_k = rng.uniform(0.3, 1.8, size=6)
         got = objective_value(state, stats, cur, cur_b, cur_k,
                               cur.phi.T @ cur.phi, cur_b.T @ cur.phi,
+                              cur_b.T @ cur_b,
                               row_sq_norms(cur.y, cur_b, state.w))
         want = batch_objective(state, chunks, codes, weights, cur, cur_b,
                                cur_k)
@@ -193,10 +194,11 @@ class TestObjectiveValue:
                "weights": k, "b": b}[where]
         bad.flat[1] = value
         phi_gram = chunk.phi.T @ chunk.phi
-        # the inf code poisons B'phi and the tag residuals
+        # the inf code poisons B'phi, B'B and the tag residuals
         with np.errstate(invalid="ignore"):
             bt_phi = b.T @ chunk.phi
+            bt_b = b.T @ b
             tag_sq = row_sq_norms(chunk.y, b, state.w)
         with pytest.raises(FloatingPointError):
             objective_value(state, stats, chunk, b, k, phi_gram, bt_phi,
-                            tag_sq)
+                            bt_b, tag_sq)

@@ -49,7 +49,8 @@ class TestClosedFormSolves:
         rng = np.random.default_rng(10)
         _, stats, cur, cur_b, _, b_all, phi_all, *_ = stacked_problem(
             rng, small_hyper)
-        got = update_u(stats, cur_b, small_hyper, cur_b.T @ cur.phi)
+        got = update_u(stats, small_hyper, cur_b.T @ cur_b,
+                       cur_b.T @ cur.phi)
         want = ridge_lstsq(b_all, phi_all,
                            small_hyper.alpha / small_hyper.beta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -67,7 +68,7 @@ class TestClosedFormSolves:
         rng = np.random.default_rng(12)
         _, stats, cur, cur_b, _, b_all, _, _, z_all, _ = stacked_problem(
             rng, small_hyper)
-        got = update_v(stats, cur, cur_b, small_hyper)
+        got = update_v(stats, cur, cur_b, small_hyper, cur_b.T @ cur_b)
         want = ridge_lstsq(b_all, z_all, small_hyper.alpha / small_hyper.theta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -85,14 +86,14 @@ class TestClosedFormSolves:
         h = small_hyper
         _, stats, cur, cur_b, cur_k, *_ = stacked_problem(rng, h)
         eye = np.eye(h.r)
-        u = update_u(stats, cur_b, h, cur_b.T @ cur.phi)
+        u = update_u(stats, h, cur_b.T @ cur_b, cur_b.T @ cur.phi)
         a = stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * eye
         assert np.max(np.abs(a @ u - (stats.c2 + cur_b.T @ cur.phi))) <= 1e-8
         p = update_p(stats, factor_p_system(stats, cur.phi.T @ cur.phi, h),
                      cur_b.T @ cur.phi)
         a = stats.c3 + cur.phi.T @ cur.phi + (h.alpha / h.mu) * np.eye(h.m)
         assert np.max(np.abs(a @ p - (stats.c4 + cur.phi.T @ cur_b))) <= 1e-8
-        v = update_v(stats, cur, cur_b, h)
+        v = update_v(stats, cur, cur_b, h, cur_b.T @ cur_b)
         a = stats.c1 + cur_b.T @ cur_b + (h.alpha / h.theta) * eye
         assert np.max(np.abs(a @ v - (stats.c5 + cur_b.T @ cur.z))) <= 1e-8
         w = update_w(stats, cur, cur_b, cur_k, h)
@@ -114,11 +115,11 @@ class TestClosedFormSolves:
         bt_phi = cur_b.T @ cur.phi
         factor = factor_p_system(stats, cur.phi.T @ cur.phi, h)
         solved = [
-            (update_u(stats, cur_b, h, bt_phi), b_all, phi_all,
+            (update_u(stats, h, cur_b.T @ cur_b, bt_phi), b_all, phi_all,
              h.alpha / h.beta),
             (update_p(stats, factor, bt_phi), phi_all, b_all,
              h.alpha / h.mu),
-            (update_v(stats, cur, cur_b, h), b_all, z_all,
+            (update_v(stats, cur, cur_b, h, cur_b.T @ cur_b), b_all, z_all,
              h.alpha / h.theta),
             (update_w(stats, cur, cur_b, cur_k, h), s * b_all, s * y_all,
              h.alpha),
@@ -138,7 +139,7 @@ class TestClosedFormSolves:
         stats = AccumStats.zeros(h)
         chunk = random_round_data(rng, 2, h.m, h.c, h.f)
         b = random_codes(rng, 2, h.r)  # rank <= 2 < r
-        u = update_u(stats, b, h, b.T @ chunk.phi)
+        u = update_u(stats, h, b.T @ b, b.T @ chunk.phi)
         assert np.all(np.isfinite(u))
         a = b.T @ b
         rhs = b.T @ chunk.phi
@@ -423,12 +424,12 @@ class TestRunRound:
         manual_trace = []
         for _ in range(h.iters):
             if h.beta > 0:
-                manual.u = update_u(mstats, b, h, b.T @ chunk.phi)
+                manual.u = update_u(mstats, h, b.T @ b, b.T @ chunk.phi)
             if h.mu > 0:
                 factor = factor_p_system(mstats, chunk.phi.T @ chunk.phi, h)
                 manual.p = update_p(mstats, factor, b.T @ chunk.phi)
             if h.theta > 0:
-                manual.v = update_v(mstats, chunk, b, h)
+                manual.v = update_v(mstats, chunk, b, h, b.T @ b)
             k = compute_reweights(
                 tag_residual_sq(chunk.y_sq, b, manual.w,
                                 tag_projection(manual.w, chunk.y)),
@@ -439,14 +440,14 @@ class TestRunRound:
             b = update_b_dcc(q, b, manual, k)
             manual_trace.append(objective_value(
                 manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                b.T @ chunk.phi,
+                b.T @ chunk.phi, b.T @ b,
                 tag_residual_sq(chunk.y_sq, b, manual.w,
                                 tag_projection(manual.w, chunk.y))))
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
         assert np.array_equal(state.p, manual.p)
         commit_round(manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                     b.T @ chunk.phi)
+                     b.T @ chunk.phi, b.T @ b)
         for field in dataclasses.fields(AccumStats):
             assert np.array_equal(getattr(stats, field.name),
                                   getattr(mstats, field.name)), field.name

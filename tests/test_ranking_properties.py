@@ -1,10 +1,11 @@
-"""Property tests: pack_codes against the shift-loop packer, hamming_rank
+"""Property tests: pack_codes against the shift-loop packer and unpack_codes
+as its inverse, hamming_rank
 against the dense brute-force oracle, and average_precision against the
 O(n^2) reference."""
 import numpy as np
 import pytest
 
-from taghash.codes import pack_codes
+from taghash.codes import pack_codes, unpack_codes
 from taghash.evaluation import average_precision
 from taghash.retrieval import RetrievalIndex, hamming_rank
 
@@ -50,6 +51,19 @@ class TestPackCodesProperties:
         assert np.array_equal(packed, pack_codes_loop(dense))
         if r % 64:
             assert not np.any(packed[:, -1] >> np.uint64(r % 64))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 63, 64, 65, 128]), st.integers(0, 50),
+           st.integers(0, 2 ** 32 - 1))
+    def test_unpack_inverts_pack(self, r, n, seed):
+        dense = random_codes(np.random.default_rng(seed), n, r)
+        dense = dense.astype(np.int8)
+        packed = pack_codes_loop(dense)
+        assert np.array_equal(pack_codes(dense), packed)
+        got = unpack_codes(packed, r)
+        assert got.dtype == np.int8 and got.shape == (n, r)
+        assert np.array_equal(got, dense)
 
 
 class TestHammingRankProperties:

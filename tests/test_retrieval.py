@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from taghash import codes
-from taghash.codes import CodeBlock, hamming_distances, pack_codes
+from taghash.codes import (CodeBlock, hamming_distances, pack_codes,
+                           unpack_codes)
 from taghash.kernel import AnchorSet
 from taghash.model import Hyperparams, ModelState
 from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
                                round_snapshots, snapshot_index)
 
-from conftest import make_state, random_codes
-from oracles import dense_rank, unpack_codes
+from conftest import code_block, make_state, random_codes
+from oracles import dense_rank
 
 
 class TestPacking:
@@ -37,6 +38,28 @@ class TestPacking:
     def test_word_count_mismatch(self):
         with pytest.raises(ValueError):
             unpack_codes(np.zeros((2, 2), dtype=np.uint64), 10)
+
+
+class TestCodeBlock:
+    def test_holds_words_and_derives_dense(self):
+        dense = random_codes(np.random.default_rng(3), 6, 70).astype(np.int8)
+        block = CodeBlock(pack_codes(dense), 70)
+        assert block.n == 6 and block.packed.shape == (6, 2)
+        assert block.dense.dtype == np.int8
+        assert np.array_equal(block.dense, dense)
+        # derived afresh, never cached
+        assert block.dense is not block.dense
+        assert [f for f in vars(block)] == ["packed", "r"]
+
+    @pytest.mark.parametrize("words, r", [
+        (np.zeros((3, 2), dtype=np.uint64), 64),
+        (np.zeros((3, 1), dtype=np.uint64), 65),
+        (np.zeros((3, 1), dtype=np.int64), 8),
+        (np.zeros(3, dtype=np.uint64), 8),
+        (np.ones((3, 8), dtype=np.int8), 8)])
+    def test_refuses_words_that_do_not_fit_r(self, words, r):
+        with pytest.raises(ValueError, match=f"for r={r}"):
+            CodeBlock(words, r)
 
 
 class TestHammingDistances:
@@ -191,8 +214,8 @@ class TestSnapshotIndex:
     def test_concatenates_blocks_in_round_order(self, small_hyper):
         state = make_state(small_hyper)
         rng = np.random.default_rng(11)
-        b1 = CodeBlock(random_codes(rng, 3, small_hyper.r).astype(np.int8))
-        b2 = CodeBlock(random_codes(rng, 2, small_hyper.r).astype(np.int8))
+        b1 = code_block(random_codes(rng, 3, small_hyper.r))
+        b2 = code_block(random_codes(rng, 2, small_hyper.r))
         index = snapshot_index(state, [b1, b2])
         assert index.size == 5
         dense = unpack_codes(index.packed, small_hyper.r)
@@ -211,7 +234,7 @@ class TestRoundSnapshots:
 
     def blocks(self, sizes, seed=12):
         rng = np.random.default_rng(seed)
-        return [CodeBlock(random_codes(rng, n, self.hyper.r).astype(np.int8))
+        return [code_block(random_codes(rng, n, self.hyper.r))
                 for n in sizes]
 
     def test_every_round_indexes_its_packed_prefix(self):
@@ -242,14 +265,15 @@ class TestRoundSnapshots:
                             p_history)
 
     def test_packs_each_block_once(self, monkeypatch):
+        # each block is packed when it is built, and never again
         packed_rows = []
-        real = codes.pack_codes
+        real = codes.pack_signs
 
-        def counting(dense):
-            packed_rows.append(len(dense))
-            return real(dense)
+        def counting(positive):
+            packed_rows.append(len(positive))
+            return real(positive)
 
-        monkeypatch.setattr(codes, "pack_codes", counting)
+        monkeypatch.setattr(codes, "pack_signs", counting)
         blocks = self.blocks([3, 1, 4, 2])
         round_snapshots(make_state(self.hyper), blocks,
                         [np.zeros((self.hyper.m, self.hyper.r))] * 4)
