@@ -39,22 +39,23 @@ with tempfile.TemporaryDirectory() as root:
     dataio.save_tags(query_labels, stream.query_labels)
 
     ckpt = os.path.join(root, "run.ckpt")
-    common = ["--manifest", manifest, "--embeddings", embeddings,
-              "--checkpoint", ckpt]
 
+    # each command takes only the flags it reads
     print("== train ==")
-    rc = cli.main(["train", *common, "--bits", "16", "--anchors", "64",
+    rc = cli.main(["train", "--manifest", manifest, "--embeddings", embeddings,
+                   "--checkpoint", ckpt, "--bits", "16", "--anchors", "64",
                    "--seed", "4",
                    "--metrics", os.path.join(root, "train.csv")])
     assert rc == 0
 
     print("== eval ==")
-    rc = cli.main(["eval", *common, "--queries", queries,
-                   "--query-labels", query_labels])
+    rc = cli.main(["eval", "--manifest", manifest, "--checkpoint", ckpt,
+                   "--queries", queries, "--query-labels", query_labels])
     assert rc == 0
 
     print("== query (first 2, top 3) ==")
     two = os.path.join(root, "two.bin")
     dataio.save_features(two, stream.query_x[:2])
-    rc = cli.main(["query", *common, "--features", two, "-k", "3"])
+    rc = cli.main(["query", "--checkpoint", ckpt, "--features", two,
+                   "-k", "3"])
     assert rc == 0

@@ -1,4 +1,10 @@
-"""Command-line entry points: preprocess, train, eval, query, ablate.
+"""Command-line entry points: preprocess, train, eval, query.
+
+One table, SETTINGS, gives each setting's type, lowest value, default,
+commands and help.  A command's parser offers `--config` plus exactly the
+flags it reads (`train` also `--resume`).  A config file may hold any
+setting in the table, and flags override it; `_settings` casts and checks
+every setting the command reads before any data file is opened.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
 Every command is deterministic given its inputs and seed; metrics land in
@@ -6,6 +12,7 @@ CSV files with columns (round, bits, metric, value).
 """
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -28,6 +35,52 @@ ABLATION_VARIANTS = {
     "woh-3": {"alpha": 0.0},
 }
 
+REQUIRED = object()     # the default of a setting its commands cannot lack
+
+# setting -> (type, lowest value, default, commands that read it, help).  A
+# type that is a tuple lists the allowed names.  A hyperparameter or seed
+# left unset takes the library's default, or the checkpoint's on --resume.
+SETTINGS = {
+    "manifest": (str, None, REQUIRED, "preprocess train eval",
+                 "chunk manifest JSON"),
+    "embeddings": (str, None, REQUIRED, "preprocess train",
+                   "tag embedding text dump"),
+    "checkpoint": (str, None, REQUIRED, "train eval query",
+                   "checkpoint file"),
+    "metrics": (str, None, None, "train eval", "metrics CSV output path"),
+    "min_count": (int, 0, 50, "preprocess",
+                  "keep tags seen at least this often (default 50)"),
+    "out_dir": (str, None, REQUIRED, "preprocess",
+                "directory for the pruned manifest and tag files"),
+    "variant": (tuple(ABLATION_VARIANTS), None, "woh", "train",
+                "model variant: " + ", ".join(ABLATION_VARIANTS)
+                + " (default woh)"),
+    "bits": (int, 1, None, "train", "code length r"),
+    "anchors": (int, 1, None, "train", "anchor count m"),
+    "alpha": (float, 0, None, "train", "ridge weight"),
+    "beta": (float, 0, None, "train", "feature reconstruction weight"),
+    "theta": (float, 0, None, "train", "semantic embedding weight"),
+    "mu": (float, 0, None, "train", "hash projection weight"),
+    "iters": (int, 1, None, "train", "outer iterations per round"),
+    "dcc_sweeps": (int, 1, None, "train", "code descent sweeps per update"),
+    "seed": (int, 0, None, "train", "random seed (default 0)"),
+    "chunks": (int, 1, None, "train",
+               "use only the first N manifest chunks"),
+    "queries": (str, None, REQUIRED, "eval", "query feature file"),
+    "query_labels": (str, None, REQUIRED, "eval", "query label file"),
+    "map_cutoff": (int, 1, None, "eval",
+                   "rank cutoff for MAP (default: full database)"),
+    "precision_k": (int, 1, None, "eval", "also report precision at k"),
+    "features": (str, None, REQUIRED, "query", "query feature file"),
+    "k": (int, 0, 10, "query", "hits per query (default 10)"),
+    "out": (str, None, None, "query", "TSV output path (default stdout)"),
+}
+
+# settings that set a Hyperparams field -> that field
+_FIELDS = {"bits": "r", "anchors": "m", "alpha": "alpha", "beta": "beta",
+           "theta": "theta", "mu": "mu", "iters": "iters",
+           "dcc_sweeps": "dcc_sweeps"}
+
 
 class UsageError(Exception):
     pass
@@ -38,120 +91,77 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag(name):
+    return "-" + name if len(name) == 1 else "--" + name.replace("_", "-")
+
+
 def build_parser():
     parser = _Parser(prog="taghash",
                      description="Streaming tag-supervised hashing engine")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--bits", type=int, help="code length r")
-        p.add_argument("--chunks", type=int,
-                       help="use only the first N manifest chunks")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--iters", type=int, help="outer iterations per round")
-        p.add_argument("--dcc-sweeps", type=int)
-        p.add_argument("--anchors", type=int, help="anchor count m")
-        p.add_argument("--manifest")
-        p.add_argument("--embeddings")
-        p.add_argument("--checkpoint")
-        p.add_argument("--metrics", help="metrics CSV output path")
-
-    p = sub.add_parser("preprocess", help="prune tag vocabulary and remap")
-    common(p)
-    p.add_argument("--min-count", type=int)
-    p.add_argument("--out-dir", required=True)
-
-    p = sub.add_parser("train", help="run online training over a manifest")
-    common(p)
-    p.add_argument("--resume", action="store_true",
-                   help="continue from an existing checkpoint")
-
-    p = sub.add_parser("eval", help="MAP / precision report from a checkpoint")
-    common(p)
-    p.add_argument("--queries", help="query feature file")
-    p.add_argument("--query-labels", help="query label file")
-    p.add_argument("--map-cutoff", type=int,
-                   help="rank cutoff for MAP (default: full database)")
-    p.add_argument("--precision-k", type=int)
-
-    p = sub.add_parser("query", help="ranked Hamming search")
-    common(p)
-    p.add_argument("--features", help="query feature file")
-    p.add_argument("-k", type=int, default=10)
-    p.add_argument("--out", help="TSV output path (default stdout)")
-
-    p = sub.add_parser("ablate", help="train with a model variant")
-    common(p)
-    p.add_argument("--variant", required=True)
+        if command == "train":
+            p.add_argument("--resume", action="store_true",
+                           help="continue from an existing checkpoint")
+        for name, (*_, commands, text) in SETTINGS.items():
+            if command in commands.split():
+                p.add_argument(_flag(name), help=text)
     return parser
 
 
-def _settings(args):
-    """Config-file values, overridden by every argument that is not None."""
-    cfg = {}
-    if args.config:
-        cfg.update(dataio.load_config(args.config))
-    cfg.update((key, val) for key, val in vars(args).items()
-               if val is not None)
-    return cfg
-
-
-def _at_least_one(cfg, key):
-    """Integer setting, or None when it is not given; a value below 1 is a
-    usage error naming the flag."""
-    if key not in cfg:
-        return None
-    value = int(cfg[key])
-    if value < 1:
-        raise UsageError(
-            f"--{key.replace('_', '-')} must be >= 1, got {value}")
+def _value(name, raw):
+    """The setting's value cast from its text and checked against its
+    lowest value; UsageError naming the flag otherwise."""
+    kind, low, *_ = SETTINGS[name]
+    flag = _flag(name)
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise UsageError(
+                f"{flag} must be one of {', '.join(kind)}, got {raw!r}")
+        return raw
+    try:
+        value = kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{flag} must be {what}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {raw}")
+    if low is not None and value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {raw}")
     return value
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise UsageError(f"missing required setting '{key}'")
-    return cfg[key]
-
-
-# Hyperparams field -> (setting name, type)
-_HYPER_SETTINGS = {"r": ("bits", int), "m": ("anchors", int),
-                   "alpha": ("alpha", float), "beta": ("beta", float),
-                   "theta": ("theta", float), "mu": ("mu", float),
-                   "iters": ("iters", int), "dcc_sweeps": ("dcc_sweeps", int)}
-
-
-def _given_hyper(cfg, overrides=None):
-    """Hyperparameters set by flag or config, then the variant's overrides."""
-    given = {field: cast(cfg[key])
-             for field, (key, cast) in _HYPER_SETTINGS.items() if key in cfg}
-    given.update(overrides or {})
-    return given
-
-
-def _check_resume(trainer, cfg, overrides):
-    """Refuse given settings that differ from the checkpoint's."""
-    given = {_HYPER_SETTINGS.get(k, (k,))[0]: (v, getattr(trainer.hyper, k))
-             for k, v in _given_hyper(cfg, overrides).items()}
-    given["seed"] = (int(cfg.get("seed", trainer.seed)), trainer.seed)
-    changed = [f"{name} = {new!r}, checkpoint has {old!r}"
-               for name, (new, old) in given.items() if new != old]
-    if changed:
-        raise UsageError("--resume keeps the checkpoint's settings: "
-                         + "; ".join(changed))
+def _settings(args):
+    """Every setting the command reads: config-file values overridden by
+    flags, cast and checked, and the table's defaults for the rest."""
+    given = dataio.load_config(args.config) if args.config else {}
+    unknown = sorted(set(given) - set(SETTINGS))
+    if unknown:
+        raise UsageError(f"{args.config}: unknown setting "
+                         + ", ".join(map(repr, unknown)))
+    given.update((key, val) for key, val in vars(args).items()
+                 if key in SETTINGS and val is not None)
+    cfg = {}
+    for name, (_, _, default, commands, _) in SETTINGS.items():
+        if args.command not in commands.split():
+            continue
+        if name in given:
+            cfg[name] = _value(name, given[name])
+        elif default is REQUIRED:
+            raise UsageError(f"{args.command} requires {_flag(name)}")
+        else:
+            cfg[name] = default
+    return cfg
 
 
 def _load_table(cfg, manifest):
-    path = _require(cfg, "embeddings")
     if not manifest.tag_vocab:
         raise LoadError("manifest declares no tag_vocab; run preprocess first"
                         " or add tag_vocab to the manifest")
-    table, missing = dataio.load_embeddings(path, manifest.tag_vocab)
+    table, missing = dataio.load_embeddings(cfg["embeddings"],
+                                            manifest.tag_vocab)
     if missing:
         raise LoadError(
             f"{len(missing)} tags lack embeddings (e.g. {missing[:3]}); "
@@ -168,11 +178,10 @@ def _write_metrics(path, rows):
 
 def cmd_preprocess(args):
     cfg = _settings(args)
-    manifest = ChunkManifest.from_file(_require(cfg, "manifest"))
-    min_count = int(cfg.get("min_count", 50))
+    manifest = ChunkManifest.from_file(cfg["manifest"])
     if not manifest.tag_vocab:
         raise LoadError("manifest must declare tag_vocab for preprocessing")
-    vectors, _ = dataio.read_embedding_file(_require(cfg, "embeddings"))
+    vectors, _ = dataio.read_embedding_file(cfg["embeddings"])
     coverage = np.array([t in vectors for t in manifest.tag_vocab])
 
     counts = np.zeros(manifest.c, dtype=np.int64)
@@ -181,12 +190,13 @@ def cmd_preprocess(args):
         _, y, _ = manifest.load_chunk(i)
         counts += y.sum(axis=0)
         chunk_tags.append(y)
-    surviving, _ = dataio.prune_vocab(counts, min_count, coverage)
+    surviving, _ = dataio.prune_vocab(counts, cfg["min_count"], coverage)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    out_dir = cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     new_chunks = []
     for i, y in enumerate(chunk_tags):
-        tag_path = os.path.join(args.out_dir, f"tags_{i:03d}.txt")
+        tag_path = os.path.join(out_dir, f"tags_{i:03d}.txt")
         dataio.save_tags(tag_path, dataio.remap_tag_columns(y, surviving),
                          manifest.tag_format or "sparse")
         entry = dict(manifest.chunks[i])
@@ -197,33 +207,43 @@ def cmd_preprocess(args):
         labels_dim=manifest.labels_dim,
         tag_vocab=[manifest.tag_vocab[j] for j in surviving],
         tag_format=manifest.tag_format)
-    out_manifest = os.path.join(args.out_dir, "manifest.json")
+    out_manifest = os.path.join(out_dir, "manifest.json")
     pruned.save(out_manifest)
     print(f"kept {len(surviving)}/{manifest.c} tags -> {out_manifest}")
     return 0
 
 
-def _train(args, overrides=None):
+def cmd_train(args):
     cfg = _settings(args)
-    max_chunks = _at_least_one(cfg, "chunks")
-    manifest = ChunkManifest.from_file(_require(cfg, "manifest"))
+    ckpt_path = cfg["checkpoint"]
+    resume = args.resume and os.path.exists(ckpt_path)
+    if not resume:
+        for name in ("bits", "anchors"):
+            if cfg[name] is None:
+                raise UsageError(f"train requires {_flag(name)}")
+    # hyperparameters and seed set by flag or config, then the variant's
+    given = {name: cfg[name] for name in (*_FIELDS, "seed")
+             if cfg[name] is not None}
+    given.update(ABLATION_VARIANTS[cfg["variant"]])
+    manifest = ChunkManifest.from_file(cfg["manifest"])
     table = _load_table(cfg, manifest)
-    ckpt_path = _require(cfg, "checkpoint")
-    seed = int(cfg.get("seed", 0))
 
-    if getattr(args, "resume", False) and os.path.exists(ckpt_path):
+    if resume:
         trainer = StreamTrainer.from_checkpoint(ckpt_path, table)
-        _check_resume(trainer, cfg, overrides)
+        stored = dict(vars(trainer.hyper), seed=trainer.seed)
+        stored.update((name, stored[f]) for name, f in _FIELDS.items())
+        changed = [f"{name} = {new!r}, checkpoint has {stored[name]!r}"
+                   for name, new in given.items() if new != stored[name]]
+        if changed:
+            raise UsageError("--resume keeps the checkpoint's settings: "
+                             + "; ".join(changed))
     else:
-        _require(cfg, "bits")
-        _require(cfg, "anchors")
-        hyper = Hyperparams(c=manifest.c, f=table.f,
-                            **_given_hyper(cfg, overrides))
+        seed = given.pop("seed", 0)
+        hyper = Hyperparams(c=manifest.c, f=table.f, **{
+            _FIELDS.get(name, name): v for name, v in given.items()})
         trainer = StreamTrainer(hyper, table, seed)
 
-    n_chunks = len(manifest.chunks)
-    if max_chunks is not None:
-        n_chunks = min(n_chunks, max_chunks)
+    n_chunks = len(manifest.chunks[:cfg["chunks"]])
     rows = []
     start_round = trainer.state.round_index if trainer.state else 0
     for i in range(start_round, n_chunks):
@@ -245,40 +265,17 @@ def _train(args, overrides=None):
             rows.append((rnd, trainer.hyper.r, f"objective_iter_{j}",
                          repr(obj)))
         trainer.save(ckpt_path)
-    if "metrics" in cfg:
+    if cfg["metrics"] is not None:
         _write_metrics(cfg["metrics"], rows)
     print(f"trained {trainer.state.round_index} rounds "
           f"({trainer.state.total_seen} samples) -> {ckpt_path}")
     return 0
 
 
-def cmd_train(args):
-    return _train(args)
-
-
-def cmd_ablate(args):
-    if args.variant not in ABLATION_VARIANTS:
-        raise UsageError(
-            f"unknown variant '{args.variant}' "
-            f"(choose from {sorted(ABLATION_VARIANTS)})")
-    return _train(args, overrides=ABLATION_VARIANTS[args.variant])
-
-
-def _load_checkpoint_cfg(cfg):
-    path = _require(cfg, "checkpoint")
-    if not os.path.exists(path):
-        raise LoadError(f"{path}: checkpoint not found")
-    return dataio.load_checkpoint(path)
-
-
 def cmd_eval(args):
     cfg = _settings(args)
-    cutoff = _at_least_one(cfg, "map_cutoff")
-    k = _at_least_one(cfg, "precision_k")
-    state, _, blocks, p_history, _ = _load_checkpoint_cfg(cfg)
-    if "queries" not in cfg or "query_labels" not in cfg:
-        raise UsageError("eval requires --queries and --query-labels")
-    manifest = ChunkManifest.from_file(_require(cfg, "manifest"))
+    state, _, blocks, p_history, _ = dataio.load_checkpoint(cfg["checkpoint"])
+    manifest = ChunkManifest.from_file(cfg["manifest"])
     if not manifest.labels_dim:
         raise LoadError("evaluation refused: manifest declares no labels")
     if len(manifest.chunks) < len(blocks):
@@ -305,7 +302,9 @@ def cmd_eval(args):
 
     snapshots = round_snapshots(state, blocks, p_history)
     rows = [(rnd, state.hyper.r, "map", repr(value))
-            for rnd, value in map_per_round(snapshots, qx, judgments, cutoff)]
+            for rnd, value in map_per_round(snapshots, qx, judgments,
+                                            cfg["map_cutoff"])]
+    k = cfg["precision_k"]
     if k is not None:
         rnd, snap, index = snapshots[-1]
         codes = hash_queries(qx, snap)
@@ -313,7 +312,7 @@ def cmd_eval(args):
             precision_at_k(hamming_rank(codes.packed[qi], index, k)[0], rel, k)
             for qi, rel in query_relevance(judgments, codes.n)]))
         rows.append((rnd, state.hyper.r, f"precision_at_{k}", repr(pk)))
-    if "metrics" in cfg:
+    if cfg["metrics"] is not None:
         _write_metrics(cfg["metrics"], rows)
     for rnd, bits, metric, value in rows:
         print(f"round {rnd} [{bits} bits] {metric} = {value}")
@@ -321,33 +320,28 @@ def cmd_eval(args):
 
 
 def cmd_query(args):
-    if args.k < 0:
-        raise UsageError(f"-k must be >= 0, got {args.k}")
     cfg = _settings(args)
-    state, _, blocks, _, _ = _load_checkpoint_cfg(cfg)
-    if "features" not in cfg:
-        raise UsageError("query requires --features")
+    state, _, blocks, _, _ = dataio.load_checkpoint(cfg["checkpoint"])
     x = dataio.load_features(cfg["features"])
     index = snapshot_index(state, blocks)
     codes = hash_queries(x, state)
-    out = open(args.out, "w") if args.out else sys.stdout
+    out = open(cfg["out"], "w") if cfg["out"] else sys.stdout
     try:
         for qi in range(codes.n):
-            rows, dists = hamming_rank(codes.packed[qi], index, args.k)
+            rows, dists = hamming_rank(codes.packed[qi], index, cfg["k"])
             for rank, (row, dist) in enumerate(zip(rows, dists), 1):
                 out.write(f"{qi}\t{row}\t{dist}\t{rank}\n")
     finally:
-        if args.out:
+        if cfg["out"]:
             out.close()
     return 0
 
 
 COMMANDS = {
-    "preprocess": cmd_preprocess,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "query": cmd_query,
-    "ablate": cmd_ablate,
+    "preprocess": (cmd_preprocess, "prune tag vocabulary and remap"),
+    "train": (cmd_train, "run online training over a manifest"),
+    "eval": (cmd_eval, "MAP / precision report from a checkpoint"),
+    "query": (cmd_query, "ranked Hamming search"),
 }
 
 
@@ -355,11 +349,11 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (LoadError, ConfigError, FileNotFoundError, ValueError) as e:
+    except (LoadError, ConfigError, OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except (RoundAborted, FloatingPointError) as e:

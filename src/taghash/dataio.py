@@ -485,6 +485,9 @@ def load_checkpoint(path):
                if name not in fields]
     if missing:
         raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    if fields["round_index"] != fields["rounds_committed"]:
+        raise LoadError(f"{path}: round_index {fields['round_index']} differs "
+                        f"from rounds_committed {fields['rounds_committed']}")
     try:
         hyper = Hyperparams(**fields["hyper"])
     except TypeError as e:          # a missing or unknown hyperparameter

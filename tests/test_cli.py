@@ -1,5 +1,7 @@
+import argparse
 import csv
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -146,15 +148,14 @@ class TestTrain:
         assert ckpt.read_bytes() == before
 
     def test_resume_compares_after_variant_overrides(self, workdir,
-                                                     tmp_path):
+                                                     tmp_path, capsys):
         ckpt = str(tmp_path / "c.ckpt")
         assert run_train(workdir, ckpt, extra=["--chunks", "1"]) == 0
-        args = cli.build_parser().parse_args([
-            "train", "--config", workdir["config"], "--checkpoint", ckpt,
-            "--resume"])
-        with pytest.raises(cli.UsageError,
-                           match="theta = 0.0, checkpoint has 0.1"):
-            cli._train(args, overrides=cli.ABLATION_VARIANTS["woh-1"])
+        capsys.readouterr()
+        assert cli.main(["train", "--config", workdir["config"],
+                         "--checkpoint", ckpt, "--variant", "woh-1",
+                         "--resume"]) == 1
+        assert "theta = 0.0, checkpoint has 0.1" in capsys.readouterr().err
 
     def test_chunk_limit(self, workdir):
         ckpt = str(workdir["root"] / "lim.ckpt")
@@ -325,17 +326,41 @@ class TestAblate:
                 ("woh-3", lambda h: h.alpha == 0)):
             ckpt = str(workdir["root"] / f"{variant}.ckpt")
             rc = cli.main([
-                "ablate", "--config", workdir["config"],
+                "train", "--config", workdir["config"],
                 "--checkpoint", ckpt, "--chunks", "1",
                 "--variant", variant])
             assert rc == 0, variant
             state, *_ = load_checkpoint(ckpt)
             assert check(state.hyper), variant
 
-    def test_unknown_variant_is_usage_error(self, workdir):
-        rc = cli.main(["ablate", "--config", workdir["config"],
+    def test_variant_from_config(self, workdir, tmp_path):
+        cfg = tmp_path / "woh2.cfg"
+        cfg.write_text(Path(workdir["config"]).read_text()
+                       + "variant = woh-2\n")
+        ckpt = str(tmp_path / "c.ckpt")
+        assert cli.main(["train", "--config", str(cfg), "--checkpoint", ckpt,
+                         "--chunks", "1"]) == 0
+        state, *_ = load_checkpoint(ckpt)
+        assert state.hyper.theta == 0 and not state.hyper.tag_regression
+
+    def test_unknown_variant_is_usage_error(self, workdir, capsys):
+        rc = cli.main(["train", "--config", workdir["config"],
                        "--checkpoint", "x.ckpt", "--variant", "woh-9"])
         assert rc == 1
+        assert ("--variant must be one of woh, woh-1, woh-2, woh-3, got "
+                "'woh-9'") in capsys.readouterr().err
+        assert not os.path.exists("x.ckpt")
+
+    def test_variant_resume_matches_straight_run(self, workdir, tmp_path):
+        straight = tmp_path / "s.ckpt"
+        resumed = tmp_path / "r.ckpt"
+        variant = ["--variant", "woh-1"]
+        assert run_train(workdir, str(straight), extra=variant) == 0
+        assert run_train(workdir, str(resumed),
+                         extra=variant + ["--chunks", "1"]) == 0
+        assert run_train(workdir, str(resumed),
+                         extra=variant + ["--resume"]) == 0
+        assert straight.read_bytes() == resumed.read_bytes()
 
 
 class TestPreprocess:
@@ -408,6 +433,96 @@ class TestPreprocess:
         y1 = m1.load_chunk(0)[1]
         y2 = m2.load_chunk(0)[1]
         assert np.array_equal(y1, y2)
+
+
+class TestSettings:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: [a.option_strings[0] for a in p._actions
+                        if a.option_strings != ["-h", "--help"]]
+                 for name, p in sub.choices.items()}
+        assert {name: len(f) for name, f in flags.items()} == {
+            "preprocess": 5, "train": 17, "eval": 8, "query": 5}
+        assert flags["query"] == ["--config", "--checkpoint", "--features",
+                                  "-k", "--out"]
+
+    @pytest.mark.parametrize("command, config, flags, message", [
+        ("train", {"dcc-sweeps": "5"}, [], "unknown setting 'dcc-sweeps'"),
+        ("train", {"tag_regression": "false"}, [],
+         "unknown setting 'tag_regression'"),
+        ("train", {"bits": "abc"}, [],
+         "--bits must be an integer, got 'abc'"),
+        ("train", {"iters": "2.5"}, [],
+         "--iters must be an integer, got '2.5'"),
+        ("train", {"seed": "x"}, [], "--seed must be an integer, got 'x'"),
+        ("preprocess", {"min_count": "abc"}, [],
+         "--min-count must be an integer, got 'abc'"),
+        ("train", {}, ["--bits", "0"], "--bits must be >= 1, got 0"),
+        ("train", {}, ["--alpha", "-1"], "--alpha must be >= 0, got -1"),
+        ("train", {}, ["--theta", "inf"], "--theta must be finite, got inf"),
+        ("eval", {}, ["--bits", "99"], "unrecognized arguments: --bits 99"),
+        ("preprocess", {}, ["--alpha", "5"],
+         "unrecognized arguments: --alpha 5"),
+        ("query", {"k": "-1"}, [], "-k must be >= 0, got -1"),
+        ("eval", {"queries": None}, [], "eval requires --queries"),
+    ], ids=["dash_key", "tag_regression", "bits_text", "iters_float",
+            "seed_text", "min_count_text", "bits_zero", "alpha_negative",
+            "theta_inf", "eval_bits", "preprocess_alpha", "config_k",
+            "eval_queries"])
+    def test_bad_setting_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                  command, config, flags,
+                                                  message):
+        # one config serves every command; every data path in it is
+        # missing, so a setting refused late would exit 2, not 1
+        settings = {key: str(tmp_path / "missing") for key in (
+            "manifest", "embeddings", "checkpoint", "out_dir", "queries",
+            "query_labels", "features")}
+        settings.update(bits="16", anchors="24")
+        settings.update(config)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n"
+                               for key, value in settings.items()
+                               if value is not None))
+        assert cli.main([command, "--config", str(cfg)] + flags) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "eval",
+                                         "query"])
+    def test_unknown_config_key_is_refused(self, workdir, tmp_path, capsys,
+                                           command):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(Path(workdir["config"]).read_text() + "bitz = 8\n")
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        assert f"{cfg}: unknown setting 'bitz'" in capsys.readouterr().err
+
+    def test_query_reads_k_from_config(self, workdir, tmp_path):
+        ckpt = str(tmp_path / "c.ckpt")
+        assert run_train(workdir, ckpt, extra=["--chunks", "1"]) == 0
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(Path(workdir["config"]).read_text() + "k = 2\n")
+        out = tmp_path / "hits.tsv"
+        argv = ["query", "--config", str(cfg), "--checkpoint", ckpt,
+                "--features", workdir["queries"], "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 30 * 2
+        assert cli.main(argv + ["-k", "3"]) == 0     # the flag wins
+        assert len(out.read_text().splitlines()) == 30 * 3
+
+    def test_readme_commands_parse(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            section = fh.read().split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(ln)[1:] for ln in lines
+                    if ln.startswith("taghash ")]
+        assert {argv[0] for argv in commands} == {
+            "preprocess", "train", "eval", "query"}
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestExitCodes:
@@ -584,6 +699,25 @@ class TestExitCodes:
                        "--manifest", man_path,
                        "--checkpoint", str(tmp_path / "x.ckpt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "{config}", "--checkpoint", "{dir}",
+         "--chunks", "1"],
+        ["eval", "--config", "{config}", "--checkpoint", "{dir}",
+         "--queries", "{queries}", "--query-labels", "{query_labels}"],
+        ["query", "--config", "{config}", "--checkpoint", "{ckpt}",
+         "--features", "{dir}"],
+        ["train", "--config", "{dir}", "--checkpoint", "{ckpt}"],
+    ], ids=["train_checkpoint", "eval_checkpoint", "query_features",
+            "config"])
+    def test_directory_path_is_data_error(self, workdir, three_rounds,
+                                          tmp_path, capsys, argv):
+        paths = dict(workdir, dir=tmp_path / "dir", ckpt=three_rounds)
+        paths["dir"].mkdir()
+        rc = cli.main([arg.format(**paths) for arg in argv])
+        assert rc == 2
+        assert "data error: [Errno 21] Is a directory" in (
+            capsys.readouterr().err)
 
     def test_numerical_abort_is_exit_three(self, workdir, monkeypatch):
         from taghash.optimizer import RoundAborted

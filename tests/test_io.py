@@ -399,6 +399,18 @@ class TestCheckpoint:
         with pytest.raises(LoadError, match="lacks round_index, c2$"):
             load_checkpoint(path)
 
+    def test_round_index_must_match_rounds_committed(self, tmp_path):
+        # CRC-valid, but a resume would skip a chunk and then fail to commit
+        trainer, _ = trained_trainer(1)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        meta["round_index"] = 2
+        write_checkpoint_fields(path, meta, arrays)
+        with pytest.raises(LoadError, match="round_index 2 differs from "
+                                            "rounds_committed 1$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", [
         lambda hyper: hyper.pop("r"),
         lambda hyper: hyper.update(unknown=1)], ids=["missing", "unknown"])
