@@ -17,7 +17,7 @@ for x, y in stream.chunks:
     trainer.process_chunk(x, y)
 
 index = trainer.index()
-print(f"database: {index.size} codes of {index.r} bits "
+print(f"database: {index.n} codes of {index.r} bits "
       f"({index.packed.shape[1]} words each)")
 
 codes = hash_queries(stream.query_x[:3], trainer.state)

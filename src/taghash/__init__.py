@@ -14,16 +14,15 @@ from .kernel import AnchorSet, build_anchor_set, rbf_map
 from .model import (AccumStats, Hyperparams, ModelState, RoundData,
                     commit_round, objective_value)
 from .optimizer import run_round
-from .retrieval import RetrievalIndex, hamming_rank, hash_queries, \
-    snapshot_index
+from .retrieval import hamming_rank, hash_queries, snapshot_index
 from .semantics import EmbeddingTable, SemanticChunk, pool_semantics
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccumStats", "AnchorSet", "CodeBlock", "EmbeddingTable",
-    "EvalJudgments", "Hyperparams", "ModelState", "RetrievalIndex",
-    "RoundData", "SemanticChunk", "StreamTrainer", "average_precision",
+    "EvalJudgments", "Hyperparams", "ModelState", "RoundData",
+    "SemanticChunk", "StreamTrainer", "average_precision",
     "build_anchor_set", "commit_round", "hamming_distances", "hamming_rank",
     "hash_queries", "map_per_round", "mean_average_precision",
     "objective_value", "pack_codes", "pool_semantics", "precision_at_k",

@@ -12,6 +12,7 @@ CSV files with columns (round, bits, metric, value).
 """
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -216,6 +217,8 @@ def cmd_preprocess(args):
 def cmd_train(args):
     cfg = _settings(args)
     ckpt_path = cfg["checkpoint"]
+    if os.path.isdir(ckpt_path):    # refused before a round is trained
+        raise IsADirectoryError(errno.EISDIR, "Is a directory", ckpt_path)
     resume = args.resume and os.path.exists(ckpt_path)
     if not resume:
         for name in ("bits", "anchors"):
@@ -248,10 +251,6 @@ def cmd_train(args):
     start_round = trainer.state.round_index if trainer.state else 0
     for i in range(start_round, n_chunks):
         x, y, _ = manifest.load_chunk(i)
-        if y.shape[1] != trainer.hyper.c:
-            raise LoadError(
-                f"chunk {i} has {y.shape[1]} tag columns, model expects "
-                f"{trainer.hyper.c}")
         tagless = int(np.sum(y.sum(axis=1) == 0))
         if tagless:
             print(f"warning: chunk {i} has {tagless} rows with no tags",
@@ -267,8 +266,9 @@ def cmd_train(args):
         trainer.save(ckpt_path)
     if cfg["metrics"] is not None:
         _write_metrics(cfg["metrics"], rows)
+    samples = sum(cb.n for cb in trainer.code_blocks)
     print(f"trained {trainer.state.round_index} rounds "
-          f"({trainer.state.total_seen} samples) -> {ckpt_path}")
+          f"({samples} samples) -> {ckpt_path}")
     return 0
 
 

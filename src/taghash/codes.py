@@ -10,12 +10,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def n_words(r):
+    """Words per packed row of an r-bit code: ceil(r/64)."""
+    return (r + 63) // 64
+
+
 def pack_signs(positive):
     """Pack an (n, r) boolean matrix, True where the code is +1, into
     (n, ceil(r/64)) native uint64 words."""
     positive = np.ascontiguousarray(positive, dtype=bool)
     n, r = positive.shape
-    words = np.zeros((n, (r + 63) // 64 * 8), dtype=np.uint8)
+    words = np.zeros((n, n_words(r) * 8), dtype=np.uint8)
     # little-endian bit order puts bit j of each byte at column 8*byte + j,
     # and little-endian words put byte b at bits 8*b..8*b+7 of the word
     words[:, :(r + 7) // 8] = np.packbits(positive, axis=1, bitorder="little")
@@ -43,11 +48,10 @@ def unpack_codes(packed, r):
 def check_words(packed, r):
     """packed as an array, refused unless it is (n, ceil(r/64)) uint64."""
     packed = np.asarray(packed)
-    words = (r + 63) // 64
     if packed.ndim != 2 or packed.dtype != np.uint64 \
-            or packed.shape[1] != words:
+            or packed.shape[1] != n_words(r):
         raise ValueError(
-            f"packed codes must be 2-D uint64 with ceil(r/64) = {words} "
+            f"packed codes must be 2-D uint64 with ceil(r/64) = {n_words(r)} "
             f"columns for r={r}, got {packed.dtype} {packed.shape}")
     return packed
 
@@ -73,9 +77,9 @@ def hamming_distances(query_packed, db_packed):
 
 @dataclass
 class CodeBlock:
-    """Codes of one chunk, as their packed words."""
+    """Packed codes of one chunk, or of a whole index; row i is record i."""
 
-    packed: np.ndarray           # (n, ceil(r/64)) uint64
+    packed: np.ndarray           # (n, n_words(r)) uint64
     r: int
 
     def __post_init__(self):

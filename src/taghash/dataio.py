@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .codes import CodeBlock, pack_codes, padding_bits
+from .codes import CodeBlock, n_words, pack_codes, padding_bits
 from .kernel import AnchorSet
 from .model import AccumStats, Hyperparams, ModelState
 from .semantics import EmbeddingTable
@@ -268,6 +268,9 @@ class ChunkManifest:
                 tag_format=doc.get("tag_format"))
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad manifest: {e}") from None
+        if man.tag_vocab and len(man.tag_vocab) != man.c:
+            raise LoadError(f"{path}: tag_vocab lists {len(man.tag_vocab)} "
+                            f"tags but c is {man.c}")
         if man.tag_format not in TAG_FORMATS + (None,):
             raise LoadError(f"{path}: tag_format must be one of "
                             f"{TAG_FORMATS}, got {man.tag_format!r}")
@@ -341,11 +344,12 @@ def load_config(path):
 # little-endian bytes in the listed order, and a CRC-32 of everything before
 # it.  Version 2 stores the codes as their packed words, codes_packed (<u8,
 # N x ceil(r/64)); version 1 stored them as codes_dense (int8 +-1, N x r),
-# and such files still load, their codes packed once.
+# and such files still load, their codes packed once.  The round count is
+# stored once, as rounds_committed; the rows seen are codes_rows' sum.
 
 CODE_FIELDS = {1: "codes_dense", 2: "codes_packed"}      # by version
-META_FIELDS = ("hyper", "kernel_width", "round_index", "total_seen",
-               "rounds_committed", "sy_weighted", "sz", "seed")
+META_FIELDS = ("hyper", "kernel_width", "rounds_committed", "sy_weighted",
+               "sz", "seed")
 STATE_ARRAYS = ("anchors", "w", "u", "v", "p", "c1", "c2", "c3", "c5", "d1",
                 "d2", "codes_rows", "p_history")
 
@@ -366,7 +370,7 @@ def _stored_arrays(state, stats, code_blocks, p_history):
         ("d2", stats.d2))]
     out += [
         ("codes_rows", "<i8", rows.shape, [rows]),
-        ("codes_packed", "<u8", (int(rows.sum()), (h.r + 63) // 64),
+        ("codes_packed", "<u8", (int(rows.sum()), n_words(h.r)),
          [cb.packed for cb in code_blocks]),
         ("p_history", "<f8", (len(p_history), h.m, h.r), p_history)]
     return [(name, dtype, shape,
@@ -380,7 +384,8 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     code_blocks: per-round CodeBlock list in commit order.  p_history
     records the hash projection after each round so MAP-per-round curves
     can be rebuilt at evaluation time.  The file is written beside path,
-    fsynced, renamed over path, and the directory is fsynced.
+    fsynced, renamed over path, and the directory is fsynced; a failed
+    write, fsync or rename removes the file beside path.
     """
     arrays = _stored_arrays(state, stats, code_blocks, p_history)
     for name, _, shape, parts in arrays:
@@ -389,8 +394,6 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     meta = {
         "hyper": asdict(state.hyper),
         "kernel_width": state.anchors.kernel_width,
-        "round_index": state.round_index,
-        "total_seen": state.total_seen,
         "rounds_committed": stats.rounds_committed,
         "sy_weighted": stats.sy_weighted,
         "sz": stats.sz,
@@ -403,17 +406,22 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
         "<IQ", CHECKPOINT_VERSION, len(header)) + header
 
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        crc = zlib.crc32(head)
-        fh.write(head)
-        for _, _, _, parts in arrays:
-            for a in parts:
-                crc = zlib.crc32(a, crc)
-                fh.write(a)
-        fh.write(struct.pack("<I", crc))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            crc = zlib.crc32(head)
+            fh.write(head)
+            for _, _, _, parts in arrays:
+                for a in parts:
+                    crc = zlib.crc32(a, crc)
+                    fh.write(a)
+            fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -448,7 +456,7 @@ def _check_arrays(path, fields, hyper, code_field):
     want = {name: ("<f8", shape) for name, shape in floats.items()}
     want["codes_rows"] = ("<i8", (None,))
     want["codes_dense"] = ("<i1", (None, r))
-    want["codes_packed"] = ("<u8", (None, (r + 63) // 64))
+    want["codes_packed"] = ("<u8", (None, n_words(r)))
     for name in STATE_ARRAYS + (code_field,):
         dtype, shape = want[name]
         a = fields[name]
@@ -463,7 +471,9 @@ def _check_arrays(path, fields, hyper, code_field):
 def load_checkpoint(path):
     """Load a checkpoint; returns (state, stats, code_blocks, p_history, seed).
 
-    Fields are read by name; older files' extra c4 and total_rows are unread.
+    Fields are read by name; older files' extra c4, total_rows and
+    total_seen are unread, and their round_index must equal
+    rounds_committed, which sets the state's round_index.
     Every array must fit the stored hyperparameters, and the codes their
     code length, or the file is refused with a LoadError naming the field.
     """
@@ -485,9 +495,10 @@ def load_checkpoint(path):
                if name not in fields]
     if missing:
         raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    if fields["round_index"] != fields["rounds_committed"]:
+    rounds = fields["rounds_committed"]
+    if fields.get("round_index", rounds) != rounds:
         raise LoadError(f"{path}: round_index {fields['round_index']} differs "
-                        f"from rounds_committed {fields['rounds_committed']}")
+                        f"from rounds_committed {rounds}")
     try:
         hyper = Hyperparams(**fields["hyper"])
     except TypeError as e:          # a missing or unknown hyperparameter
@@ -509,12 +520,11 @@ def load_checkpoint(path):
     state = ModelState(
         w=fields["w"], u=fields["u"], v=fields["v"], p=fields["p"],
         anchors=AnchorSet(fields["anchors"], fields["kernel_width"]),
-        hyper=hyper,
-        round_index=fields["round_index"], total_seen=fields["total_seen"])
+        hyper=hyper, round_index=rounds)
     stats = AccumStats(
         c1=fields["c1"], c2=fields["c2"], c3=fields["c3"], c5=fields["c5"],
         d1=fields["d1"], d2=fields["d2"], sy_weighted=fields["sy_weighted"],
-        sz=fields["sz"], rounds_committed=fields["rounds_committed"])
+        sz=fields["sz"], rounds_committed=rounds)
     blocks = []
     start = 0
     for n in rows.tolist():

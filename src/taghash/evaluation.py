@@ -117,18 +117,18 @@ def precision_at_k(ranked_rows, relevant, k):
 def mean_average_precision(query_codes, index, judgments, cutoff=None):
     """MAP over all queries with at least one relevant database item.
 
-    The index holds the first index.size records of the judgments'
-    database, as every round of a MAP curve does.  Returns (map_value,
-    n_excluded).
+    The index, a CodeBlock, holds the first index.n records of the
+    judgments' database, as every round of a MAP curve does.  Returns
+    (map_value, n_excluded).
     """
-    if index.size > len(judgments.db_labels):
+    if index.n > len(judgments.db_labels):
         raise ValueError(
-            f"index holds {index.size} records but only "
+            f"index holds {index.n} records but only "
             f"{len(judgments.db_labels)} database records have labels")
     aps = []
     excluded = 0
     for qi, rel in query_relevance(judgments, query_codes.n):
-        in_db = int(np.count_nonzero(rel[:index.size]))
+        in_db = int(np.count_nonzero(rel[:index.n]))
         if in_db == 0:
             excluded += 1
             continue
@@ -143,7 +143,7 @@ def map_per_round(snapshots, query_features, judgments, cutoff=None):
     """MAP at each round of a training run.
 
     snapshots: iterable of (round, ModelState-like with that round's hash
-    projection, RetrievalIndex of codes committed up to that round).
+    projection, CodeBlock index of codes committed up to that round).
     Queries are hashed with each round's own projection.  Returns a list of
     (round, map_value) rows ready for CSV emission.
     """

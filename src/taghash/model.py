@@ -79,6 +79,9 @@ class RoundData:
 
 @dataclass
 class ModelState:
+    """Learned maps and the round count.  The rows seen are not kept: they
+    are the sum of the committed code blocks' rows."""
+
     w: np.ndarray                # (r, c) codes -> tags
     u: np.ndarray                # (r, m) codes -> kernel features
     v: np.ndarray                # (r, f) codes -> semantics
@@ -86,7 +89,6 @@ class ModelState:
     anchors: AnchorSet
     hyper: Hyperparams
     round_index: int = 0         # rounds committed so far
-    total_seen: int = 0
 
     @classmethod
     def fresh(cls, anchors, hyper):
@@ -188,7 +190,6 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
     stats.rounds_committed += 1
 
     state.round_index += 1
-    state.total_seen += b.shape[0]
     state.check_finite()
     return stats
 

@@ -2,29 +2,15 @@
 
 Database codes are the codes learned when their chunk arrived; they are
 never re-hashed when the projection later changes.  Queries always use the
-latest projection.
+latest projection.  An index is a CodeBlock of every committed code; row i
+is record id i.
 """
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .codes import CodeBlock, check_words, hamming_distances, pack_signs
+from .codes import CodeBlock, hamming_distances, n_words, pack_signs
 from .kernel import rbf_map
-
-
-@dataclass
-class RetrievalIndex:
-    """Immutable snapshot of all committed codes; row i is record id i."""
-
-    packed: np.ndarray           # (N, ceil(r/64)) uint64
-    r: int
-
-    def __post_init__(self):
-        self.packed = check_words(self.packed, self.r)
-
-    @property
-    def size(self):
-        return self.packed.shape[0]
 
 
 def hash_queries(x_q, state):
@@ -71,16 +57,14 @@ def hamming_rank(query_packed, index, k=None):
 
 
 def snapshot_index(state, code_blocks):
-    """Concatenate committed code blocks into a retrieval index.
+    """Concatenate committed code blocks into one index block.
 
     Blocks hold only their packed words, so the index is a copy of them.
     """
     r = state.hyper.r
-    if code_blocks:
-        packed = np.concatenate([cb.packed for cb in code_blocks], axis=0)
-    else:
-        packed = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
-    return RetrievalIndex(packed=packed, r=r)
+    words = [cb.packed for cb in code_blocks] or [
+        np.zeros((0, n_words(r)), dtype=np.uint64)]
+    return CodeBlock(np.concatenate(words, axis=0), r)
 
 
 def round_snapshots(state, code_blocks, p_history):
@@ -99,7 +83,7 @@ def round_snapshots(state, code_blocks, p_history):
     rows = 0
     for i, p in enumerate(p_history):
         rows += code_blocks[i].n
-        snap = replace(state, p=p, round_index=i + 1, total_seen=rows)
-        index = RetrievalIndex(packed=full.packed[:rows], r=full.r)
+        snap = replace(state, p=p, round_index=i + 1)
+        index = CodeBlock(full.packed[:rows], full.r)
         out.append((i + 1, snap, index))
     return out

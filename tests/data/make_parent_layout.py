@@ -1,7 +1,9 @@
 """Write parent_layout.ckpt, a checkpoint in the layout before c4 was derived.
 
 Until commit e51c751 save_checkpoint also stored the array c4 (equal to
-c2 transposed) and the meta key total_rows (equal to total_seen).  The
+c2 transposed) and the meta key total_rows (equal to total_seen, the
+code rows); until the round count was stored once, every save also wrote
+round_index and total_seen, and so does this file.  The
 committed file was written by that commit's code:
 
     mkdir old && git archive e51c751 src | tar -x -C old

@@ -131,7 +131,7 @@ def pack_codes_loop(dense):
     """
     d = np.asarray(dense)
     n, r = d.shape
-    words = (r + 63) // 64
+    words = -(-r // 64)
     padded = np.zeros((n, words * 64), dtype=np.uint8)
     padded[:, :r] = d > 0
     packed = np.zeros((n, words), dtype=np.uint64)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from taghash.codes import pack_codes
+from taghash.codes import CodeBlock, pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
@@ -225,8 +225,7 @@ def test_criterion_05_packed_ranking_matches_dense():
         queries = random_codes(rng, 50, r).astype(np.int8)
         db_packed = pack_codes(db)
         q_packed = pack_codes(queries)
-        from taghash.retrieval import RetrievalIndex
-        index = RetrievalIndex(packed=db_packed, r=r)
+        index = CodeBlock(db_packed, r)
         for qi in range(50):
             ids, dists = hamming_rank(q_packed[qi], index)
             dense_d = np.sum(db != queries[qi], axis=1)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -662,14 +663,33 @@ class TestExitCodes:
                                                     three_rounds, tmp_path,
                                                     capsys):
         meta, arrays = read_checkpoint_fields(three_rounds)
-        del meta["round_index"]
+        del meta["rounds_committed"]
         ckpt = str(tmp_path / "partial.ckpt")
         write_checkpoint_fields(ckpt, meta, arrays)
         rc = cli.main(["query", "--config", workdir["config"],
                        "--checkpoint", ckpt,
                        "--features", workdir["queries"]])
         assert rc == 2
-        assert "lacks round_index" in capsys.readouterr().err
+        assert "lacks rounds_committed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", [8, 10])
+    @pytest.mark.parametrize("command", ["train_resume", "preprocess"])
+    def test_tag_vocab_and_c_must_agree(self, workdir, three_rounds,
+                                        tmp_path, capsys, command, c):
+        # the manifest lists the 9 tags of the embedding file
+        man = ChunkManifest.from_file(workdir["manifest"])
+        man.c = c
+        man_path = str(tmp_path / "m.json")
+        man.save(man_path)
+        ckpt = str(tmp_path / "copy.ckpt")
+        shutil.copy(three_rounds, ckpt)
+        argv = {"train_resume": ["train", "--config", workdir["config"],
+                                 "--checkpoint", ckpt, "--resume"],
+                "preprocess": ["preprocess", "--config", workdir["config"],
+                               "--out-dir", str(tmp_path / "out")]}[command]
+        assert cli.main(argv + ["--manifest", man_path]) == 2
+        assert f"tag_vocab lists 9 tags but c is {c}" in (
+            capsys.readouterr().err)
 
     def test_non_finite_embedding_is_data_error(self, workdir, tmp_path,
                                                 capsys):
@@ -711,13 +731,22 @@ class TestExitCodes:
     ], ids=["train_checkpoint", "eval_checkpoint", "query_features",
             "config"])
     def test_directory_path_is_data_error(self, workdir, three_rounds,
-                                          tmp_path, capsys, argv):
+                                          tmp_path, capsys, monkeypatch,
+                                          argv):
         paths = dict(workdir, dir=tmp_path / "dir", ckpt=three_rounds)
         paths["dir"].mkdir()
+        rounds = []
+        real = StreamTrainer.process_chunk
+        monkeypatch.setattr(StreamTrainer, "process_chunk",
+                            lambda self, x, y: rounds.append(len(x))
+                            or real(self, x, y))
         rc = cli.main([arg.format(**paths) for arg in argv])
         assert rc == 2
-        assert "data error: [Errno 21] Is a directory" in (
-            capsys.readouterr().err)
+        out, err = capsys.readouterr()
+        assert "data error: [Errno 21] Is a directory" in err
+        # refused before a round is trained, so nothing is left beside it
+        assert rounds == [] and "trained" not in out
+        assert not (tmp_path / "dir.tmp").exists()
 
     def test_numerical_abort_is_exit_three(self, workdir, monkeypatch):
         from taghash.optimizer import RoundAborted

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion and cleans up after itself."""
+"""Every script under demos/, and README's "Quick start" block, runs to
+completion and cleans up after itself."""
 import glob
 import os
 import subprocess
@@ -16,8 +17,7 @@ def test_demos_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_exits_zero(path, tmp_path):
+def run_script(path, tmp_path):
     src = os.path.dirname(os.path.dirname(taghash.__file__))
     tmpdir, cwd = tmp_path / "tmp", tmp_path / "cwd"
     tmpdir.mkdir()
@@ -29,3 +29,18 @@ def test_demo_exits_zero(path, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert not any(tmpdir.iterdir()), "demo left temporary files behind"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_exits_zero(path, tmp_path):
+    run_script(path, tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # documented API that no longer exists fails here
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        section = fh.read().split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(block)
+    run_script(str(script), tmp_path)

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from taghash.codes import pack_codes
+from taghash.codes import CodeBlock, pack_codes
 from taghash.model import Hyperparams
 from taghash.evaluation import (QUERY_BLOCK, EvalJudgments,
                                 average_precision, map_per_round,
                                 mean_average_precision, precision_at_k,
                                 query_relevance)
-from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
-                               round_snapshots)
+from taghash.retrieval import hamming_rank, hash_queries, round_snapshots
 
 from conftest import code_block, make_state, random_codes
 from oracles import naive_average_precision, naive_map
 
 
 def make_index(dense):
-    return RetrievalIndex(packed=pack_codes(dense), r=dense.shape[1])
+    return CodeBlock(pack_codes(dense), dense.shape[1])
 
 
 def per_query_map(query_codes, index, query_labels, db_labels, cutoff=None):
@@ -24,7 +23,7 @@ def per_query_map(query_codes, index, query_labels, db_labels, cutoff=None):
     aps, excluded = [], 0
     for qi in range(query_codes.n):
         rel = (db_labels @ query_labels[qi]) > 0
-        in_db = int(rel[:index.size].sum())
+        in_db = int(rel[:index.n].sum())
         if in_db == 0:
             excluded += 1
             continue

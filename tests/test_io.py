@@ -8,11 +8,12 @@ import pytest
 
 from taghash import codes, dataio, retrieval
 from taghash.codes import pack_codes
-from taghash.dataio import (ChunkManifest, ConfigError, LoadError,
-                            load_checkpoint, load_config, load_embeddings,
-                            load_features, load_tags, prune_vocab,
-                            read_embedding_file, remap_tag_columns,
-                            save_checkpoint, save_features, save_tags)
+from taghash.dataio import (META_FIELDS, ChunkManifest, ConfigError,
+                            LoadError, load_checkpoint, load_config,
+                            load_embeddings, load_features, load_tags,
+                            prune_vocab, read_embedding_file,
+                            remap_tag_columns, save_checkpoint,
+                            save_features, save_tags)
 from taghash.engine import StreamTrainer
 from taghash.model import Hyperparams
 from taghash.synthetic import make_cluster_stream
@@ -293,6 +294,15 @@ class TestManifestAndConfig:
         with pytest.raises(LoadError, match="tags"):
             ChunkManifest.from_file(str(path))
 
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_tag_vocab_must_list_c_tags(self, tmp_path, c):
+        path = str(tmp_path / "manifest.json")
+        ChunkManifest(d=2, c=c, chunks=[{"features": "a", "tags": "b"}],
+                      tag_vocab=["x", "y", "z"]).save(path)
+        with pytest.raises(LoadError, match=f"{path}: tag_vocab lists 3 "
+                                            f"tags but c is {c}$"):
+            ChunkManifest.from_file(path)
+
     def test_config_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -394,10 +404,53 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.bin")
         trainer.save(path)
         meta, arrays = read_checkpoint_fields(path)
-        del meta["round_index"], arrays["c2"]
+        del meta["rounds_committed"], arrays["c2"]
         write_checkpoint_fields(path, meta, arrays)
-        with pytest.raises(LoadError, match="lacks round_index, c2$"):
+        with pytest.raises(LoadError, match="lacks rounds_committed, c2$"):
             load_checkpoint(path)
+
+    def test_header_stores_each_fact_once(self, tmp_path):
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        assert sorted(meta) == sorted(META_FIELDS)
+        assert "round_index" not in meta and "total_seen" not in meta
+        assert meta["rounds_committed"] == 2
+        assert arrays["codes_rows"].tolist() == [40, 40]
+
+    def test_file_that_stores_round_index_and_total_seen_loads(self,
+                                                                tmp_path):
+        # the v2 layout before the round count was written once
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        want = load_checkpoint(path)
+        meta, arrays = read_checkpoint_fields(path)
+        write_checkpoint_fields(path, dict(meta, round_index=2,
+                                           total_seen=80), arrays)
+        got = load_checkpoint(path)
+        assert got[0].round_index == got[1].rounds_committed == 2
+        assert_same_checkpoint(got, want)
+
+    @pytest.mark.parametrize("call", ["fsync", "replace"])
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path,
+                                                  monkeypatch, call):
+        trainer, stream = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        before = path.read_bytes()
+        trainer.process_chunk(*stream.chunks[1])
+
+        def failing(*args):
+            raise OSError(f"{call} failed")
+
+        monkeypatch.setattr(dataio.os, call, failing)
+        with pytest.raises(OSError, match=f"{call} failed"):
+            trainer.save(str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
 
     def test_round_index_must_match_rounds_committed(self, tmp_path):
         # CRC-valid, but a resume would skip a chunk and then fail to commit
@@ -461,7 +514,7 @@ class TestCheckpoint:
         words = arrays["codes_packed"]
         n, r = 80, trainer.hyper.r
         assert words.dtype == np.dtype("<u8")
-        assert words.nbytes == n * ((r + 63) // 64) * 8
+        assert words.nbytes == n * -(-r // 64) * 8
         assert np.array_equal(words, np.concatenate(
             [cb.packed for cb in trainer.code_blocks]))
         (hlen,) = struct.unpack_from("<Q", blob, 8)
@@ -575,8 +628,8 @@ def assert_same_checkpoint(got, want):
     (w_state, w_stats, w_blocks, w_p_history, w_seed) = want
     assert seed == w_seed
     assert state.hyper == w_state.hyper
-    assert (state.round_index, state.total_seen) == (
-        w_state.round_index, w_state.total_seen)
+    assert (state.round_index, [cb.n for cb in blocks]) == (
+        w_state.round_index, [cb.n for cb in w_blocks])
     assert state.anchors.kernel_width == w_state.anchors.kernel_width
     assert np.array_equal(state.anchors.anchors, w_state.anchors.anchors)
     for name in ("w", "u", "v", "p"):
@@ -594,7 +647,8 @@ def assert_same_checkpoint(got, want):
 
 
 class TestParentLayoutCheckpoint:
-    """A file that also stores c4 and total_rows loads as a current one.
+    """A file that also stores c4, total_rows, round_index and total_seen
+    loads as a current one.
 
     tests/data/make_parent_layout.py wrote it, with the code that stored
     those two fields.  It is also a version 1 file, whose codes are dense
@@ -606,12 +660,16 @@ class TestParentLayoutCheckpoint:
         meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
         state, stats = old[0], old[1]
         assert np.array_equal(stats.c4, arrays["c4"])
-        assert meta["total_rows"] == state.total_seen == 80
+        assert meta["total_rows"] == meta["total_seen"] == sum(
+            cb.n for cb in old[2]) == 80
+        assert state.round_index == meta["round_index"] \
+            == meta["rounds_committed"] == 2
         path = str(tmp_path / "ck.bin")
         save_checkpoint(path, *old)
         assert_same_checkpoint(load_checkpoint(path), old)
         meta, arrays = read_checkpoint_fields(path)
         assert "c4" not in arrays and "total_rows" not in meta
+        assert "total_seen" not in meta and "round_index" not in meta
 
     def test_resaved_as_v2_reloads_equal(self, tmp_path):
         old = load_checkpoint(PARENT_LAYOUT)
@@ -636,5 +694,5 @@ class TestParentLayoutCheckpoint:
         trainer = StreamTrainer.from_checkpoint(PARENT_LAYOUT, stream.table)
         trainer.process_chunk(*stream.chunks[2])
         assert trainer.state.round_index == 3
-        assert trainer.state.total_seen == 120
+        assert sum(cb.n for cb in trainer.code_blocks) == 120
         assert np.array_equal(trainer.stats.c4, trainer.stats.c2.T)

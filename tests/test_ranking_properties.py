@@ -5,9 +5,9 @@ O(n^2) reference."""
 import numpy as np
 import pytest
 
-from taghash.codes import pack_codes, unpack_codes
+from taghash.codes import CodeBlock, pack_codes, unpack_codes
 from taghash.evaluation import average_precision
-from taghash.retrieval import RetrievalIndex, hamming_rank
+from taghash.retrieval import hamming_rank
 
 from conftest import random_codes
 from oracles import dense_rank, naive_average_precision, pack_codes_loop
@@ -45,7 +45,7 @@ class TestPackCodesProperties:
     def test_matches_shift_loop(self, r, n, seed):
         dense = random_codes(np.random.default_rng(seed), n, r)
         packed = pack_codes(dense.astype(np.int8))
-        words = (r + 63) // 64
+        words = -(-r // 64)
         assert packed.dtype == np.uint64 and packed.dtype.isnative
         assert packed.flags.c_contiguous and packed.shape == (n, words)
         assert np.array_equal(packed, pack_codes_loop(dense))
@@ -71,7 +71,7 @@ class TestHammingRankProperties:
     @given(ranking_case())
     def test_matches_dense_oracle_prefix(self, case):
         db, q, k = case
-        index = RetrievalIndex(packed=pack_codes(db), r=q.shape[0])
+        index = CodeBlock(pack_codes(db), q.shape[0])
         rows, dists = hamming_rank(pack_codes(q[None, :])[0], index, k)
         want_idx, want_d = dense_rank(q, db)
         take = len(db) if k is None else min(k, len(db))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from taghash.codes import (CodeBlock, hamming_distances, pack_codes,
                            unpack_codes)
 from taghash.kernel import AnchorSet
 from taghash.model import Hyperparams, ModelState
-from taghash.retrieval import (RetrievalIndex, hamming_rank, hash_queries,
-                               round_snapshots, snapshot_index)
+from taghash.retrieval import (hamming_rank, hash_queries, round_snapshots,
+                               snapshot_index)
 
 from conftest import code_block, make_state, random_codes
 from oracles import dense_rank
@@ -19,7 +21,7 @@ class TestPacking:
         rng = np.random.default_rng(r)
         dense = random_codes(rng, 20, r).astype(np.int8)
         packed = pack_codes(dense)
-        assert packed.shape == (20, (r + 63) // 64)
+        assert packed.shape == (20, -(-r // 64))
         assert np.array_equal(unpack_codes(packed, r), dense)
 
     def test_padding_bits_are_zero(self):
@@ -56,10 +58,18 @@ class TestCodeBlock:
         (np.zeros((3, 1), dtype=np.uint64), 65),
         (np.zeros((3, 1), dtype=np.int64), 8),
         (np.zeros(3, dtype=np.uint64), 8),
-        (np.ones((3, 8), dtype=np.int8), 8)])
+        (np.ones((3, 8), dtype=np.int8), 8),
+        (np.zeros((2, 1), dtype=np.uint64), 200),
+        (np.zeros(2, dtype=np.uint64), 4),
+        (np.zeros((2, 1), dtype=np.int64), 4)])
     def test_refuses_words_that_do_not_fit_r(self, words, r):
-        with pytest.raises(ValueError, match=f"for r={r}"):
+        # the message names the word count, r and the refused words, e.g.
+        # "= 4 columns for r=200, got uint64 (2, 1)"
+        with pytest.raises(ValueError, match=f"for r={r}") as refused:
             CodeBlock(words, r)
+        assert re.search(
+            rf"= {-(-r // 64)} columns for r={r}, got {words.dtype} "
+            + re.escape(str(words.shape)) + "$", str(refused.value))
 
 
 class TestHammingDistances:
@@ -94,7 +104,7 @@ class TestHammingDistances:
 
 class TestHammingRank:
     def build_index(self, dense):
-        return RetrievalIndex(packed=pack_codes(dense), r=dense.shape[1])
+        return CodeBlock(pack_codes(dense), dense.shape[1])
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
@@ -154,19 +164,6 @@ class TestHammingRank:
             hamming_rank(np.zeros(2, dtype=np.uint64), index)
 
 
-
-class TestRetrievalIndexShapes:
-    @pytest.mark.parametrize("packed, r, match", [
-        (np.zeros((2, 1), dtype=np.uint64), 200,
-         r"= 4 columns for r=200, got uint64 \(2, 1\)"),
-        (np.zeros(2, dtype=np.uint64), 4, r"got uint64 \(2,\)"),
-        (np.zeros((2, 1), dtype=np.int64), 4, r"got int64 \(2, 1\)"),
-    ], ids=["r200_in_one_word", "one_d", "int64"])
-    def test_packed_words_fit_code_length(self, packed, r, match):
-        with pytest.raises(ValueError, match=match):
-            RetrievalIndex(packed=packed, r=r)
-
-
 class TestHashQueries:
     def state_with_projection(self, p, anchors, width=1.0):
         h = Hyperparams(r=p.shape[1], m=p.shape[0], f=2, c=2)
@@ -217,7 +214,7 @@ class TestSnapshotIndex:
         b1 = code_block(random_codes(rng, 3, small_hyper.r))
         b2 = code_block(random_codes(rng, 2, small_hyper.r))
         index = snapshot_index(state, [b1, b2])
-        assert index.size == 5
+        assert isinstance(index, CodeBlock) and index.n == 5
         dense = unpack_codes(index.packed, small_hyper.r)
         assert np.array_equal(dense[:3], b1.dense)
         assert np.array_equal(dense[3:], b2.dense)
@@ -225,7 +222,7 @@ class TestSnapshotIndex:
     def test_empty_snapshot(self, small_hyper):
         state = make_state(small_hyper)
         index = snapshot_index(state, [])
-        assert index.size == 0
+        assert index.n == 0
         assert index.packed.shape == (0, 1)
 
 
@@ -248,7 +245,7 @@ class TestRoundSnapshots:
             dense = np.concatenate([b.dense for b in blocks[:rnd]])
             assert index.packed.dtype == np.uint64
             assert np.array_equal(index.packed, pack_codes(dense))
-            assert snap.round_index == rnd and snap.total_seen == len(dense)
+            assert snap.round_index == rnd and index.n == len(dense)
             assert np.array_equal(snap.p, p_history[rnd - 1])
         full = snapshot_index(state, blocks)
         assert np.array_equal(full.packed, snaps[-1][2].packed)
