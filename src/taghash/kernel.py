@@ -30,6 +30,10 @@ class AnchorSet:
             raise ValueError("kernel_width must be positive")
         self.anchors = anchors
         self.anchors.setflags(write=False)
+        # squared anchor norms, read by every rbf_map call; set here, not on
+        # first use, so a loaded set has the same attributes as a built one
+        self.sq_norms = np.sum(anchors * anchors, axis=1)
+        self.sq_norms.setflags(write=False)
         self.kernel_width = float(kernel_width)
 
     @property
@@ -57,13 +61,14 @@ def select_anchors(first_chunk, m, seed):
     return x[idx].copy()
 
 
-def _pairwise_dists(x, anchors):
+def _pairwise_dists(x, anchors, anchor_sq):
     # (n, m) Euclidean distances; squared form clipped at 0 for stability.
-    # Each step after the product writes into the product's buffer: an
-    # n x m array is the largest a round allocates.
+    # anchor_sq holds the anchors' squared norms.  Each step after the product
+    # writes into the product's buffer: an n x m array is the largest a
+    # round allocates.
     d = 2.0 * x @ anchors.T
     np.subtract(np.sum(x * x, axis=1)[:, None], d, out=d)
-    d += np.sum(anchors * anchors, axis=1)[None, :]
+    d += anchor_sq[None, :]
     np.maximum(d, 0.0, out=d)
     return np.sqrt(d, out=d)
 
@@ -78,7 +83,8 @@ def compute_kernel_width(x, anchors):
         raise ValueError(
             f"dimension mismatch: samples are {x.shape[1]}-D, "
             f"anchors are {anchors.shape[1]}-D")
-    sigma = float(np.mean(_pairwise_dists(x, anchors)))
+    anchor_sq = np.sum(anchors * anchors, axis=1)
+    sigma = float(np.mean(_pairwise_dists(x, anchors, anchor_sq)))
     if sigma == 0.0:
         raise DegenerateKernelError("all samples equal all anchors")
     return sigma
@@ -97,7 +103,7 @@ def rbf_map(x, anchor_set):
             f"expected (n, {anchor_set.d}) features, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or inf")
-    d = _pairwise_dists(x, anchor_set.anchors)
+    d = _pairwise_dists(x, anchor_set.anchors, anchor_set.sq_norms)
     np.multiply(d, d, out=d)
     np.negative(d, out=d)
     d /= 2.0 * anchor_set.kernel_width ** 2

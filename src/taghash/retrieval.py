@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .codes import CodeBlock, hamming_distances, n_words, pack_signs
+from .codes import (CodeBlock, check_words, hamming_distances, n_words,
+                    pack_signs, padding_bits)
 from .kernel import rbf_map
 
 
@@ -30,30 +31,55 @@ def hamming_rank(query_packed, index, k=None):
     (rows, distances), both int64, of the top min(k, N) entries, or the
     full ranking when k is None.  Rows are the records' ids, their
     insertion order; a caller with external ids maps them with
-    their_ids[rows].  k must be a non-negative integer.
+    their_ids[rows].  k must be a non-negative integer.  The query must be
+    one uint64 row of the index's width with no bit set past r.
 
-    Linear in N: distances take only r + 1 values, so a top-k query counts
-    them per value, keeps the rows at or below the k-th smallest distance
-    (already in insertion order) and sorts only those; a full ranking is a
-    stable argsort on the narrow distance dtype, which numpy runs as a
-    radix sort.
+    Linear in N.  A top-k query finds the k-th smallest distance as the
+    smallest cut with at least k distances <= cut, one compare and one
+    count per cut tried: cut = 0, 1, 3, 7, ... (capped at r), then a
+    bisection between the last two.  That is at most about 2 log2(r + 1)
+    passes, and one when k rows equal the query.  The rows at or below the
+    cut, already in insertion order, are the only ones sorted.  A full
+    ranking is a stable argsort on the narrow distance dtype, which numpy
+    runs as a radix sort.
     """
     if k is not None and (isinstance(k, bool)
                           or not isinstance(k, (int, np.integer)) or k < 0):
         raise ValueError(f"k must be a non-negative integer or None, "
                          f"got {k!r}")
-    query_packed = np.asarray(query_packed, dtype=np.uint64)
-    if query_packed.shape != (index.packed.shape[1],):
+    query = np.asarray(query_packed)
+    if query.shape != (index.packed.shape[1],):
         raise ValueError("query code length does not match index")
-    dists = hamming_distances(query_packed, index.packed)
+    try:
+        check_words(query[None, :], index.r)
+    except ValueError as exc:
+        raise ValueError(f"query code: {exc}") from None
+    if padding_bits(query[None, :], index.r):
+        raise ValueError(f"query code sets bits past r={index.r}")
+    dists = hamming_distances(query, index.packed)
     if k is None or k >= len(dists):
         order = np.argsort(dists, kind="stable")
     else:
-        cum = np.cumsum(np.bincount(dists, minlength=index.r + 1))
-        cut = np.searchsorted(cum, k)
-        cand = np.flatnonzero(dists <= cut)
+        cand = np.flatnonzero(_within_kth(dists, k, index.r))
         order = cand[np.argsort(dists[cand], kind="stable")[:k]]
     return order, dists[order].astype(np.int64)
+
+
+def _within_kth(dists, k, r):
+    """dists <= their k-th smallest, for 0 <= k < len(dists); dists <= r."""
+    lo, cut = -1, 0              # fewer than k rows lie at or below lo
+    mask = dists <= cut
+    while np.count_nonzero(mask) < k:
+        lo, cut = cut, min(2 * cut + 1, r)
+        mask = dists <= cut
+    while cut - lo > 1:
+        mid = (lo + cut) // 2
+        below = dists <= mid
+        if np.count_nonzero(below) >= k:
+            cut, mask = mid, below
+        else:
+            lo = mid
+    return mask
 
 
 def snapshot_index(state, code_blocks):

@@ -5,13 +5,15 @@ with `pytest -s tests/test_acceptance.py` to see them.  Criteria:
 incremental-vs-batch statistics, closed-form optimality, reweighted descent,
 code-descent fixed points, packed-vs-dense retrieval, MAP correctness, an
 end-to-end learning-signal bound, linear per-round scaling, bit-identical
-checkpoint resume, and the ablation ordering.
+checkpoint resume, the ablation ordering, and the reweighting's
+down-weighting of rows with another cluster's tags.
 """
 import time
 
 import numpy as np
 import pytest
 
+from taghash import optimizer
 from taghash.codes import CodeBlock, pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
@@ -344,3 +346,56 @@ def test_criterion_10_ablation_ordering():
     assert wins >= 4, wins
     print(PASS.format(n=10, name="full model beats the stripped variant "
                                f"on {wins}/5 seeds"))
+
+
+def swap_tag_blocks(stream, share, rng, tags_per_cluster=3):
+    """Give `share` of each chunk's rows another cluster's tag block, by
+    exchanging the row's own block with it.  Returns the chunks and, per
+    chunk, a boolean mask of the swapped rows."""
+    chunks, swapped = [], []
+    for (x, y), labels in zip(stream.chunks, stream.chunk_labels):
+        y = y.copy()
+        rows = rng.choice(len(y), size=round(share * len(y)), replace=False)
+        own = labels[rows].argmax(axis=1)
+        other = (own + rng.integers(1, 3, size=len(rows))) % 3
+        for i, a, b in zip(rows, own, other):
+            cols_a = slice(a * tags_per_cluster, (a + 1) * tags_per_cluster)
+            cols_b = slice(b * tags_per_cluster, (b + 1) * tags_per_cluster)
+            y[i, cols_a], y[i, cols_b] = y[i, cols_b].copy(), y[i, cols_a]
+        mask = np.zeros(len(y), dtype=bool)
+        mask[rows] = True
+        chunks.append((x, y))
+        swapped.append(mask)
+    return chunks, swapped
+
+
+def test_criterion_11_reweighting_flags_swapped_tags(monkeypatch):
+    # the l2,1 reweighting is the paper's noise removal: a row whose tags
+    # belong to another cluster fits b_i W badly and must weigh less
+    committed = []
+    real_commit = optimizer.commit_round
+
+    def spy(state, stats, chunk, b_new, weights, *rest):
+        committed.append(np.array(weights))
+        return real_commit(state, stats, chunk, b_new, weights, *rest)
+
+    monkeypatch.setattr(optimizer, "commit_round", spy)
+    aucs = []
+    for seed in CAL_SEEDS:
+        stream = make_cluster_stream(seed=seed, flip_prob=0.02)
+        chunks, swapped = swap_tag_blocks(
+            stream, 0.10, np.random.default_rng(seed + 1000))
+        committed.clear()
+        trainer = StreamTrainer(Hyperparams(**CAL_HYPER), stream.table,
+                                seed=seed + 100)
+        for x, y in chunks:
+            trainer.process_chunk(x, y)
+        weights = np.concatenate(committed)
+        bad = np.concatenate(swapped)
+        clean_w, bad_w = weights[~bad][:, None], weights[bad][None, :]
+        # AUC: how often a clean row outweighs a swapped one, ties half
+        aucs.append(float(np.mean(clean_w > bad_w)
+                          + 0.5 * np.mean(clean_w == bad_w)))
+    assert min(aucs) >= 0.90, aucs
+    print(PASS.format(n=11, name="reweighting flags swapped tags, AUC "
+                               + " ".join(f"{a:.3f}" for a in aucs)))

@@ -122,6 +122,48 @@ class TestRbfMap:
         with pytest.raises(ValueError, match="NaN or inf"):
             rbf_map(x, aset)
 
+    def test_byte_equal_to_norms_recomputed_per_call(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(25, 6))
+        anchors = rng.normal(size=(7, 6))
+        aset = AnchorSet(anchors, kernel_width=1.3)
+        d = 2.0 * x @ anchors.T
+        d = np.sum(x * x, axis=1)[:, None] - d
+        d += np.sum(anchors * anchors, axis=1)[None, :]
+        d = np.sqrt(np.maximum(d, 0.0))
+        want = np.exp(-(d * d) / (2.0 * 1.3 ** 2))
+        assert rbf_map(x, aset).tobytes() == want.tobytes()
+
+
+class TestAnchorNorms:
+    def test_cached_norms_are_read_only(self):
+        aset = AnchorSet([[3.0, 4.0], [1.0, 0.0]], kernel_width=1.0)
+        assert aset.sq_norms.tolist() == [25.0, 1.0]
+        assert not aset.sq_norms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            aset.sq_norms[0] = 0.0
+
+    def test_resumed_anchor_set_equals_the_original(self, tmp_path):
+        stream = make_cluster_stream(n_rounds=2, n_per_round=30, d=6, f=4,
+                                     n_queries=5, seed=4)
+        trainer = StreamTrainer(Hyperparams(r=8, m=10, f=4, c=9, iters=2,
+                                            dcc_sweeps=1),
+                                stream.table, seed=0)
+        for x, y in stream.chunks:
+            trainer.process_chunk(x, y)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        resumed = StreamTrainer.from_checkpoint(path, stream.table)
+        want, got = vars(trainer.state.anchors), vars(resumed.state.anchors)
+        assert sorted(got) == sorted(want)
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[name].dtype == value.dtype
+                assert got[name].shape == value.shape
+                assert got[name].tobytes() == value.tobytes(), name
+            else:
+                assert got[name] == value, name
+
 
 class TestTrainerInput:
     def test_non_finite_chunk_rejected_before_training(self):

@@ -1,13 +1,13 @@
 """Property tests: pack_codes against the shift-loop packer and unpack_codes
-as its inverse, hamming_rank
-against the dense brute-force oracle, and average_precision against the
-O(n^2) reference."""
+as its inverse, hamming_rank against the dense brute-force oracle, its cut
+search against a sort, and average_precision against the O(n^2)
+reference."""
 import numpy as np
 import pytest
 
 from taghash.codes import CodeBlock, pack_codes, unpack_codes
 from taghash.evaluation import average_precision
-from taghash.retrieval import hamming_rank
+from taghash.retrieval import _within_kth, hamming_rank
 
 from conftest import random_codes
 from oracles import dense_rank, naive_average_precision, pack_codes_loop
@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 
 @st.composite
-def ranking_case(draw):
+def ranking_case(draw, min_n=0, max_n=40):
     """A database (often tie-heavy), a query code and a k to rank with."""
     r = draw(st.sampled_from([1, 7, 63, 64, 65, 128, 192, 300]))
-    n = draw(st.integers(0, 40))
+    n = draw(st.integers(min_n, max_n))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
@@ -34,7 +34,8 @@ def ranking_case(draw):
         q = db[rng.integers(0, n)]
     else:
         q = random_codes(rng, 1, r)[0]
-    k = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 5, None]))
+    k = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 5, None])
+             | st.integers(0, n))
     return db.astype(np.int8), q.astype(np.int8), k
 
 
@@ -70,7 +71,29 @@ class TestHammingRankProperties:
     @settings(max_examples=150, deadline=None)
     @given(ranking_case())
     def test_matches_dense_oracle_prefix(self, case):
-        db, q, k = case
+        self.check_against_oracle(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranking_case(min_n=41, max_n=300))
+    def test_matches_dense_oracle_prefix_up_to_300_rows(self, case):
+        self.check_against_oracle(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 7, 64, 192, 300]), st.integers(2, 300),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_cut_is_the_kth_smallest_distance(self, r, n, seed, data):
+        # distances bunched near 0, spread over 0..r, or near r
+        rng = np.random.default_rng(seed)
+        high = data.draw(st.sampled_from([1, 4, r + 1]))
+        dists = rng.integers(0, min(high, r + 1), size=n)
+        if data.draw(st.booleans()):
+            dists = r - dists
+        dists = dists.astype(np.uint8 if r <= 192 else np.uint16)
+        k = data.draw(st.integers(1, n - 1))
+        mask = _within_kth(dists, k, r)
+        assert np.array_equal(mask, dists <= np.sort(dists)[k - 1])
+
+    def check_against_oracle(self, db, q, k):
         index = CodeBlock(pack_codes(db), q.shape[0])
         rows, dists = hamming_rank(pack_codes(q[None, :])[0], index, k)
         want_idx, want_d = dense_rank(q, db)

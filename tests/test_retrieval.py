@@ -160,8 +160,107 @@ class TestHammingRank:
     def test_word_length_mismatch(self):
         db = np.ones((3, 4), dtype=np.int8)
         index = self.build_index(db)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="query code length does not match index"):
             hamming_rank(np.zeros(2, dtype=np.uint64), index)
+
+
+def at_distances(query, dists):
+    """Rows at the given Hamming distances from a +-1 query: row i flips
+    the query's first dists[i] bits."""
+    rows = np.tile(query, (len(dists), 1))
+    for row, t in zip(rows, dists):
+        row[:t] *= -1
+    return rows
+
+
+def rank_both(query, db, k):
+    """hamming_rank's (rows, dists) and the dense oracle's top-k prefix."""
+    index = CodeBlock(pack_codes(db), db.shape[1])
+    got = hamming_rank(pack_codes(query[None, :])[0], index, k)
+    want_idx, want_d = dense_rank(query, db)
+    take = len(db) if k is None else min(k, len(db))
+    return got, (want_idx[:take], want_d[:take])
+
+
+class TestTopKCut:
+    """The k-th distance search: cuts at 0, at r, past the gallop's last
+    cut below r, and between two galloped cuts."""
+
+    @pytest.mark.parametrize("r", [1, 64, 300])
+    def test_every_row_the_complement_cuts_at_r(self, r):
+        q = random_codes(np.random.default_rng(r), 1, r).astype(np.int8)[0]
+        db = np.tile(-q, (5, 1))
+        for k in (1, 4):
+            (rows, dists), (want_rows, want_d) = rank_both(q, db, k)
+            assert rows.tolist() == list(range(k)) == want_rows.tolist()
+            assert dists.tolist() == [r] * k == want_d.tolist()
+
+    @pytest.mark.parametrize("r", [7, 64, 130])
+    def test_exactly_k_rows_at_distance_zero(self, r):
+        q = random_codes(np.random.default_rng(r), 1, r).astype(np.int8)[0]
+        dists = [3, 0, 1, 0, 5, 2, 0, 1]
+        db = at_distances(q, dists)
+        (rows, d), _ = rank_both(q, db, 3)
+        assert rows.tolist() == [1, 3, 6]
+        assert d.tolist() == [0, 0, 0]
+        (rows, d), _ = rank_both(q, db, 4)
+        assert rows.tolist() == [1, 3, 6, 2]
+        assert d.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("at", [0, 9])
+    def test_all_tied_keeps_the_first_n_minus_1(self, at):
+        q = random_codes(np.random.default_rng(at), 1, 64).astype(np.int8)[0]
+        db = at_distances(q, [at] * 12)
+        (rows, d), _ = rank_both(q, db, 11)
+        assert rows.tolist() == list(range(11))
+        assert d.tolist() == [at] * 11
+
+    @pytest.mark.parametrize("r", [1, 7, 63, 64, 65, 300])
+    def test_every_cut_and_k_matches_the_oracle(self, r):
+        # one row at each distance 0..r, in a shuffled order, with a tie
+        # at every fourth distance: every cut value and both sides of it.
+        # r = 300 ranks uint16 distances, and k >= 321 puts the cut past
+        # 255, the gallop's last cut below its cap at r
+        rng = np.random.default_rng(r)
+        q = random_codes(rng, 1, r).astype(np.int8)[0]
+        dists = list(range(r + 1)) + list(range(0, r + 1, 4))
+        db = at_distances(q, rng.permutation(dists))
+        ks = range(len(db)) if r < 100 else [1, 2, 255, 256, 300, 320, 321,
+                                            330, len(db) - 1]
+        for k in ks:
+            (rows, d), (want_rows, want_d) = rank_both(q, db, k)
+            assert rows.tolist() == want_rows.tolist(), k
+            assert d.tolist() == want_d.tolist(), k
+
+
+class TestQueryRefused:
+    def index(self, r):
+        db = random_codes(np.random.default_rng(r), 4, r).astype(np.int8)
+        return CodeBlock(pack_codes(db), r)
+
+    def test_bit_past_r_is_refused(self):
+        q = np.array([1 << 63], dtype=np.uint64)
+        with pytest.raises(ValueError, match="query code sets bits past r=63"):
+            hamming_rank(q, self.index(63), 2)
+
+    @pytest.mark.parametrize("word", [np.array([1.5]), np.array([-1]),
+                                      np.array([1], dtype=np.int64),
+                                      np.array([1], dtype=np.uint32)])
+    def test_non_uint64_word_is_refused(self, word):
+        with pytest.raises(ValueError, match="query code: packed codes must "
+                                             "be 2-D uint64"):
+            hamming_rank(word, self.index(64), 2)
+
+    def test_refused_for_a_full_ranking_too(self):
+        with pytest.raises(ValueError, match="query code"):
+            hamming_rank(np.array([-1]), self.index(64))
+
+    def test_top_word_of_a_full_width_code_is_accepted(self):
+        index = self.index(64)
+        q = np.array([np.uint64(1) << np.uint64(63)], dtype=np.uint64)
+        rows, _ = hamming_rank(q, index)
+        assert sorted(rows.tolist()) == [0, 1, 2, 3]
 
 
 class TestHashQueries:
