@@ -1,8 +1,9 @@
 """Binary code blocks, held as packed 64-bit words from round to file.
 
 Bit convention: bit j of word j//64 is 1 where the code is +1.  Bits
-past the code length in the last word are always zero, so XOR+popcount over
-whole words is the exact Hamming distance.  The +-1 form of a block is
+past the code length in the last word are always zero (check_words, and so
+every CodeBlock, refuses words that set one), so XOR+popcount over whole
+words is the exact Hamming distance.  The +-1 form of a block is
 derived from its words on request (CodeBlock.dense) and never kept.
 """
 from dataclasses import dataclass
@@ -45,23 +46,19 @@ def unpack_codes(packed, r):
     return bits.view(np.int8) * 2 - 1
 
 
-def check_words(packed, r):
-    """packed as an array, refused unless it is (n, ceil(r/64)) uint64."""
+def check_words(packed, r, name=None):
+    """packed as an array, refused unless it is (n, ceil(r/64)) uint64 with
+    no bit set past r.  name, when given, leads the message."""
     packed = np.asarray(packed)
     if packed.ndim != 2 or packed.dtype != np.uint64 \
             or packed.shape[1] != n_words(r):
         raise ValueError(
-            f"packed codes must be 2-D uint64 with ceil(r/64) = {n_words(r)} "
-            f"columns for r={r}, got {packed.dtype} {packed.shape}")
+            (f"{name}: " if name else "") + f"packed codes must be 2-D "
+            f"uint64 with ceil(r/64) = {n_words(r)} columns for r={r}, got "
+            f"{packed.dtype} {packed.shape}")
+    if r % 64 and np.any(packed[:, -1] >> np.uint64(r % 64)):
+        raise ValueError(f"{name or 'a packed code'} sets bits past r={r}")
     return packed
-
-
-def padding_bits(packed, r):
-    """Whether any bit past r is set in the last word of a row."""
-    if r % 64 == 0:
-        return False
-    past = ~np.uint64((1 << (r % 64)) - 1)
-    return bool(np.any(packed[:, -1] & past))
 
 
 def hamming_distances(query_packed, db_packed):

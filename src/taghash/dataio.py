@@ -7,14 +7,16 @@ bit-identical to an uninterrupted one, and the codes as their packed
 64-bit words.
 """
 import json
+import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .codes import CodeBlock, n_words, pack_codes, padding_bits
+from .codes import CodeBlock, check_words, n_words, pack_codes
 from .kernel import AnchorSet
 from .model import AccumStats, Hyperparams, ModelState
 from .semantics import EmbeddingTable
@@ -344,14 +346,25 @@ def load_config(path):
 # little-endian bytes in the listed order, and a CRC-32 of everything before
 # it.  Version 2 stores the codes as their packed words, codes_packed (<u8,
 # N x ceil(r/64)); version 1 stored them as codes_dense (int8 +-1, N x r),
-# and such files still load, their codes packed once.  The round count is
-# stored once, as rounds_committed; the rows seen are codes_rows' sum.
+# and such files still load, their codes packed once.  The round count, P
+# and the rows seen are not stored: they are p_history's length and last
+# projection and codes_rows' sum.
 
 CODE_FIELDS = {1: "codes_dense", 2: "codes_packed"}      # by version
-META_FIELDS = ("hyper", "kernel_width", "rounds_committed", "sy_weighted",
-               "sz", "seed")
-STATE_ARRAYS = ("anchors", "w", "u", "v", "p", "c1", "c2", "c3", "c5", "d1",
-                "d2", "codes_rows", "p_history")
+META_FIELDS = ("hyper", "kernel_width", "sy_weighted", "sz", "seed")
+# The state's and the statistics' float64 matrices, stored under their
+# attributes' names, and every array a file may store (p only older ones)
+# in file order with its dtype.  A shape has a letter a dimension: r, m, f,
+# c the hyperparameters, n the words per code and * a free dimension.
+STATE_MATRICES = {"w": "rc", "u": "rm", "v": "rf"}
+STATS_MATRICES = {"c1": "rr", "c2": "rm", "c3": "mm", "c5": "rf",
+                  "d1": "rr", "d2": "rc"}
+ARRAYS = {"anchors": ("<f8", "m*"), "p": ("<f8", "mr"),
+          **{name: ("<f8", dims)
+             for name, dims in (STATE_MATRICES | STATS_MATRICES).items()},
+          "codes_rows": ("<i8", "*"), "codes_dense": ("<i1", "*r"),
+          "codes_packed": ("<u8", "*n"), "p_history": ("<f8", "*mr")}
+STORED_DTYPES = {np.dtype(dtype) for dtype, _ in ARRAYS.values()}
 
 
 def _stored_arrays(state, stats, code_blocks, p_history):
@@ -363,19 +376,28 @@ def _stored_arrays(state, stats, code_blocks, p_history):
     """
     h = state.hyper
     rows = np.asarray([cb.n for cb in code_blocks], dtype="<i8")
-    out = [(name, "<f8", np.shape(a), [a]) for name, a in (
-        ("anchors", state.anchors.anchors), ("w", state.w), ("u", state.u),
-        ("v", state.v), ("p", state.p), ("c1", stats.c1), ("c2", stats.c2),
-        ("c3", stats.c3), ("c5", stats.c5), ("d1", stats.d1),
-        ("d2", stats.d2))]
-    out += [
-        ("codes_rows", "<i8", rows.shape, [rows]),
-        ("codes_packed", "<u8", (int(rows.sum()), n_words(h.r)),
-         [cb.packed for cb in code_blocks]),
-        ("p_history", "<f8", (len(p_history), h.m, h.r), p_history)]
-    return [(name, dtype, shape,
-             [np.ascontiguousarray(a, dtype=dtype) for a in parts])
-            for name, dtype, shape, parts in out]
+    whole = {"anchors": state.anchors.anchors, "codes_rows": rows,
+             **{name: getattr(state, name) for name in STATE_MATRICES},
+             **{name: getattr(stats, name) for name in STATS_MATRICES}}
+    arrays = {name: (np.shape(a), [a]) for name, a in whole.items()}
+    arrays["codes_packed"] = ((int(rows.sum()), n_words(h.r)),
+                              [cb.packed for cb in code_blocks])
+    arrays["p_history"] = ((len(p_history), h.m, h.r), p_history)
+    return [(name, dtype, arrays[name][0],
+             [np.ascontiguousarray(a, dtype=dtype) for a in arrays[name][1]])
+            for name, (dtype, _) in ARRAYS.items() if name in arrays]
+
+
+def _derived(p_history, hyper, fields):
+    """The round count and P by name, as p_history gives them (its length
+    and a copy of its last projection, zeros when it is empty), and the
+    first of them that fields holds a different copy of, or None."""
+    rounds = len(p_history)
+    p = np.array(p_history[-1]) if rounds else np.zeros((hyper.m, hyper.r))
+    derived = {"round_index": rounds, "rounds_committed": rounds, "p": p}
+    bad = (name for name, value in derived.items()
+           if name in fields and not np.array_equal(fields[name], value))
+    return derived, next(bad, None)
 
 
 def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
@@ -385,8 +407,13 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     records the hash projection after each round so MAP-per-round curves
     can be rebuilt at evaluation time.  The file is written beside path,
     fsynced, renamed over path, and the directory is fsynced; a failed
-    write, fsync or rename removes the file beside path.
+    write, fsync or rename removes the file beside path.  A state whose
+    round count or P differs from what p_history gives is refused first.
     """
+    _, bad = _derived(p_history, state.hyper, vars(state))
+    if bad:
+        raise ValueError(f"state.{bad} differs from what the "
+                         f"{len(p_history)} projections of p_history give")
     arrays = _stored_arrays(state, stats, code_blocks, p_history)
     for name, _, shape, parts in arrays:
         if sum(a.size for a in parts) != int(np.prod(shape)):
@@ -394,7 +421,6 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     meta = {
         "hyper": asdict(state.hyper),
         "kernel_width": state.anchors.kernel_width,
-        "rounds_committed": stats.rounds_committed,
         "sy_weighted": stats.sy_weighted,
         "sz": stats.sz,
         "seed": seed,
@@ -429,51 +455,86 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
         os.close(fd)
 
 
-def _read_arrays(path, blob, offset, specs):
-    """Arrays by name, each copied once out of the file's bytes."""
+def _is_count(v):
+    """Whether v is a JSON integer >= 0 (not a bool)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_finite(v):
+    """Whether v is a JSON number (not a bool) that a float holds finitely."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _stored_dtype(dtype):
+    """Whether dtype is a string naming a dtype that ARRAYS lists."""
+    try:
+        return isinstance(dtype, str) and np.dtype(dtype) in STORED_DTYPES
+    except (TypeError, ValueError):         # not a dtype numpy knows
+        return False
+
+
+def _read_header(path, header):
+    """The header's fields, refused with a LoadError naming the field unless
+    it is a JSON object whose array specs each give a name, a dtype that a
+    checkpoint stores and a shape of integers >= 0."""
+    try:
+        meta = json.loads(header.decode())
+    except ValueError:                      # not UTF-8, or not JSON
+        raise LoadError(f"{path}: header is not JSON") from None
+    if not isinstance(meta, dict):
+        raise LoadError(f"{path}: header is a JSON {type(meta).__name__}, "
+                        f"not an object")
+    specs = meta.setdefault("arrays", [])
+    if not isinstance(specs, list):
+        raise LoadError(f"{path}: arrays is not a list, got {specs!r}")
+    for spec in specs:
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+                and spec["name"] not in meta):
+            raise LoadError(f"{path}: array spec {spec!r} needs a name that "
+                            f"no header field has")
+        name, dtype, shape = spec["name"], spec.get("dtype"), spec.get("shape")
+        if not _stored_dtype(dtype):
+            raise LoadError(f"{path}: {name} has dtype {dtype!r}, not one of "
+                            f"{sorted(d.str for d in STORED_DTYPES)}")
+        if not (isinstance(shape, list) and all(map(_is_count, shape))):
+            raise LoadError(f"{path}: {name} has shape {shape!r}, not a list "
+                            f"of integers >= 0")
+    return meta
+
+
+def _read_arrays(path, blob, offset, specs, hyper):
+    """Arrays by name, each copied once out of the file's bytes.  One that
+    ARRAYS lists is refused, named, unless its dtype and shape fit hyper."""
+    size = {**vars(hyper), "n": n_words(hyper.r), "*": None}
     arrays = {}
     for spec in specs:
-        dt = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"]))
+        name, dt, shape = spec["name"], np.dtype(spec["dtype"]), spec["shape"]
+        # an array ARRAYS does not list, such as an older file's c4, is free
+        dtype, dims = ARRAYS.get(name, (dt, "*" * len(shape)))
+        want = [size[d] for d in dims]
+        if dt != dtype or len(shape) != len(want) or any(
+                d not in (None, got) for d, got in zip(want, shape)):
+            want = ", ".join("*" if d is None else str(d) for d in want)
+            raise LoadError(
+                f"{path}: {name} is {dt} {tuple(shape)}, expected {dtype} "
+                f"({want}) for r={hyper.r}, m={hyper.m}, f={hyper.f}, "
+                f"c={hyper.c}")
+        count = math.prod(shape)
         if offset + dt.itemsize * count > len(blob) - 4:
-            raise LoadError(f"{path}: {spec['name']} runs past the end of "
-                            f"the file")
-        arrays[spec["name"]] = np.frombuffer(
-            blob, dtype=dt, count=count, offset=offset).reshape(
-                spec["shape"]).copy()
+            raise LoadError(f"{path}: {name} runs past the end of the file")
+        arrays[name] = np.frombuffer(
+            blob, dtype=dt, count=count, offset=offset).reshape(shape).copy()
         offset += dt.itemsize * count
     return arrays
-
-
-def _check_arrays(path, fields, hyper, code_field):
-    """Refuse, naming the field, an array whose dtype or shape does not fit
-    the hyperparameters (None is a free dimension)."""
-    r, m, f, c = hyper.r, hyper.m, hyper.f, hyper.c
-    floats = {"anchors": (m, None), "w": (r, c), "u": (r, m), "v": (r, f),
-              "p": (m, r), "c1": (r, r), "c2": (r, m), "c3": (m, m),
-              "c5": (r, f), "d1": (r, r), "d2": (r, c),
-              "p_history": (None, m, r)}
-    want = {name: ("<f8", shape) for name, shape in floats.items()}
-    want["codes_rows"] = ("<i8", (None,))
-    want["codes_dense"] = ("<i1", (None, r))
-    want["codes_packed"] = ("<u8", (None, n_words(r)))
-    for name in STATE_ARRAYS + (code_field,):
-        dtype, shape = want[name]
-        a = fields[name]
-        if a.dtype != np.dtype(dtype) or a.ndim != len(shape) or any(
-                d is not None and d != got for d, got in zip(shape, a.shape)):
-            dims = ", ".join("*" if d is None else str(d) for d in shape)
-            raise LoadError(
-                f"{path}: {name} is {a.dtype} {a.shape}, expected {dtype} "
-                f"({dims}) for r={r}, m={m}, f={f}, c={c}")
 
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (state, stats, code_blocks, p_history, seed).
 
     Fields are read by name; older files' extra c4, total_rows and
-    total_seen are unread, and their round_index must equal
-    rounds_committed, which sets the state's round_index.
+    total_seen are unread, and a round_index, rounds_committed or p they
+    store must equal the one derived from p_history.
     Every array must fit the stored hyperparameters, and the codes their
     code length, or the file is refused with a LoadError naming the field.
     """
@@ -487,23 +548,32 @@ def load_checkpoint(path):
     version, hlen = struct.unpack_from("<IQ", blob, 4)
     if version not in CODE_FIELDS:
         raise LoadError(f"{path}: unsupported version {version}")
-    meta = json.loads(blob[16:16 + hlen].decode())
-    fields = {**meta, **_read_arrays(path, blob, 16 + hlen,
-                                     meta.get("arrays", []))}
+    meta = _read_header(path, blob[16:16 + hlen])
+    specs = meta["arrays"]
     code_field = CODE_FIELDS[version]
-    missing = [name for name in META_FIELDS + STATE_ARRAYS + (code_field,)
-               if name not in fields]
+    optional = set(CODE_FIELDS.values()) - {code_field} | {"p"}
+    stored = set(meta).union(spec["name"] for spec in specs)
+    missing = [name for name in META_FIELDS + tuple(ARRAYS)
+               if name not in stored | optional]
     if missing:
         raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    rounds = fields["rounds_committed"]
-    if fields.get("round_index", rounds) != rounds:
-        raise LoadError(f"{path}: round_index {fields['round_index']} differs "
-                        f"from rounds_committed {rounds}")
+    for name in ("kernel_width", "sy_weighted", "sz"):
+        if not _is_finite(meta[name]):
+            raise LoadError(f"{path}: {name} must be a finite number, got "
+                            f"{meta[name]!r}")
+    if not _is_count(meta["seed"]):
+        raise LoadError(f"{path}: seed must be an integer >= 0, got "
+                        f"{meta['seed']!r}")
     try:
-        hyper = Hyperparams(**fields["hyper"])
-    except TypeError as e:          # a missing or unknown hyperparameter
+        hyper = Hyperparams(**meta["hyper"])
+    except (TypeError, ValueError) as e:    # missing, unknown or refused
         raise LoadError(f"{path}: bad hyper: {e}") from None
-    _check_arrays(path, fields, hyper, code_field)
+    fields = {**meta, **_read_arrays(path, blob, 16 + hlen, specs, hyper)}
+    history = list(fields["p_history"])
+    derived, bad = _derived(history, hyper, fields)
+    if bad:
+        raise LoadError(f"{path}: stored {bad} differs from what the "
+                        f"{len(history)} projections of p_history give")
     rows, codes = fields["codes_rows"], fields[code_field]
     if np.any(rows < 0) or int(np.sum(rows)) != len(codes):
         raise LoadError(f"{path}: codes_rows {rows.tolist()} do not add up "
@@ -514,20 +584,24 @@ def load_checkpoint(path):
         except ValueError:
             raise LoadError(f"{path}: codes_dense holds values other than "
                             f"+-1") from None
-    elif padding_bits(codes, hyper.r):
-        raise LoadError(f"{path}: codes_packed sets bits past r={hyper.r}")
+    try:
+        check_words(codes, hyper.r, code_field)
+    except ValueError as e:         # a bit set past r
+        raise LoadError(f"{path}: {e}") from None
 
+    try:
+        anchors = AnchorSet(fields["anchors"], fields["kernel_width"])
+    except ValueError as e:         # no anchors, or a width <= 0
+        raise LoadError(f"{path}: {e}") from None
     state = ModelState(
-        w=fields["w"], u=fields["u"], v=fields["v"], p=fields["p"],
-        anchors=AnchorSet(fields["anchors"], fields["kernel_width"]),
-        hyper=hyper, round_index=rounds)
+        **{name: fields[name] for name in STATE_MATRICES}, p=derived["p"],
+        anchors=anchors, hyper=hyper, round_index=derived["round_index"])
     stats = AccumStats(
-        c1=fields["c1"], c2=fields["c2"], c3=fields["c3"], c5=fields["c5"],
-        d1=fields["d1"], d2=fields["d2"], sy_weighted=fields["sy_weighted"],
-        sz=fields["sz"], rounds_committed=rounds)
+        **{name: fields[name] for name in STATS_MATRICES},
+        sy_weighted=fields["sy_weighted"], sz=fields["sz"])
     blocks = []
     start = 0
     for n in rows.tolist():
         blocks.append(CodeBlock(codes[start:start + n], hyper.r))
         start += n
-    return state, stats, blocks, list(fields["p_history"]), fields["seed"]
+    return state, stats, blocks, history, fields["seed"]

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dataio
 from .kernel import build_anchor_set, rbf_map
-from .model import AccumStats, Hyperparams, ModelState, RoundData
+from .model import AccumStats, Hyperparams, ModelState, RoundData, StateError
 from .optimizer import run_round
 from .retrieval import round_snapshots, snapshot_index
 from .semantics import pool_semantics, tag_matrix
@@ -86,15 +86,24 @@ class StreamTrainer:
         self.p_history.append(self.state.p.copy())
         return codes, trace
 
+    def _trained(self, call):
+        """The state, or StateError naming call before the first chunk."""
+        if self.state is None:
+            raise StateError(f"StreamTrainer.{call} needs a trained state, "
+                             f"but no chunk has been processed yet")
+        return self.state
+
     def index(self):
         """Retrieval snapshot over everything committed so far."""
-        return snapshot_index(self.state, self.code_blocks)
+        return snapshot_index(self._trained("index()"), self.code_blocks)
 
     def round_snapshots(self):
         """(round, state-with-that-round's-projection, index) per round."""
-        return round_snapshots(self.state, self.code_blocks, self.p_history)
+        return round_snapshots(self._trained("round_snapshots()"),
+                               self.code_blocks, self.p_history)
 
     def save(self, path):
+        self._trained("save()")
         dataio.save_checkpoint(
             path, self.state, self.stats, self.code_blocks,
             p_history=self.p_history, seed=self.seed)

@@ -21,7 +21,8 @@ from .semantics import tag_matrix
 
 
 class StateError(RuntimeError):
-    """Illegal lifecycle transition (e.g. committing the same round twice)."""
+    """A call made out of lifecycle order, such as saving or indexing a
+    trainer before its first chunk has been processed."""
 
 
 @dataclass
@@ -114,7 +115,7 @@ class AccumStats:
     c4 = sum phi'B (m, r) is not stored: the property c4 is the view c2'.
     sy_weighted = sum_i K_ii ||Y_i||^2 and sz = sum ||Z||_F^2 are the scalar
     constants needed to evaluate the historical objective terms exactly.
-    rounds_committed guards commit_round against folding a round twice.
+    The round count is not kept here but in ModelState.round_index.
     """
 
     c1: np.ndarray
@@ -125,7 +126,6 @@ class AccumStats:
     d2: np.ndarray
     sy_weighted: float = 0.0
     sz: float = 0.0
-    rounds_committed: int = 0
 
     @property
     def c4(self):
@@ -167,10 +167,6 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
     chunk.phi.T @ chunk.phi, bt_phi is b_new.T @ chunk.phi and bt_b is
     b_new.T @ b_new.
     """
-    if stats.rounds_committed != state.round_index:
-        raise StateError(
-            f"round {state.round_index} already committed "
-            f"({stats.rounds_committed} rounds in stats)")
     b = np.asarray(b_new, dtype=np.float64)
     y, z = chunk.y, chunk.z
     k = np.asarray(weights, dtype=np.float64)
@@ -187,7 +183,6 @@ def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
     stats.d2 += (y.T @ bk).T
     stats.sy_weighted += float(np.sum(k * chunk.y_sq))
     stats.sz += float(np.sum(z * z))
-    stats.rounds_committed += 1
 
     state.round_index += 1
     state.check_finite()

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .codes import (CodeBlock, check_words, hamming_distances, n_words,
-                    pack_signs, padding_bits)
+                    pack_signs)
 from .kernel import rbf_map
 
 
@@ -50,12 +50,7 @@ def hamming_rank(query_packed, index, k=None):
     query = np.asarray(query_packed)
     if query.shape != (index.packed.shape[1],):
         raise ValueError("query code length does not match index")
-    try:
-        check_words(query[None, :], index.r)
-    except ValueError as exc:
-        raise ValueError(f"query code: {exc}") from None
-    if padding_bits(query[None, :], index.r):
-        raise ValueError(f"query code sets bits past r={index.r}")
+    check_words(query[None, :], index.r, "query code")
     dists = hamming_distances(query, index.packed)
     if k is None or k >= len(dists):
         order = np.argsort(dists, kind="stable")

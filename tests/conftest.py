@@ -85,6 +85,20 @@ def write_checkpoint_fields(path, meta, arrays,
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def rewrite_header(path, edit):
+    """Apply edit to a checkpoint's parsed header and write the result
+    back, with its length and the CRC made to fit; a list that edit
+    returns replaces the header."""
+    blob = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + hlen])
+    replaced = edit(header)
+    header = replaced if isinstance(replaced, list) else header
+    raw = json.dumps(header, sort_keys=True).encode()
+    blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:-4]
+    path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+
+
 @pytest.fixture
 def small_hyper():
     return Hyperparams(r=4, m=6, f=3, c=5, alpha=2.0, beta=0.5, theta=0.7,

@@ -18,7 +18,8 @@ from taghash.evaluation import EvalJudgments, mean_average_precision
 from taghash.retrieval import hamming_rank, hash_queries, snapshot_index
 from taghash.synthetic import make_cluster_stream
 
-from conftest import read_checkpoint_fields, write_checkpoint_fields
+from conftest import (read_checkpoint_fields, rewrite_header,
+                      write_checkpoint_fields)
 
 
 def write_stream(root, stream):
@@ -629,12 +630,17 @@ class TestExitCodes:
     def test_eval_needs_one_projection_per_round(self, workdir, tmp_path,
                                                  capsys, projections):
         # a 2-round checkpoint with too few or too many projections cannot
-        # give a MAP curve, but it still serves queries
+        # give a MAP curve, but it still serves queries; save_checkpoint
+        # refuses such a state, so the file is written field by field
         ckpt = str(tmp_path / "two.ckpt")
         assert run_train(workdir, ckpt, extra=["--chunks", "2"]) == 0
         state, stats, blocks, p_history, seed = load_checkpoint(ckpt)
-        dataio.save_checkpoint(ckpt, state, stats, blocks,
-                               [p_history[-1]] * projections, seed)
+        with pytest.raises(ValueError, match="state.round_index differs"):
+            dataio.save_checkpoint(ckpt, state, stats, blocks,
+                                   [p_history[-1]] * projections, seed)
+        meta, arrays = read_checkpoint_fields(ckpt)
+        arrays["p_history"] = np.stack([p_history[-1]] * projections)
+        write_checkpoint_fields(ckpt, meta, arrays)
         rc = cli.main(["eval", "--config", workdir["config"],
                        "--checkpoint", ckpt,
                        "--queries", workdir["queries"],
@@ -663,14 +669,28 @@ class TestExitCodes:
                                                     three_rounds, tmp_path,
                                                     capsys):
         meta, arrays = read_checkpoint_fields(three_rounds)
-        del meta["rounds_committed"]
+        del meta["sz"]
         ckpt = str(tmp_path / "partial.ckpt")
         write_checkpoint_fields(ckpt, meta, arrays)
         rc = cli.main(["query", "--config", workdir["config"],
                        "--checkpoint", ckpt,
                        "--features", workdir["queries"]])
         assert rc == 2
-        assert "lacks rounds_committed" in capsys.readouterr().err
+        assert "lacks sz" in capsys.readouterr().err
+
+    def test_checkpoint_header_that_is_not_an_object_is_data_error(
+            self, workdir, three_rounds, tmp_path, capsys):
+        # CRC-valid, so only the header check stands between it and a
+        # TypeError traceback
+        ckpt = str(tmp_path / "list.ckpt")
+        shutil.copy(three_rounds, ckpt)
+        rewrite_header(Path(ckpt), lambda header: [header])
+        rc = cli.main(["query", "--config", workdir["config"],
+                       "--checkpoint", ckpt,
+                       "--features", workdir["queries"]])
+        assert rc == 2
+        assert f"{ckpt}: header is a JSON list, not an object" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("c", [8, 10])
     @pytest.mark.parametrize("command", ["train_resume", "preprocess"])

@@ -15,10 +15,11 @@ from taghash.dataio import (META_FIELDS, ChunkManifest, ConfigError,
                             remap_tag_columns, save_checkpoint,
                             save_features, save_tags)
 from taghash.engine import StreamTrainer
-from taghash.model import Hyperparams
+from taghash.model import Hyperparams, StateError
 from taghash.synthetic import make_cluster_stream
 
-from conftest import read_checkpoint_fields, write_checkpoint_fields
+from conftest import (read_checkpoint_fields, rewrite_header,
+                      write_checkpoint_fields)
 
 PARENT_LAYOUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "data", "parent_layout.ckpt")
@@ -338,7 +339,7 @@ class TestCheckpoint:
         assert seed == 0
         assert state.hyper == trainer.hyper
         assert state.round_index == 3
-        assert stats.rounds_committed == 3
+        assert state.round_index == trainer.state.round_index
         for name in ("w", "u", "v", "p"):
             assert np.array_equal(getattr(state, name),
                                   getattr(trainer.state, name))
@@ -404,9 +405,9 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.bin")
         trainer.save(path)
         meta, arrays = read_checkpoint_fields(path)
-        del meta["rounds_committed"], arrays["c2"]
+        del meta["sz"], arrays["c2"]
         write_checkpoint_fields(path, meta, arrays)
-        with pytest.raises(LoadError, match="lacks rounds_committed, c2$"):
+        with pytest.raises(LoadError, match="lacks sz, c2$"):
             load_checkpoint(path)
 
     def test_header_stores_each_fact_once(self, tmp_path):
@@ -416,7 +417,8 @@ class TestCheckpoint:
         meta, arrays = read_checkpoint_fields(path)
         assert sorted(meta) == sorted(META_FIELDS)
         assert "round_index" not in meta and "total_seen" not in meta
-        assert meta["rounds_committed"] == 2
+        assert "rounds_committed" not in meta and "p" not in arrays
+        assert len(arrays["p_history"]) == 2
         assert arrays["codes_rows"].tolist() == [40, 40]
 
     def test_file_that_stores_round_index_and_total_seen_loads(self,
@@ -430,7 +432,7 @@ class TestCheckpoint:
         write_checkpoint_fields(path, dict(meta, round_index=2,
                                            total_seen=80), arrays)
         got = load_checkpoint(path)
-        assert got[0].round_index == got[1].rounds_committed == 2
+        assert got[0].round_index == 2
         assert_same_checkpoint(got, want)
 
     @pytest.mark.parametrize("call", ["fsync", "replace"])
@@ -458,11 +460,54 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.bin")
         trainer.save(path)
         meta, arrays = read_checkpoint_fields(path)
-        meta["round_index"] = 2
+        meta["round_index"], meta["rounds_committed"] = 2, 1
         write_checkpoint_fields(path, meta, arrays)
-        with pytest.raises(LoadError, match="round_index 2 differs from "
-                                            "rounds_committed 1$"):
+        with pytest.raises(LoadError, match="stored round_index differs "
+                                            "from what the 1 projections"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["round_index", "p"])
+    def test_save_refuses_a_state_unlike_its_history(self, tmp_path, name):
+        trainer, stream = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        before = path.read_bytes()
+        trainer.process_chunk(*stream.chunks[1])
+        if name == "round_index":
+            trainer.state.round_index += 1
+        else:
+            trainer.state.p = trainer.p_history[0].copy()
+        with pytest.raises(ValueError, match=rf"state\.{name} differs from "
+                                             r"what the 2 projections"):
+            trainer.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
+
+    @pytest.mark.parametrize("agrees", [True, False],
+                             ids=["agrees", "differs"])
+    @pytest.mark.parametrize("name", ["round_index", "rounds_committed", "p"])
+    def test_stored_copy_loads_only_when_it_agrees(self, tmp_path, name,
+                                                   agrees):
+        # files written before the round count and P were derived stored
+        # them; each copy must equal what p_history gives
+        trainer, _ = trained_trainer(2)
+        path = str(tmp_path / "ck.bin")
+        trainer.save(path)
+        want = load_checkpoint(path)
+        meta, arrays = read_checkpoint_fields(path)
+        if name == "p":
+            history = arrays["p_history"]
+            assert not np.array_equal(history[0], history[1])
+            arrays = dict(arrays, p=history[1] if agrees else history[0])
+        else:
+            meta[name] = 2 if agrees else 3
+        write_checkpoint_fields(path, meta, arrays)
+        if agrees:
+            assert_same_checkpoint(load_checkpoint(path), want)
+        else:
+            with pytest.raises(LoadError, match=f"stored {name} differs from "
+                                                f"what the 2 projections"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
         lambda hyper: hyper.pop("r"),
@@ -605,6 +650,80 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
 
+def spec(header, name):
+    return next(s for s in header["arrays"] if s["name"] == name)
+
+
+class TestCheckpointHeader:
+    """A CRC-valid header that is malformed is refused, naming the field."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: [h], "header is a JSON list, not an object"),
+        (lambda h: h.update(arrays={"c1": []}), "arrays is not a list"),
+        (lambda h: spec(h, "c1").pop("name"), "array spec .* needs a name"),
+        (lambda h: spec(h, "c1").update(name="seed"),
+         "array spec .* needs a name that no header field has"),
+        (lambda h: spec(h, "c1").pop("dtype"), "c1 has dtype None, not one"),
+        (lambda h: spec(h, "c1").update(dtype="|O"),
+         "c1 has dtype '[|]O', not one of"),
+        (lambda h: spec(h, "c1").update(dtype=">f8"), "c1 has dtype '>f8'"),
+        (lambda h: spec(h, "c1").update(shape=[-8, -8]),
+         r"c1 has shape \[-8, -8\], not a list of integers >= 0"),
+        (lambda h: spec(h, "c1").update(shape=[8.0, 8]), "c1 has shape"),
+        (lambda h: h["hyper"].update(r=0),
+         "bad hyper: r, iters and dcc_sweeps must all be >= 1"),
+        (lambda h: h.update(sz="abc"),
+         "sz must be a finite number, got 'abc'"),
+        (lambda h: h.update(sy_weighted=True), "sy_weighted must be a finite"),
+        (lambda h: h.update(kernel_width=float("inf")),
+         "kernel_width must be a finite number, got inf"),
+        (lambda h: h.update(kernel_width=0.0),
+         "kernel_width must be positive"),
+        (lambda h: h.update(seed="abc"), "seed must be an integer >= 0, got "
+                                         "'abc'"),
+        (lambda h: h.update(seed=1.5),
+         "seed must be an integer >= 0, got 1.5"),
+        (lambda h: h.update(seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda h: h.update(seed=False), "seed must be an integer >= 0"),
+    ], ids=["list", "arrays-not-list", "no-name", "name-of-a-field",
+            "no-dtype", "object-dtype", "big-endian", "negative-dimension",
+            "float-dimension", "r-0", "sz-string", "sy-weighted-bool",
+            "kernel-width-inf", "kernel-width-0", "seed-string", "seed-float",
+            "seed-negative", "seed-bool"])
+    def test_malformed_header_is_refused(self, tmp_path, edit, message):
+        trainer, _ = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        rewrite_header(path, edit)
+        with pytest.raises(LoadError, match=f"{path}: {message}"):
+            load_checkpoint(str(path))
+
+    def test_header_that_is_not_json_is_refused(self, tmp_path):
+        trainer, _ = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF                     # neither UTF-8 nor JSON
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(LoadError, match=f"{path}: header is not JSON"):
+            load_checkpoint(str(path))
+
+
+class TestTrainerBeforeFirstChunk:
+    @pytest.mark.parametrize("call", ["save", "index", "round_snapshots"])
+    def test_is_a_state_error_naming_the_call(self, tmp_path, call):
+        stream = make_cluster_stream(n_rounds=1, n_per_round=10, d=8, f=8,
+                                     n_queries=2, seed=3)
+        trainer = StreamTrainer(Hyperparams(r=8, m=4, f=8, c=9),
+                                stream.table, seed=0)
+        args = [str(tmp_path / "ck.bin")] if call == "save" else []
+        with pytest.raises(StateError, match=rf"StreamTrainer\.{call}\(\) "
+                                             r".*no chunk has been processed"):
+            getattr(trainer, call)(*args)
+        assert os.listdir(tmp_path) == []
+
+
 def count_packing(monkeypatch):
     """Record the rows of every pack_codes and pack_signs call, under every
     name a taghash module binds them to."""
@@ -636,8 +755,8 @@ def assert_same_checkpoint(got, want):
         assert np.array_equal(getattr(state, name), getattr(w_state, name))
     for name in ("c1", "c2", "c3", "c4", "c5", "d1", "d2"):
         assert np.array_equal(getattr(stats, name), getattr(w_stats, name))
-    assert (stats.sy_weighted, stats.sz, stats.rounds_committed) == (
-        w_stats.sy_weighted, w_stats.sz, w_stats.rounds_committed)
+    assert (stats.sy_weighted, stats.sz, state.round_index) == (
+        w_stats.sy_weighted, w_stats.sz, w_state.round_index)
     assert len(blocks) == len(w_blocks)
     for a, b in zip(blocks, w_blocks):
         assert np.array_equal(a.dense, b.dense)

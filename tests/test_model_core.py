@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
-                           StateError, commit_round, objective_value)
+                           commit_round, objective_value)
 
 from conftest import (committed_history, make_state, random_codes,
                       random_round_data)
@@ -72,19 +72,6 @@ class TestCommitRound:
         for a in (stats.c1, stats.c3, stats.d1):
             assert np.allclose(a, a.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(a)) >= -1e-9
-
-    def test_double_commit_rejected(self, small_hyper):
-        rng = np.random.default_rng(3)
-        state = make_state(small_hyper)
-        stats = AccumStats.zeros(small_hyper)
-        chunk = random_round_data(rng, 5, small_hyper.m, small_hyper.c,
-                                  small_hyper.f)
-        b = random_codes(rng, 5, small_hyper.r)
-        products = chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b
-        commit_round(state, stats, chunk, b, np.ones(5), *products)
-        stats.rounds_committed -= 1  # simulate replay of the same round
-        with pytest.raises(StateError):
-            commit_round(state, stats, chunk, b, np.ones(5), *products)
 
     def test_accumulator_sizes_independent_of_rounds(self, small_hyper):
         rng = np.random.default_rng(4)

@@ -61,15 +61,20 @@ class TestCodeBlock:
         (np.ones((3, 8), dtype=np.int8), 8),
         (np.zeros((2, 1), dtype=np.uint64), 200),
         (np.zeros(2, dtype=np.uint64), 4),
-        (np.zeros((2, 1), dtype=np.int64), 4)])
+        (np.zeros((2, 1), dtype=np.int64), 4),
+        (np.array([[1 << 63], [0]], dtype=np.uint64), 63)])
     def test_refuses_words_that_do_not_fit_r(self, words, r):
         # the message names the word count, r and the refused words, e.g.
-        # "= 4 columns for r=200, got uint64 (2, 1)"
-        with pytest.raises(ValueError, match=f"for r={r}") as refused:
+        # "= 4 columns for r=200, got uint64 (2, 1)", or, for words of the
+        # right shape, the padding bit that is set
+        with pytest.raises(ValueError, match=f" r={r}") as refused:
             CodeBlock(words, r)
-        assert re.search(
-            rf"= {-(-r // 64)} columns for r={r}, got {words.dtype} "
-            + re.escape(str(words.shape)) + "$", str(refused.value))
+        if words.dtype == np.uint64 and words.shape[1:] == (-(-r // 64),):
+            assert str(refused.value) == f"a packed code sets bits past r={r}"
+        else:
+            assert re.search(
+                rf"= {-(-r // 64)} columns for r={r}, got {words.dtype} "
+                + re.escape(str(words.shape)) + "$", str(refused.value))
 
 
 class TestHammingDistances:
