@@ -10,7 +10,6 @@ import json
 import math
 import os
 import struct
-import sys
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -18,7 +17,8 @@ import numpy as np
 
 from .codes import CodeBlock, check_words, n_words, pack_codes
 from .kernel import AnchorSet
-from .model import AccumStats, Hyperparams, ModelState
+from .model import (AccumStats, Hyperparams, ModelState, _is_count,
+                    _is_finite)
 from .semantics import EmbeddingTable
 
 FEATURE_MAGIC = b"WOHF"
@@ -455,17 +455,6 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
         os.close(fd)
 
 
-def _is_count(v):
-    """Whether v is a JSON integer >= 0 (not a bool)."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _is_finite(v):
-    """Whether v is a JSON number (not a bool) that a float holds finitely."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 def _stored_dtype(dtype):
     """Whether dtype is a string naming a dtype that ARRAYS lists."""
     try:
@@ -584,6 +573,7 @@ def load_checkpoint(path):
         except ValueError:
             raise LoadError(f"{path}: codes_dense holds values other than "
                             f"+-1") from None
+    codes.setflags(write=False)     # its blocks' own words: no copies
     try:
         check_words(codes, hyper.r, code_field)
     except ValueError as e:         # a bit set past r

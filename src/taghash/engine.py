@@ -94,7 +94,8 @@ class StreamTrainer:
         return self.state
 
     def index(self):
-        """Retrieval snapshot over everything committed so far."""
+        """Retrieval snapshot over everything committed so far: a new index,
+        whose grouping its first top-k query builds, on every call."""
         return snapshot_index(self._trained("index()"), self.code_blocks)
 
     def round_snapshots(self):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import hamming_rank, hash_queries
+from .retrieval import _check_queries, _ranking, hash_queries
 
 
 # queries whose relevance rows one label product builds: keeps the
@@ -118,13 +118,15 @@ def mean_average_precision(query_codes, index, judgments, cutoff=None):
     """MAP over all queries with at least one relevant database item.
 
     The index, a CodeBlock, holds the first index.n records of the
-    judgments' database, as every round of a MAP curve does.  Returns
-    (map_value, n_excluded).
+    judgments' database, as every round of a MAP curve does.  Each query
+    ranks the whole index, as hamming_rank does for k=None, and a cutoff
+    keeps the first cutoff rows.  Returns (map_value, n_excluded).
     """
     if index.n > len(judgments.db_labels):
         raise ValueError(
             f"index holds {index.n} records but only "
             f"{len(judgments.db_labels)} database records have labels")
+    _check_queries(query_codes.packed, index, cutoff)
     aps = []
     excluded = 0
     for qi, rel in query_relevance(judgments, query_codes.n):
@@ -132,7 +134,9 @@ def mean_average_precision(query_codes, index, judgments, cutoff=None):
         if in_db == 0:
             excluded += 1
             continue
-        rows, _ = hamming_rank(query_codes.packed[qi], index, cutoff)
+        rows, _ = _ranking(query_codes.packed[qi], index.packed)
+        if cutoff is not None:
+            rows = rows[:cutoff]
         aps.append(average_precision(rows, rel, in_db))
     if not aps:
         return float("nan"), excluded

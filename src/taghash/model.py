@@ -10,7 +10,7 @@ over their nonzeros.  The tag residual row norms ||y_i - b_i W||^2 are
 expanded into ||y_i||^2 (once per round), b_i . (W y_i') and b_i W W' b_i',
 so they cost n r^2 instead of n r c once W Y' is known.
 """
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +23,18 @@ from .semantics import tag_matrix
 class StateError(RuntimeError):
     """A call made out of lifecycle order, such as saving or indexing a
     trainer before its first chunk has been processed."""
+
+
+def _is_count(v):
+    """Whether v is an integer >= 0 (an int, not a bool), as JSON gives it."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_finite(v):
+    """Whether v is a real number (an int or float, not a bool) that a float
+    holds finitely."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass
@@ -47,14 +59,22 @@ class Hyperparams:
     tag_regression: bool = True  # False drops the tag-regression term entirely
 
     def __post_init__(self):
-        if self.r < 1 or self.iters < 1 or self.dcc_sweeps < 1:
-            raise ValueError("r, iters and dcc_sweeps must all be >= 1")
-        # written so that NaN, which fails every comparison, is refused too
-        if not 0 < self.epsilon_norm < math.inf:
-            raise ValueError("epsilon_norm must be positive and finite")
+        for name in ("r", "m", "f", "c", "iters", "dcc_sweeps"):
+            value = getattr(self, name)
+            if not (_is_count(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got "
+                                 f"{value!r}")
         for name in ("alpha", "beta", "theta", "mu"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+            value = getattr(self, name)
+            if not (_is_finite(value) and value >= 0):
+                raise ValueError(f"{name} must be a nonnegative finite "
+                                 f"number, got {value!r}")
+        if not (_is_finite(self.epsilon_norm) and self.epsilon_norm > 0):
+            raise ValueError(f"epsilon_norm must be a positive finite number, "
+                             f"got {self.epsilon_norm!r}")
+        if not isinstance(self.tag_regression, bool):
+            raise ValueError(f"tag_regression must be a bool, got "
+                             f"{self.tag_regression!r}")
 
 
 @dataclass

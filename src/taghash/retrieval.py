@@ -34,30 +34,73 @@ def hamming_rank(query_packed, index, k=None):
     their_ids[rows].  k must be a non-negative integer.  The query must be
     one uint64 row of the index's width with no bit set past r.
 
-    Linear in N.  A top-k query finds the k-th smallest distance as the
-    smallest cut with at least k distances <= cut, one compare and one
-    count per cut tried: cut = 0, 1, 3, 7, ... (capped at r), then a
-    bisection between the last two.  That is at most about 2 log2(r + 1)
-    passes, and one when k rows equal the query.  The rows at or below the
-    cut, already in insertion order, are the only ones sorted.  A full
-    ranking is a stable argsort on the narrow distance dtype, which numpy
-    runs as a radix sort.
+    A full ranking (k None or k >= N) scans every row and runs a stable
+    argsort on the narrow distance dtype, which numpy does as a radix sort.
+    A top-k scans the index's distinct codes instead (_top_k).  The first
+    top-k query on an index pays a one-time grouping of its rows by code,
+    one sort of the words, and the index keeps that grouping
+    (CodeBlock.groups): 8 bytes of row id per row, plus 16 bytes and one
+    row of words per distinct code.  The grouping pays for itself over
+    many top-k queries to one index, not over a few, so a caller serving
+    queries keeps its index.
     """
+    query = np.asarray(query_packed)
+    _check_queries(query[None], index, k)
+    if k is None or k >= index.n:
+        rows, dists = _ranking(query, index.packed)
+        dists = dists[rows]
+    else:
+        rows, dists = _top_k(query, index, k)
+    return rows, dists.astype(np.int64)
+
+
+def _check_queries(packed, index, k):
+    """Refuse query words, (n, w) uint64, that are not codes of the index's
+    width with no bit set past r, or a k that is neither None nor a
+    non-negative integer."""
     if k is not None and (isinstance(k, bool)
                           or not isinstance(k, (int, np.integer)) or k < 0):
         raise ValueError(f"k must be a non-negative integer or None, "
                          f"got {k!r}")
-    query = np.asarray(query_packed)
-    if query.shape != (index.packed.shape[1],):
+    if packed.ndim != 2 or packed.shape[1] != index.packed.shape[1]:
         raise ValueError("query code length does not match index")
-    check_words(query[None, :], index.r, "query code")
-    dists = hamming_distances(query, index.packed)
-    if k is None or k >= len(dists):
-        order = np.argsort(dists, kind="stable")
+    check_words(packed, index.r, "query code")
+
+
+def _ranking(query, packed):
+    """(rows in ranking order, every row's distance by row) of a full
+    ranking: ascending Hamming distance to one checked query row, ties by
+    row.  Radix-sorted, as the distances are a narrow dtype."""
+    dists = hamming_distances(query, packed)
+    return np.argsort(dists, kind="stable"), dists
+
+
+def _top_k(query, index, k):
+    """(rows, distances) of the first k of _ranking's rows, 0 <= k < N.
+
+    Scans the distinct codes of index.groups, not every row.  A group holds
+    at least one row, so the k-th smallest group distance bounds the k-th
+    smallest row distance, and _within_kth keeps only the groups within
+    it.  Their sizes, counted by distance, give the exact cut; the rows of
+    the groups at or below it are the only ones sorted, by (distance, row).
+    """
+    groups = index.groups
+    gdists = hamming_distances(query, groups.words)
+    if k < len(gdists):
+        near = np.flatnonzero(_within_kth(gdists, k, index.r))
     else:
-        cand = np.flatnonzero(_within_kth(dists, k, index.r))
-        order = cand[np.argsort(dists[cand], kind="stable")[:k]]
-    return order, dists[order].astype(np.int64)
+        near = np.arange(len(gdists))
+    counts = np.bincount(gdists[near], weights=groups.sizes[near])
+    cut = np.searchsorted(np.cumsum(counts), k)
+    near = near[gdists[near] <= cut]
+    sizes = groups.sizes[near]
+    # each kept group's rows, as positions in groups.rows
+    shift = np.repeat(groups.starts[near] - (np.cumsum(sizes) - sizes),
+                      sizes)
+    rows = groups.rows[shift + np.arange(len(shift))]
+    key = np.repeat(gdists[near], sizes).astype(np.int64) * index.n + rows
+    key = np.sort(key)[:k]
+    return key % index.n, key // index.n
 
 
 def _within_kth(dists, k, r):
@@ -85,7 +128,9 @@ def snapshot_index(state, code_blocks):
     r = state.hyper.r
     words = [cb.packed for cb in code_blocks] or [
         np.zeros((0, n_words(r)), dtype=np.uint64)]
-    return CodeBlock(np.concatenate(words, axis=0), r)
+    words = np.concatenate(words, axis=0)
+    words.setflags(write=False)  # the block's own words: no copy needed
+    return CodeBlock(words, r)
 
 
 def round_snapshots(state, code_blocks, p_history):

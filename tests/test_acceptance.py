@@ -289,7 +289,7 @@ def test_criterion_07_end_to_end_learning_signal():
 def test_criterion_08_linear_per_round_scaling():
     mixture = ((1 / 3, 1 / 3, 1 / 3),) * 8
 
-    def round_times(n_per_round, repeats=3):
+    def round_times(n_per_round, repeats=5):
         best = None
         for rep in range(repeats):
             stream = make_cluster_stream(

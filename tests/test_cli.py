@@ -678,6 +678,27 @@ class TestExitCodes:
         assert rc == 2
         assert "lacks sz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("r", 8.0), ("iters", 2.5)])
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_mistyped_hyperparameter_is_data_error(self, workdir,
+                                                   three_rounds, tmp_path,
+                                                   capsys, command, field,
+                                                   value):
+        # CRC-valid, and without the type rule it loads and fails later
+        ckpt = str(tmp_path / "typed.ckpt")
+        shutil.copy(three_rounds, ckpt)
+        rewrite_header(Path(ckpt),
+                       lambda header: header["hyper"].update({field: value}))
+        argv = {"eval": ["--queries", workdir["queries"],
+                         "--query-labels", workdir["query_labels"]],
+                "query": ["--features", workdir["queries"],
+                          "--out", str(tmp_path / "hits.tsv")]}[command]
+        rc = cli.main([command, "--config", workdir["config"],
+                       "--checkpoint", ckpt] + argv)
+        assert rc == 2
+        assert (f"{ckpt}: bad hyper: {field} must be an integer >= 1, got "
+                f"{value}") in capsys.readouterr().err
+
     def test_checkpoint_header_that_is_not_an_object_is_data_error(
             self, workdir, three_rounds, tmp_path, capsys):
         # CRC-valid, so only the header check stands between it and a

@@ -671,7 +671,13 @@ class TestCheckpointHeader:
          r"c1 has shape \[-8, -8\], not a list of integers >= 0"),
         (lambda h: spec(h, "c1").update(shape=[8.0, 8]), "c1 has shape"),
         (lambda h: h["hyper"].update(r=0),
-         "bad hyper: r, iters and dcc_sweeps must all be >= 1"),
+         "bad hyper: r must be an integer >= 1, got 0"),
+        (lambda h: h["hyper"].update(r=8.0),
+         "bad hyper: r must be an integer >= 1, got 8.0"),
+        (lambda h: h["hyper"].update(iters=2.5),
+         "bad hyper: iters must be an integer >= 1, got 2.5"),
+        (lambda h: h["hyper"].update(tag_regression="no"),
+         "bad hyper: tag_regression must be a bool, got 'no'"),
         (lambda h: h.update(sz="abc"),
          "sz must be a finite number, got 'abc'"),
         (lambda h: h.update(sy_weighted=True), "sy_weighted must be a finite"),
@@ -687,7 +693,8 @@ class TestCheckpointHeader:
         (lambda h: h.update(seed=False), "seed must be an integer >= 0"),
     ], ids=["list", "arrays-not-list", "no-name", "name-of-a-field",
             "no-dtype", "object-dtype", "big-endian", "negative-dimension",
-            "float-dimension", "r-0", "sz-string", "sy-weighted-bool",
+            "float-dimension", "r-0", "r-float", "iters-float",
+            "tag-regression-string", "sz-string", "sy-weighted-bool",
             "kernel-width-inf", "kernel-width-0", "seed-string", "seed-float",
             "seed-negative", "seed-bool"])
     def test_malformed_header_is_refused(self, tmp_path, edit, message):

@@ -19,6 +19,33 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             Hyperparams(r=4, m=6, f=3, c=5, **{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("r", 8.0, "r must be an integer >= 1, got 8.0"),
+        ("r", 0, "r must be an integer >= 1, got 0"),
+        ("r", True, "r must be an integer >= 1, got True"),
+        ("m", 0, "m must be an integer >= 1, got 0"),
+        ("m", np.int64(6), "m must be an integer >= 1, got np.int64"),
+        ("f", "3", "f must be an integer >= 1, got '3'"),
+        ("c", 0, "c must be an integer >= 1, got 0"),
+        ("iters", 2.5, "iters must be an integer >= 1, got 2.5"),
+        ("dcc_sweeps", None, "dcc_sweeps must be an integer >= 1, got None"),
+        ("alpha", "300", "alpha must be a nonnegative finite number, got "
+                         "'300'"),
+        ("beta", None, "beta must be a nonnegative finite number, got None"),
+        ("theta", 1j, "theta must be a nonnegative finite number"),
+        ("mu", True, "mu must be a nonnegative finite number, got True"),
+        ("epsilon_norm", "1e-6", "epsilon_norm must be a positive finite "
+                                 "number, got '1e-6'"),
+        ("tag_regression", "no", "tag_regression must be a bool, got 'no'"),
+        ("tag_regression", 1, "tag_regression must be a bool, got 1"),
+    ], ids=["r-float", "r-0", "r-bool", "m-0", "m-numpy", "f-string", "c-0",
+            "iters-float", "dcc-sweeps-none", "alpha-string", "beta-none",
+            "theta-complex", "mu-bool", "epsilon-string",
+            "tag-regression-string", "tag-regression-int"])
+    def test_each_field_has_one_type_rule(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            Hyperparams(**{"r": 4, "m": 6, "f": 3, "c": 5, name: value})
+
     def test_zero_weights_accepted_zero_floor_rejected(self):
         Hyperparams(r=4, m=6, f=3, c=5, alpha=0.0, beta=0.0, theta=0.0,
                     mu=0.0)

@@ -169,6 +169,15 @@ class TestHammingRank:
                            match="query code length does not match index"):
             hamming_rank(np.zeros(2, dtype=np.uint64), index)
 
+    @pytest.mark.parametrize("query", [np.uint64(0),
+                                       np.zeros((1, 1), dtype=np.uint64)],
+                             ids=["scalar", "2-D"])
+    def test_query_that_is_not_one_row_rejected(self, query):
+        index = self.build_index(np.ones((3, 4), dtype=np.int8))
+        with pytest.raises(ValueError,
+                           match="query code length does not match index"):
+            hamming_rank(query, index, 2)
+
 
 def at_distances(query, dists):
     """Rows at the given Hamming distances from a +-1 query: row i flips
