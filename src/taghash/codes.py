@@ -80,27 +80,43 @@ def hamming_distances(query_packed, db_packed):
 class CodeGroups(NamedTuple):
     """A block's rows grouped by code: group j holds the rows
     rows[starts[j]:starts[j] + sizes[j]], in no set order, whose words are
-    words[j]."""
+    words[j].  A code has one group, or more only where row keys collide
+    (group_rows)."""
 
-    words: np.ndarray            # (groups, n_words(r)) uint64, distinct
+    words: np.ndarray            # (groups, n_words(r)) uint64
     rows: np.ndarray             # (n,) row ids, group after group
     starts: np.ndarray           # (groups,) intp
     sizes: np.ndarray            # (groups,) intp, each >= 1
 
 
+# odd, so multiplying by it permutes the uint64s (2**64 / golden ratio)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_key(packed):
+    """One uint64 per row that equal codes share: a one-word row's word, or
+    a wider row's words folded together, which two distinct codes share
+    about once in 2**64 pairs."""
+    key = packed[:, 0]
+    for word in packed.T[1:]:
+        key = key * _MIX
+        key ^= key >> np.uint64(29)
+        key ^= word
+    return key
+
+
 def group_rows(packed):
     """Group the rows of checked words by code (CodeGroups).
 
-    One sort of the words brings equal codes together.  A top-k sorts the
-    rows it takes by (distance, row), so a group's rows may come in any
-    order, and a row of one word is sorted by numpy's unstable argsort,
-    about three times as fast as a stable one.
+    One unstable argsort of a 64-bit key per row (_row_key) brings equal
+    codes together, whatever the code's width.  Distinct codes whose keys
+    collide may interleave and split into more groups than codes.  That
+    costs a top-k time, not exactness: it counts each group's rows at its
+    code's distance and sorts the rows it takes by (distance, row), so
+    neither a group's row order nor one group per code matters.
     """
     n = len(packed)
-    if packed.shape[1] == 1:
-        rows = np.argsort(packed[:, 0])
-    else:
-        rows = np.lexsort(packed.T[::-1])
+    rows = np.argsort(_row_key(packed))
     ordered = packed[rows]
     first = np.ones(n, dtype=bool)
     first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)

@@ -264,12 +264,17 @@ class ChunkManifest:
             with open(path, "r") as fh:
                 doc = json.load(fh)
             man = cls(
-                d=int(doc["d"]), c=int(doc["c"]), chunks=list(doc["chunks"]),
-                labels_dim=int(doc.get("labels_dim", 0)),
+                d=doc["d"], c=doc["c"], chunks=list(doc["chunks"]),
+                labels_dim=doc.get("labels_dim", 0),
                 tag_vocab=list(doc.get("tag_vocab", [])),
                 tag_format=doc.get("tag_format"))
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad manifest: {e}") from None
+        for name, least in (("d", 1), ("c", 1), ("labels_dim", 0)):
+            value = getattr(man, name)
+            if not (_is_count(value) and value >= least):
+                raise LoadError(f"{path}: {name} must be an integer >= "
+                                f"{least}, got {value!r}")
         if man.tag_vocab and len(man.tag_vocab) != man.c:
             raise LoadError(f"{path}: tag_vocab lists {len(man.tag_vocab)} "
                             f"tags but c is {man.c}")

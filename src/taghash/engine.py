@@ -11,7 +11,8 @@ import numpy as np
 
 from . import dataio
 from .kernel import build_anchor_set, rbf_map
-from .model import AccumStats, Hyperparams, ModelState, RoundData, StateError
+from .model import (AccumStats, Hyperparams, ModelState, RoundData,
+                    StateError, _is_count)
 from .optimizer import run_round
 from .retrieval import round_snapshots, snapshot_index
 from .semantics import pool_semantics, tag_matrix
@@ -42,12 +43,15 @@ def _checked_chunk(x, y, c):
 
 class StreamTrainer:
     def __init__(self, hyper, table, seed):
-        """hyper: Hyperparams (c and f must match the embedding table)."""
+        """hyper: Hyperparams (c and f must match the embedding table);
+        seed: an integer >= 0, else ValueError."""
         if hyper.c != table.c or hyper.f != table.f:
             raise ValueError("hyperparameters disagree with embedding table")
         self.hyper = hyper
         self.table = table
-        self.seed = int(seed)
+        if not _is_count(seed):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        self.seed = seed
         self.state = None            # created when the first chunk arrives
         self.stats = None
         self.code_blocks = []

@@ -90,6 +90,14 @@ def compute_kernel_width(x, anchors):
     return sigma
 
 
+def check_feature_shape(x, anchor_set):
+    """x, an array, refused unless it is (n, d) for the anchors' d."""
+    if x.ndim != 2 or x.shape[1] != anchor_set.d:
+        raise ValueError(
+            f"expected (n, {anchor_set.d}) features, got {x.shape}")
+    return x
+
+
 def rbf_map(x, anchor_set):
     """Map raw features to anchor similarities exp(-dist^2 / (2 sigma^2)).
 
@@ -97,10 +105,7 @@ def rbf_map(x, anchor_set):
     sample coincides with an anchor.  Raises ValueError on NaN or inf
     features, which would otherwise hash silently.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != anchor_set.d:
-        raise ValueError(
-            f"expected (n, {anchor_set.d}) features, got {x.shape}")
+    x = check_feature_shape(np.asarray(x, dtype=np.float64), anchor_set)
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or inf")
     d = _pairwise_dists(x, anchor_set.anchors, anchor_set.sq_norms)

@@ -11,17 +11,32 @@ import numpy as np
 
 from .codes import (CodeBlock, check_words, hamming_distances, n_words,
                     pack_signs)
-from .kernel import rbf_map
+from .kernel import check_feature_shape, rbf_map
+
+# rows hashed at a time: one block's kernel features, _BLOCK x m float64
+# (2.4 MB at m = 300), are the largest temporary however many rows come in
+_BLOCK = 1024
 
 
 def hash_queries(x_q, state):
     """Hash raw query features: sign of projected kernel features.
 
-    sign(0) resolves to +1, matching the optimizer's convention.  The signs
-    are packed straight into the block's words.
+    sign(0) resolves to +1, matching the optimizer's convention.  The rows
+    are hashed 1,024 at a time, each block's signs packed straight into its
+    slice of the returned block's words, so the memory a call needs beyond
+    its input and its words is bounded by one block (O(1024 m)) for any
+    number of rows.  The codes, not the kernel features, are invariant to
+    how rows are batched: BLAS sums a product by row count, so a feature's
+    last bits may differ between batch sizes, which flips a code only where
+    a projection lies within rounding of 0.
     """
-    phi = rbf_map(x_q, state.anchors)
-    return CodeBlock(pack_signs(phi @ state.p >= 0.0), state.hyper.r)
+    x = check_feature_shape(np.asarray(x_q), state.anchors)
+    words = np.empty((len(x), n_words(state.hyper.r)), dtype=np.uint64)
+    for start in range(0, len(x), _BLOCK):
+        phi = rbf_map(x[start:start + _BLOCK], state.anchors)
+        words[start:start + len(phi)] = pack_signs(phi @ state.p >= 0.0)
+    words.setflags(write=False)  # the block's own words: no copy needed
+    return CodeBlock(words, state.hyper.r)
 
 
 def hamming_rank(query_packed, index, k=None):
@@ -38,7 +53,7 @@ def hamming_rank(query_packed, index, k=None):
     argsort on the narrow distance dtype, which numpy does as a radix sort.
     A top-k scans the index's distinct codes instead (_top_k).  The first
     top-k query on an index pays a one-time grouping of its rows by code,
-    one sort of the words, and the index keeps that grouping
+    one sort of a 64-bit key per row, and the index keeps that grouping
     (CodeBlock.groups): 8 bytes of row id per row, plus 16 bytes and one
     row of words per distinct code.  The grouping pays for itself over
     many top-k queries to one index, not over a few, so a caller serving
@@ -78,8 +93,8 @@ def _ranking(query, packed):
 def _top_k(query, index, k):
     """(rows, distances) of the first k of _ranking's rows, 0 <= k < N.
 
-    Scans the distinct codes of index.groups, not every row.  A group holds
-    at least one row, so the k-th smallest group distance bounds the k-th
+    Scans the codes of index.groups, not every row.  A group holds at
+    least one row, so the k-th smallest group distance bounds the k-th
     smallest row distance, and _within_kth keeps only the groups within
     it.  Their sizes, counted by distance, give the exact cut; the rows of
     the groups at or below it are the only ones sorted, by (distance, row).

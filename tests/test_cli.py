@@ -1,5 +1,6 @@
 import argparse
 import csv
+import json
 import os
 import shlex
 import shutil
@@ -557,6 +558,29 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{man}: " in err and names in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        ("d", 1.7), ("d", -2), ("d", True), ("labels_dim", -1)])
+    def test_bad_manifest_count_is_data_error(self, workdir, three_rounds,
+                                              tmp_path, capsys, command,
+                                              field, value):
+        with open(workdir["manifest"]) as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        man = tmp_path / "bad.json"
+        man.write_text(json.dumps(doc))
+        argv = [command, "--config", workdir["config"], "--manifest",
+                str(man)]
+        if command == "train":
+            argv += ["--checkpoint", str(tmp_path / "x.ckpt")]
+        else:
+            argv += ["--checkpoint", three_rounds,
+                     "--queries", workdir["queries"],
+                     "--query-labels", workdir["query_labels"]]
+        assert cli.main(argv) == 2
+        assert f"{man}: {field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_missing_checkpoint_for_eval_is_data_error(self, workdir):
         rc = cli.main(["eval", "--config", workdir["config"],

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import stat
 import struct
 import zlib
@@ -303,6 +305,23 @@ class TestManifestAndConfig:
         with pytest.raises(LoadError, match=f"{path}: tag_vocab lists 3 "
                                             f"tags but c is {c}$"):
             ChunkManifest.from_file(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", 1.7), ("d", -2), ("d", True), ("d", 0), ("d", "3"),
+        ("c", 2.0), ("c", 0), ("c", False),
+        ("labels_dim", -1), ("labels_dim", 1.5), ("labels_dim", True),
+        ("labels_dim", None),
+    ])
+    def test_counts_must_be_integers(self, tmp_path, field, value):
+        doc = {"d": 2, "c": 2, "chunks": [{"features": "a", "tags": "b"}]}
+        doc[field] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        least = 0 if field == "labels_dim" else 1
+        with pytest.raises(LoadError, match=re.escape(
+                f"{path}: {field} must be an integer >= {least}, "
+                f"got {value!r}")):
+            ChunkManifest.from_file(str(path))
 
     def test_config_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -729,6 +748,15 @@ class TestTrainerBeforeFirstChunk:
                                              r".*no chunk has been processed"):
             getattr(trainer, call)(*args)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "7", None])
+    def test_seed_must_be_an_integer(self, seed):
+        stream = make_cluster_stream(n_rounds=1, n_per_round=10, d=8, f=8,
+                                     n_queries=2, seed=3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer >= 0, got {seed!r}")):
+            StreamTrainer(Hyperparams(r=8, m=4, f=8, c=9), stream.table,
+                          seed=seed)
 
 
 def count_packing(monkeypatch):

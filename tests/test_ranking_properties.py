@@ -165,6 +165,37 @@ class TestGroupedTopK:
         assert count_groupings == [50, 50]
         assert len(index.groups.words) <= 4
 
+    @pytest.mark.parametrize("r, word", [(64, 0), (128, 0), (128, 1),
+                                         (300, 0), (300, 2), (300, 4)])
+    def test_one_group_per_code_when_codes_differ_in_one_word(self, r,
+                                                              word):
+        # a key that ignored the word would interleave these codes' rows
+        rng = np.random.default_rng(r + word)
+        pool = np.repeat(code_block(random_codes(rng, 1, r)).packed, 6, 0)
+        pool[:, word] ^= np.arange(6, dtype=np.uint64)
+        packed = pool[rng.integers(0, 6, size=300)]
+        groups = codes.group_rows(packed)
+        assert len(groups.words) == 6
+        assert np.array_equal(np.sort(groups.sizes),
+                              np.sort(np.unique(packed, axis=0,
+                                                return_counts=True)[1]))
+
+    @pytest.mark.parametrize("r", [64, 128, 300])
+    def test_colliding_row_keys_split_groups_but_rank_exactly(
+            self, monkeypatch, r):
+        # every other row shares one key: a code's rows land in several
+        # groups, and distinct codes with one key interleave
+        monkeypatch.setattr(codes, "_row_key", lambda packed: np.arange(
+            len(packed), dtype=np.uint64) % np.uint64(2))
+        rng = np.random.default_rng(8)
+        pool = random_codes(rng, 5, r)
+        db = pool[rng.integers(0, 5, size=200)].astype(np.int8)
+        index = code_block(db)
+        for q in (db[0], db[7], random_codes(rng, 1, r)[0].astype(np.int8)):
+            for k in (1, 10, 100, 199):
+                check_prefix(index, db, q, k)
+        assert len(index.groups.words) > 2 * len(pool)
+
     def test_ties_across_large_groups_rank_by_row(self):
         # a group's rows come in no set order; ties still rank by row
         rng = np.random.default_rng(6)

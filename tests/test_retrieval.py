@@ -1,12 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from taghash import codes
+from taghash import codes, retrieval
 from taghash.codes import (CodeBlock, hamming_distances, pack_codes,
                            unpack_codes)
-from taghash.kernel import AnchorSet
+from taghash.kernel import AnchorSet, rbf_map
 from taghash.model import Hyperparams, ModelState
 from taghash.retrieval import (hamming_rank, hash_queries, round_snapshots,
                                snapshot_index)
@@ -318,6 +319,82 @@ class TestHashQueries:
         a = hash_queries(x, state)
         b = hash_queries(x, state)
         assert np.array_equal(a.dense, b.dense)
+
+    B = retrieval._BLOCK
+
+    def blocked_state(self, d=16, m=64, r=70, seed=13):
+        rng = np.random.default_rng(seed)
+        return self.state_with_projection(
+            rng.normal(size=(m, r)), rng.normal(size=(m, d)),
+            width=np.sqrt(2 * d))
+
+    def clear_rows(self, state, n, seed=14):
+        """n rows whose every projection lies at least 1e-6 from 0, so no
+        code can hang on the last bits of a product."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2 * n + 10, state.anchors.d))
+        proj = rbf_map(x, state.anchors) @ state.p
+        return x[np.min(np.abs(proj), axis=1) > 1e-6][:n]
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_codes_do_not_depend_on_the_block(self, n):
+        state = self.blocked_state()
+        x = self.clear_rows(state, n)
+        assert len(x) == n
+        want = np.where(rbf_map(x, state.anchors) @ state.p >= 0, 1, -1)
+        block = hash_queries(x, state)
+        assert block.packed.shape == (n, 2)
+        assert np.array_equal(block.dense, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_in_the_last_block_rejected(self, bad):
+        state = self.blocked_state()
+        x = np.random.default_rng(15).normal(size=(2 * self.B + 3, 16))
+        x[-1, 5] = bad
+        with pytest.raises(ValueError, match="features contain NaN or inf"):
+            hash_queries(x, state)
+
+    @pytest.mark.parametrize("shape", [(0,), (16,), (3 * B,), (5, 17),
+                                       (2 * B + 3, 15), (0, 3), (2, 5, 16)])
+    def test_features_that_are_not_n_by_d_rejected(self, shape):
+        state = self.blocked_state()
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected (n, 16) features, got {shape}")):
+            hash_queries(np.zeros(shape), state)
+
+    def test_block_keeps_its_read_only_words_without_a_copy(self,
+                                                            monkeypatch):
+        given = []
+
+        def recording(words, r):
+            given.append(words)
+            return CodeBlock(words, r)
+
+        monkeypatch.setattr(retrieval, "CodeBlock", recording)
+        state = self.blocked_state()
+        block = hash_queries(self.clear_rows(state, self.B + 1), state)
+        assert block.packed is given[0]
+        assert not block.packed.flags.writeable
+
+    def test_memory_is_bounded_by_the_block_not_the_rows(self):
+        state = self.blocked_state()
+        rng = np.random.default_rng(16)
+        small = rng.normal(size=(self.B, 16))
+        large = rng.normal(size=(50_000, 16))
+
+        def peak(x):
+            tracemalloc.start()
+            try:
+                hash_queries(x, state)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        words = large.shape[0] * 2 * 8
+        # measured: 1.19 MB at B rows and 1.99 MB at 50,000 (0.8 MB of them
+        # the words), against a bound of 3.17 MB; hashing the 50,000 rows in
+        # one piece peaks at 57 MB
+        assert peak(large) <= 2 * peak(small) + words
 
 
 class TestSnapshotIndex:
