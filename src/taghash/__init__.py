@@ -5,7 +5,7 @@ learns binary codes and a hash function online via alternating closed-form
 solves plus discrete bit-wise code descent, and serves Hamming-space
 retrieval with a MAP evaluation harness.
 """
-from .codes import CodeBlock, hamming_distances, pack_codes, unpack_codes
+from .codes import CodeBlock, hamming_distances, unpack_codes
 from .engine import StreamTrainer
 from .evaluation import (EvalJudgments, average_precision,
                          mean_average_precision, map_per_round,
@@ -25,6 +25,6 @@ __all__ = [
     "SemanticChunk", "StreamTrainer", "average_precision",
     "build_anchor_set", "commit_round", "hamming_distances", "hamming_rank",
     "hash_queries", "map_per_round", "mean_average_precision",
-    "objective_value", "pack_codes", "pool_semantics", "precision_at_k",
-    "rbf_map", "run_round", "snapshot_index", "unpack_codes",
+    "objective_value", "pool_semantics", "precision_at_k", "rbf_map",
+    "run_round", "snapshot_index", "unpack_codes",
 ]

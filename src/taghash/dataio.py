@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .codes import CodeBlock, check_words, n_words, pack_codes
+from .codes import CodeBlock, check_words, n_words
 from .kernel import AnchorSet
 from .model import (AccumStats, Hyperparams, ModelState, _is_count,
                     _is_finite)
@@ -56,10 +56,10 @@ def load_features(path):
             if len(dims) < 8:
                 raise LoadError(f"{path}: truncated header at byte {4 + len(dims)}")
             n, d = struct.unpack("<II", dims)
+            size = os.fstat(fh.fileno()).st_size    # before sizing a read
+            if size < 12 + 4 * n * d:
+                raise LoadError(f"{path}: truncated payload at byte {size}")
             raw = fh.read(4 * n * d)
-            if len(raw) < 4 * n * d:
-                raise LoadError(
-                    f"{path}: truncated payload at byte {12 + len(raw)}")
             x = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
         else:
             x = _load_csv_matrix(path)
@@ -346,29 +346,28 @@ def load_config(path):
 
 # -------------------------------------------------------------- checkpoint
 #
-# Layout: magic, version (<u4), header length (<u8), a JSON header of meta
-# fields and array specs, the listed arrays back to back as raw
-# little-endian bytes in the listed order, and a CRC-32 of everything before
-# it.  Version 2 stores the codes as their packed words, codes_packed (<u8,
-# N x ceil(r/64)); version 1 stored them as codes_dense (int8 +-1, N x r),
-# and such files still load, their codes packed once.  The round count, P
-# and the rows seen are not stored: they are p_history's length and last
-# projection and codes_rows' sum.
+# Layout: magic, version (<u4), header length (<u8), a JSON header of the
+# META_FIELDS and one spec per array, the ARRAYS back to back as raw
+# little-endian bytes in that order, and a CRC-32 of everything before it.
+# The codes are stored as their packed words, codes_packed (<u8,
+# N x ceil(r/64)).  The round count, P and the rows seen are not stored:
+# they are p_history's length and last projection and codes_rows' sum.
+# Version 2 with exactly these fields is the one layout read; any other
+# version or field is refused.
 
-CODE_FIELDS = {1: "codes_dense", 2: "codes_packed"}      # by version
 META_FIELDS = ("hyper", "kernel_width", "sy_weighted", "sz", "seed")
 # The state's and the statistics' float64 matrices, stored under their
-# attributes' names, and every array a file may store (p only older ones)
-# in file order with its dtype.  A shape has a letter a dimension: r, m, f,
-# c the hyperparameters, n the words per code and * a free dimension.
+# attributes' names, and every stored array in file order with its dtype.
+# A shape has a letter a dimension: r, m, f, c the hyperparameters, n the
+# words per code and * a free dimension.
 STATE_MATRICES = {"w": "rc", "u": "rm", "v": "rf"}
 STATS_MATRICES = {"c1": "rr", "c2": "rm", "c3": "mm", "c5": "rf",
                   "d1": "rr", "d2": "rc"}
-ARRAYS = {"anchors": ("<f8", "m*"), "p": ("<f8", "mr"),
+ARRAYS = {"anchors": ("<f8", "m*"),
           **{name: ("<f8", dims)
              for name, dims in (STATE_MATRICES | STATS_MATRICES).items()},
-          "codes_rows": ("<i8", "*"), "codes_dense": ("<i1", "*r"),
-          "codes_packed": ("<u8", "*n"), "p_history": ("<f8", "*mr")}
+          "codes_rows": ("<i8", "*"), "codes_packed": ("<u8", "*n"),
+          "p_history": ("<f8", "*mr")}
 STORED_DTYPES = {np.dtype(dtype) for dtype, _ in ARRAYS.values()}
 
 
@@ -390,19 +389,15 @@ def _stored_arrays(state, stats, code_blocks, p_history):
     arrays["p_history"] = ((len(p_history), h.m, h.r), p_history)
     return [(name, dtype, arrays[name][0],
              [np.ascontiguousarray(a, dtype=dtype) for a in arrays[name][1]])
-            for name, (dtype, _) in ARRAYS.items() if name in arrays]
+            for name, (dtype, _) in ARRAYS.items()]
 
 
-def _derived(p_history, hyper, fields):
-    """The round count and P by name, as p_history gives them (its length
-    and a copy of its last projection, zeros when it is empty), and the
-    first of them that fields holds a different copy of, or None."""
+def _derived(p_history, hyper):
+    """The round count and P by name, as p_history gives them: its length
+    and a copy of its last projection, zeros when it is empty."""
     rounds = len(p_history)
     p = np.array(p_history[-1]) if rounds else np.zeros((hyper.m, hyper.r))
-    derived = {"round_index": rounds, "rounds_committed": rounds, "p": p}
-    bad = (name for name, value in derived.items()
-           if name in fields and not np.array_equal(fields[name], value))
-    return derived, next(bad, None)
+    return {"round_index": rounds, "p": p}
 
 
 def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
@@ -415,10 +410,10 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     write, fsync or rename removes the file beside path.  A state whose
     round count or P differs from what p_history gives is refused first.
     """
-    _, bad = _derived(p_history, state.hyper, vars(state))
-    if bad:
-        raise ValueError(f"state.{bad} differs from what the "
-                         f"{len(p_history)} projections of p_history give")
+    for name, value in _derived(p_history, state.hyper).items():
+        if not np.array_equal(getattr(state, name), value):
+            raise ValueError(f"state.{name} differs from what the "
+                             f"{len(p_history)} projections of p_history give")
     arrays = _stored_arrays(state, stats, code_blocks, p_history)
     for name, _, shape, parts in arrays:
         if sum(a.size for a in parts) != int(np.prod(shape)):
@@ -469,8 +464,9 @@ def _stored_dtype(dtype):
 
 
 def _read_header(path, header):
-    """The header's fields, refused with a LoadError naming the field unless
-    it is a JSON object whose array specs each give a name, a dtype that a
+    """The header's fields and its array specs, refused with a LoadError
+    naming the field unless it is a JSON object of the META_FIELDS and one
+    spec for each of the ARRAYS, each giving its name, a dtype that a
     checkpoint stores and a shape of integers >= 0."""
     try:
         meta = json.loads(header.decode())
@@ -479,7 +475,7 @@ def _read_header(path, header):
     if not isinstance(meta, dict):
         raise LoadError(f"{path}: header is a JSON {type(meta).__name__}, "
                         f"not an object")
-    specs = meta.setdefault("arrays", [])
+    specs = meta.pop("arrays", [])
     if not isinstance(specs, list):
         raise LoadError(f"{path}: arrays is not a list, got {specs!r}")
     for spec in specs:
@@ -487,6 +483,20 @@ def _read_header(path, header):
                 and spec["name"] not in meta):
             raise LoadError(f"{path}: array spec {spec!r} needs a name that "
                             f"no header field has")
+    names = [*meta, *(spec["name"] for spec in specs)]
+    layout = META_FIELDS + tuple(ARRAYS)
+    extra = [name for name in names if name not in layout]
+    if extra:
+        raise LoadError(f"{path}: checkpoint stores {', '.join(extra)}, "
+                        f"which version {CHECKPOINT_VERSION} does not")
+    missing = [name for name in layout if name not in names]
+    if missing:
+        raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    twice = [name for name in ARRAYS if names.count(name) > 1]
+    if twice:
+        raise LoadError(f"{path}: checkpoint lists {', '.join(twice)} more "
+                        f"than once")
+    for spec in specs:
         name, dtype, shape = spec["name"], spec.get("dtype"), spec.get("shape")
         if not _stored_dtype(dtype):
             raise LoadError(f"{path}: {name} has dtype {dtype!r}, not one of "
@@ -494,18 +504,17 @@ def _read_header(path, header):
         if not (isinstance(shape, list) and all(map(_is_count, shape))):
             raise LoadError(f"{path}: {name} has shape {shape!r}, not a list "
                             f"of integers >= 0")
-    return meta
+    return meta, specs
 
 
 def _read_arrays(path, blob, offset, specs, hyper):
-    """Arrays by name, each copied once out of the file's bytes.  One that
-    ARRAYS lists is refused, named, unless its dtype and shape fit hyper."""
+    """Arrays by name, each copied once out of the file's bytes, and each
+    refused, named, unless its dtype and shape fit hyper."""
     size = {**vars(hyper), "n": n_words(hyper.r), "*": None}
     arrays = {}
     for spec in specs:
         name, dt, shape = spec["name"], np.dtype(spec["dtype"]), spec["shape"]
-        # an array ARRAYS does not list, such as an older file's c4, is free
-        dtype, dims = ARRAYS.get(name, (dt, "*" * len(shape)))
+        dtype, dims = ARRAYS[name]
         want = [size[d] for d in dims]
         if dt != dtype or len(shape) != len(want) or any(
                 d not in (None, got) for d, got in zip(want, shape)):
@@ -526,11 +535,13 @@ def _read_arrays(path, blob, offset, specs, hyper):
 def load_checkpoint(path):
     """Load a checkpoint; returns (state, stats, code_blocks, p_history, seed).
 
-    Fields are read by name; older files' extra c4, total_rows and
-    total_seen are unread, and a round_index, rounds_committed or p they
-    store must equal the one derived from p_history.
-    Every array must fit the stored hyperparameters, and the codes their
-    code length, or the file is refused with a LoadError naming the field.
+    Only the layout save_checkpoint writes is read: a file of another
+    version, or one that lacks a field, stores one the layout does not
+    (such as an older file's c4, p, codes_dense, round_index,
+    rounds_committed, total_rows or total_seen) or lists an array twice, is
+    refused with a LoadError naming the version or the field.  So is one
+    whose arrays do not fit its hyperparameters, or its codes their code
+    length.  The round count and P are derived from p_history.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -540,17 +551,9 @@ def load_checkpoint(path):
     if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
         raise LoadError(f"{path}: checksum mismatch")
     version, hlen = struct.unpack_from("<IQ", blob, 4)
-    if version not in CODE_FIELDS:
+    if version != CHECKPOINT_VERSION:
         raise LoadError(f"{path}: unsupported version {version}")
-    meta = _read_header(path, blob[16:16 + hlen])
-    specs = meta["arrays"]
-    code_field = CODE_FIELDS[version]
-    optional = set(CODE_FIELDS.values()) - {code_field} | {"p"}
-    stored = set(meta).union(spec["name"] for spec in specs)
-    missing = [name for name in META_FIELDS + tuple(ARRAYS)
-               if name not in stored | optional]
-    if missing:
-        raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    meta, specs = _read_header(path, blob[16:16 + hlen])
     for name in ("kernel_width", "sy_weighted", "sz"):
         if not _is_finite(meta[name]):
             raise LoadError(f"{path}: {name} must be a finite number, got "
@@ -562,41 +565,31 @@ def load_checkpoint(path):
         hyper = Hyperparams(**meta["hyper"])
     except (TypeError, ValueError) as e:    # missing, unknown or refused
         raise LoadError(f"{path}: bad hyper: {e}") from None
-    fields = {**meta, **_read_arrays(path, blob, 16 + hlen, specs, hyper)}
-    history = list(fields["p_history"])
-    derived, bad = _derived(history, hyper, fields)
-    if bad:
-        raise LoadError(f"{path}: stored {bad} differs from what the "
-                        f"{len(history)} projections of p_history give")
-    rows, codes = fields["codes_rows"], fields[code_field]
+    arrays = _read_arrays(path, blob, 16 + hlen, specs, hyper)
+    history = list(arrays["p_history"])
+    rows, codes = arrays["codes_rows"], arrays["codes_packed"]
     if np.any(rows < 0) or int(np.sum(rows)) != len(codes):
         raise LoadError(f"{path}: codes_rows {rows.tolist()} do not add up "
                         f"to the {len(codes)} stored code rows")
-    if version == 1:
-        try:
-            codes = pack_codes(codes)
-        except ValueError:
-            raise LoadError(f"{path}: codes_dense holds values other than "
-                            f"+-1") from None
     codes.setflags(write=False)     # its blocks' own words: no copies
     try:
-        check_words(codes, hyper.r, code_field)
+        check_words(codes, hyper.r, "codes_packed")
     except ValueError as e:         # a bit set past r
         raise LoadError(f"{path}: {e}") from None
 
     try:
-        anchors = AnchorSet(fields["anchors"], fields["kernel_width"])
+        anchors = AnchorSet(arrays["anchors"], meta["kernel_width"])
     except ValueError as e:         # no anchors, or a width <= 0
         raise LoadError(f"{path}: {e}") from None
     state = ModelState(
-        **{name: fields[name] for name in STATE_MATRICES}, p=derived["p"],
-        anchors=anchors, hyper=hyper, round_index=derived["round_index"])
+        **{name: arrays[name] for name in STATE_MATRICES},
+        **_derived(history, hyper), anchors=anchors, hyper=hyper)
     stats = AccumStats(
-        **{name: fields[name] for name in STATS_MATRICES},
-        sy_weighted=fields["sy_weighted"], sz=fields["sz"])
+        **{name: arrays[name] for name in STATS_MATRICES},
+        sy_weighted=meta["sy_weighted"], sz=meta["sz"])
     blocks = []
     start = 0
     for n in rows.tolist():
         blocks.append(CodeBlock(codes[start:start + n], hyper.r))
         start += n
-    return state, stats, blocks, history, fields["seed"]
+    return state, stats, blocks, history, meta["seed"]

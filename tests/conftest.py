@@ -72,15 +72,16 @@ def write_checkpoint_fields(path, meta, arrays,
                             version=CHECKPOINT_VERSION):
     """Write meta and named arrays in the checkpoint layout, CRC included.
 
-    A file read from tests/data/parent_layout.ckpt is rewritten with
-    version=1, the layout of its dense codes.
+    arrays maps names to arrays, or is a list of (name, array) pairs that
+    may name an array twice.  Whatever the fields and the version, the file
+    is written as given, so a test can build a layout the loader refuses.
     """
+    pairs = list(arrays.items()) if isinstance(arrays, dict) else arrays
     specs = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
-             for name, a in arrays.items()]
+             for name, a in pairs]
     header = json.dumps(dict(meta, arrays=specs), sort_keys=True).encode()
     body = b"THCK" + struct.pack("<IQ", version, len(header)) + header
-    body += b"".join(np.ascontiguousarray(a).tobytes()
-                     for a in arrays.values())
+    body += b"".join(np.ascontiguousarray(a).tobytes() for _, a in pairs)
     with open(path, "wb") as fh:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
 

@@ -3,7 +3,9 @@
 A save stores no round count and no P; a load derives them from p_history.
 Whatever state, statistics, code blocks and history a save is given, with
 the round count and P the history implies, the load gives them back bit for
-bit, including a state that has committed no round at all.
+bit, including a state that has committed no round at all.  Every file
+holds exactly the fields the loader reads, and saving what it loaded
+writes the same bytes.
 """
 import dataclasses
 
@@ -15,10 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taghash.codes import CodeBlock
-from taghash.dataio import load_checkpoint, save_checkpoint
+from taghash.dataio import (ARRAYS, META_FIELDS, load_checkpoint,
+                            save_checkpoint)
 from taghash.model import AccumStats, Hyperparams
 
-from conftest import code_block, committed_history, random_codes
+from conftest import (code_block, committed_history, random_codes,
+                      read_checkpoint_fields)
 
 
 def same(a, b):
@@ -45,6 +49,8 @@ def same(a, b):
        r=st.sampled_from([1, 8, 64, 70]), rows=st.integers(1, 9),
        data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63))
 @example(rounds=0, extra=0, r=8, rows=1, data_seed=0, seed=0)
+# a served index: more code blocks than projections
+@example(rounds=1, extra=9, r=64, rows=5, data_seed=1, seed=1)
 def test_round_trip_is_exact(tmp_path_factory, rounds, extra, r, rows,
                              data_seed, seed):
     # extra blocks stand for codes hashed after training, as in a served
@@ -63,8 +69,12 @@ def test_round_trip_is_exact(tmp_path_factory, rounds, extra, r, rows,
         assert same(state.p, np.zeros((hyper.m, r)))
     blocks = [code_block(b) for b in codes] + [
         code_block(random_codes(rng, rows, r)) for _ in range(extra)]
-    path = str(tmp_path_factory.mktemp("ck") / "ck.bin")
+    ck = tmp_path_factory.mktemp("ck")
+    path = str(ck / "ck.bin")
     save_checkpoint(path, state, stats, blocks, p_history, seed)
+    meta, arrays = read_checkpoint_fields(path)
+    assert sorted(meta) == sorted(META_FIELDS)
+    assert list(arrays) == list(ARRAYS)
 
     got_state, got_stats, got_blocks, got_history, got_seed = \
         load_checkpoint(path)
@@ -76,3 +86,6 @@ def test_round_trip_is_exact(tmp_path_factory, rounds, extra, r, rows,
     if rounds:      # P is a copy of the last projection, not a view of it
         assert not np.shares_memory(got_state.p, got_history[-1])
     assert got_seed == seed
+    save_checkpoint(str(ck / "again.bin"), got_state, got_stats, got_blocks,
+                    got_history, got_seed)
+    assert (ck / "again.bin").read_bytes() == (ck / "ck.bin").read_bytes()

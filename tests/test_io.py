@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from taghash import codes, dataio, retrieval
-from taghash.codes import pack_codes
 from taghash.dataio import (META_FIELDS, ChunkManifest, ConfigError,
                             LoadError, load_checkpoint, load_config,
                             load_embeddings, load_features, load_tags,
@@ -22,9 +21,6 @@ from taghash.synthetic import make_cluster_stream
 
 from conftest import (read_checkpoint_fields, rewrite_header,
                       write_checkpoint_fields)
-
-PARENT_LAYOUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "data", "parent_layout.ckpt")
 
 
 class TestFeatureFiles:
@@ -72,6 +68,15 @@ class TestFeatureFiles:
         save_features(str(path), np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(LoadError, match="truncated"):
+            load_features(str(path))
+
+    def test_payload_is_checked_against_the_file_size_before_reading(
+            self, tmp_path):
+        # a read sized from this header alone raises OverflowError
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"WOHF" + struct.pack("<II", 2**32 - 1, 2**32 - 1))
+        with pytest.raises(LoadError, match=f"{path}: truncated payload at "
+                                            f"byte 12$"):
             load_features(str(path))
 
     def test_non_finite_rejected_with_position(self, tmp_path):
@@ -349,6 +354,45 @@ def trained_trainer(n_chunks, seed=0):
     return trainer, stream
 
 
+# Fields that older layouts stored and the current one does not, and the
+# LoadError message, after the path, for each layout other_layout builds
+OLD_FIELDS = ("c4", "p", "codes_dense", "round_index", "rounds_committed",
+              "total_rows", "total_seen")
+REFUSALS = {
+    "version-1": "unsupported version 1",
+    "stored-copies": "checkpoint stores round_index, rounds_committed, p, "
+                     "which version 2 does not",
+    "dense-for-packed": "checkpoint stores codes_dense, which version 2 "
+                        "does not",
+    **{name: f"checkpoint stores {name}, which version 2 does not"
+       for name in OLD_FIELDS},
+    "listed-twice": "checkpoint lists c1 more than once",
+}
+
+
+def other_layout(layout, meta, arrays):
+    """(meta, arrays, version) of a layout the loader refuses, built from
+    the fields of a two-round file of 80 code rows that save_checkpoint
+    wrote: version 1 (dense codes and every old field), version 2 with
+    stored copies of the round count and P, one of OLD_FIELDS added, dense
+    codes in place of packed ones, or c1 listed a second time."""
+    dense = codes.unpack_codes(arrays["codes_packed"], meta["hyper"]["r"])
+    old = {"c4": arrays["c2"].T, "p": arrays["p_history"][-1],
+           "codes_dense": dense, "round_index": 2, "rounds_committed": 2,
+           "total_rows": 80, "total_seen": 80}
+    added = {"version-1": OLD_FIELDS, "dense-for-packed": ["codes_dense"],
+             "stored-copies": ["round_index", "rounds_committed", "p"],
+             "listed-twice": []}.get(layout, [layout])
+    for name in added:
+        (arrays if isinstance(old[name], np.ndarray) else meta)[name] = \
+            old[name]
+    if layout in ("version-1", "dense-for-packed"):
+        del arrays["codes_packed"]
+    if layout == "listed-twice":
+        arrays = [*arrays.items(), ("c1", arrays["c1"] + 1.0)]
+    return meta, arrays, 1 if layout == "version-1" else 2
+
+
 class TestCheckpoint:
     def test_fields_roundtrip_exactly(self, tmp_path):
         trainer, _ = trained_trainer(3)
@@ -440,20 +484,6 @@ class TestCheckpoint:
         assert len(arrays["p_history"]) == 2
         assert arrays["codes_rows"].tolist() == [40, 40]
 
-    def test_file_that_stores_round_index_and_total_seen_loads(self,
-                                                                tmp_path):
-        # the v2 layout before the round count was written once
-        trainer, _ = trained_trainer(2)
-        path = str(tmp_path / "ck.bin")
-        trainer.save(path)
-        want = load_checkpoint(path)
-        meta, arrays = read_checkpoint_fields(path)
-        write_checkpoint_fields(path, dict(meta, round_index=2,
-                                           total_seen=80), arrays)
-        got = load_checkpoint(path)
-        assert got[0].round_index == 2
-        assert_same_checkpoint(got, want)
-
     @pytest.mark.parametrize("call", ["fsync", "replace"])
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path,
                                                   monkeypatch, call):
@@ -473,18 +503,6 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.bin"]
 
-    def test_round_index_must_match_rounds_committed(self, tmp_path):
-        # CRC-valid, but a resume would skip a chunk and then fail to commit
-        trainer, _ = trained_trainer(1)
-        path = str(tmp_path / "ck.bin")
-        trainer.save(path)
-        meta, arrays = read_checkpoint_fields(path)
-        meta["round_index"], meta["rounds_committed"] = 2, 1
-        write_checkpoint_fields(path, meta, arrays)
-        with pytest.raises(LoadError, match="stored round_index differs "
-                                            "from what the 1 projections"):
-            load_checkpoint(path)
-
     @pytest.mark.parametrize("name", ["round_index", "p"])
     def test_save_refuses_a_state_unlike_its_history(self, tmp_path, name):
         trainer, stream = trained_trainer(1)
@@ -502,40 +520,24 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.bin"]
 
-    @pytest.mark.parametrize("agrees", [True, False],
-                             ids=["agrees", "differs"])
-    @pytest.mark.parametrize("name", ["round_index", "rounds_committed", "p"])
-    def test_stored_copy_loads_only_when_it_agrees(self, tmp_path, name,
-                                                   agrees):
-        # files written before the round count and P were derived stored
-        # them; each copy must equal what p_history gives
-        trainer, _ = trained_trainer(2)
+    @pytest.mark.parametrize("layout", REFUSALS)
+    def test_other_layout_is_refused(self, tmp_path, layout):
         path = str(tmp_path / "ck.bin")
-        trainer.save(path)
-        want = load_checkpoint(path)
-        meta, arrays = read_checkpoint_fields(path)
-        if name == "p":
-            history = arrays["p_history"]
-            assert not np.array_equal(history[0], history[1])
-            arrays = dict(arrays, p=history[1] if agrees else history[0])
-        else:
-            meta[name] = 2 if agrees else 3
-        write_checkpoint_fields(path, meta, arrays)
-        if agrees:
-            assert_same_checkpoint(load_checkpoint(path), want)
-        else:
-            with pytest.raises(LoadError, match=f"stored {name} differs from "
-                                                f"what the 2 projections"):
-                load_checkpoint(path)
+        trained_trainer(2)[0].save(path)
+        write_checkpoint_fields(path, *other_layout(
+            layout, *read_checkpoint_fields(path)))
+        with pytest.raises(LoadError, match=f"{path}: {REFUSALS[layout]}$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
         lambda hyper: hyper.pop("r"),
         lambda hyper: hyper.update(unknown=1)], ids=["missing", "unknown"])
     def test_bad_hyperparameters_are_load_error(self, tmp_path, edit):
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
-        edit(meta["hyper"])
         path = str(tmp_path / "ck.bin")
-        write_checkpoint_fields(path, meta, arrays, version=1)
+        trained_trainer(2)[0].save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        edit(meta["hyper"])
+        write_checkpoint_fields(path, meta, arrays)
         with pytest.raises(LoadError, match="bad hyper"):
             load_checkpoint(path)
 
@@ -596,35 +598,17 @@ class TestCheckpoint:
         assert np.array_equal(index.packed, trainer.index().packed)
 
     @pytest.mark.parametrize("name, shape", [
-        ("w", (8, 8)), ("u", (8, 15)), ("v", (7, 8)), ("p", (15, 8)),
+        ("w", (8, 8)), ("u", (8, 15)), ("v", (7, 8)), ("c5", (8, 7)),
         ("c1", (8, 9)), ("c3", (16, 15)), ("d2", (8, 8)),
         ("anchors", (15, 8)), ("p_history", (2, 16, 7))])
     def test_misshaped_array_is_named(self, tmp_path, name, shape):
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
-        arrays[name] = np.zeros(shape)
         path = str(tmp_path / "ck.bin")
-        write_checkpoint_fields(path, meta, arrays, version=1)
+        trained_trainer(2)[0].save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        arrays[name] = np.zeros(shape)
+        write_checkpoint_fields(path, meta, arrays)
         with pytest.raises(LoadError, match=rf"{name} is float64 "
                                             rf"\({shape[0]}, .*r=8, m=16"):
-            load_checkpoint(path)
-
-    def test_dense_codes_of_the_wrong_width_are_refused(self, tmp_path):
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
-        arrays["codes_dense"] = arrays["codes_dense"][:, :7]
-        path = str(tmp_path / "ck.bin")
-        write_checkpoint_fields(path, meta, arrays, version=1)
-        with pytest.raises(LoadError, match=r"codes_dense is int8 \(80, 7\)"):
-            load_checkpoint(path)
-
-    def test_dense_codes_must_be_plus_minus_one(self, tmp_path):
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
-        dense = arrays["codes_dense"].copy()
-        dense[5, 3] = 0
-        arrays["codes_dense"] = dense
-        path = str(tmp_path / "ck.bin")
-        write_checkpoint_fields(path, meta, arrays, version=1)
-        with pytest.raises(LoadError, match="codes_dense holds values "
-                                            "other than"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("words", [
@@ -654,9 +638,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_array_past_the_end_is_named(self, tmp_path):
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
         path = tmp_path / "ck.bin"
-        write_checkpoint_fields(str(path), meta, arrays, version=1)
+        trained_trainer(2)[0].save(str(path))
         blob = bytearray(path.read_bytes())
         hlen = struct.unpack_from("<Q", blob, 8)[0]
         header = blob[16:16 + hlen].replace(b'"shape": [2, 16, 8]',
@@ -774,79 +757,3 @@ def count_packing(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     return calls
-
-
-def assert_same_checkpoint(got, want):
-    """Two load_checkpoint results hold the same values bit for bit."""
-    (state, stats, blocks, p_history, seed) = got
-    (w_state, w_stats, w_blocks, w_p_history, w_seed) = want
-    assert seed == w_seed
-    assert state.hyper == w_state.hyper
-    assert (state.round_index, [cb.n for cb in blocks]) == (
-        w_state.round_index, [cb.n for cb in w_blocks])
-    assert state.anchors.kernel_width == w_state.anchors.kernel_width
-    assert np.array_equal(state.anchors.anchors, w_state.anchors.anchors)
-    for name in ("w", "u", "v", "p"):
-        assert np.array_equal(getattr(state, name), getattr(w_state, name))
-    for name in ("c1", "c2", "c3", "c4", "c5", "d1", "d2"):
-        assert np.array_equal(getattr(stats, name), getattr(w_stats, name))
-    assert (stats.sy_weighted, stats.sz, state.round_index) == (
-        w_stats.sy_weighted, w_stats.sz, w_state.round_index)
-    assert len(blocks) == len(w_blocks)
-    for a, b in zip(blocks, w_blocks):
-        assert np.array_equal(a.dense, b.dense)
-    assert len(p_history) == len(w_p_history)
-    for a, b in zip(p_history, w_p_history):
-        assert np.array_equal(a, b)
-
-
-class TestParentLayoutCheckpoint:
-    """A file that also stores c4, total_rows, round_index and total_seen
-    loads as a current one.
-
-    tests/data/make_parent_layout.py wrote it, with the code that stored
-    those two fields.  It is also a version 1 file, whose codes are dense
-    int8 +-1 (codes_dense).
-    """
-
-    def test_round_trip_equals_stored_file(self, tmp_path):
-        old = load_checkpoint(PARENT_LAYOUT)
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
-        state, stats = old[0], old[1]
-        assert np.array_equal(stats.c4, arrays["c4"])
-        assert meta["total_rows"] == meta["total_seen"] == sum(
-            cb.n for cb in old[2]) == 80
-        assert state.round_index == meta["round_index"] \
-            == meta["rounds_committed"] == 2
-        path = str(tmp_path / "ck.bin")
-        save_checkpoint(path, *old)
-        assert_same_checkpoint(load_checkpoint(path), old)
-        meta, arrays = read_checkpoint_fields(path)
-        assert "c4" not in arrays and "total_rows" not in meta
-        assert "total_seen" not in meta and "round_index" not in meta
-
-    def test_resaved_as_v2_reloads_equal(self, tmp_path):
-        old = load_checkpoint(PARENT_LAYOUT)
-        meta, arrays = read_checkpoint_fields(PARENT_LAYOUT)
-        path = str(tmp_path / "ck.bin")
-        save_checkpoint(path, *old)
-        assert_same_checkpoint(load_checkpoint(path), old)
-        _, saved = read_checkpoint_fields(path)
-        assert "codes_dense" not in saved
-        assert np.array_equal(saved["codes_packed"],
-                              pack_codes(arrays["codes_dense"]))
-
-    def test_v1_codes_are_packed_once_on_load(self, monkeypatch):
-        calls = count_packing(monkeypatch)
-        _, _, blocks, _, _ = load_checkpoint(PARENT_LAYOUT)
-        assert calls == [("pack_codes", 80), ("pack_signs", 80)]
-        assert [cb.n for cb in blocks] == [40, 40]
-
-    def test_training_resumes(self):
-        stream = make_cluster_stream(n_rounds=4, n_per_round=40, d=8, f=8,
-                                     n_queries=10, seed=3)
-        trainer = StreamTrainer.from_checkpoint(PARENT_LAYOUT, stream.table)
-        trainer.process_chunk(*stream.chunks[2])
-        assert trainer.state.round_index == 3
-        assert sum(cb.n for cb in trainer.code_blocks) == 120
-        assert np.array_equal(trainer.stats.c4, trainer.stats.c2.T)
