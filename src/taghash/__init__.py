@@ -11,8 +11,7 @@ from .evaluation import (EvalJudgments, average_precision,
                          mean_average_precision, map_per_round,
                          precision_at_k)
 from .kernel import AnchorSet, build_anchor_set, rbf_map
-from .model import (AccumStats, Hyperparams, ModelState, RoundData,
-                    commit_round, objective_value)
+from .model import AccumStats, Hyperparams, ModelState, RoundData
 from .optimizer import run_round
 from .retrieval import hamming_rank, hash_queries, snapshot_index
 from .semantics import EmbeddingTable, SemanticChunk, pool_semantics
@@ -23,8 +22,8 @@ __all__ = [
     "AccumStats", "AnchorSet", "CodeBlock", "EmbeddingTable",
     "EvalJudgments", "Hyperparams", "ModelState", "RoundData",
     "SemanticChunk", "StreamTrainer", "average_precision",
-    "build_anchor_set", "commit_round", "hamming_distances", "hamming_rank",
-    "hash_queries", "map_per_round", "mean_average_precision",
-    "objective_value", "pool_semantics", "precision_at_k", "rbf_map",
-    "run_round", "snapshot_index", "unpack_codes",
+    "build_anchor_set", "hamming_distances", "hamming_rank", "hash_queries",
+    "map_per_round", "mean_average_precision", "pool_semantics",
+    "precision_at_k", "rbf_map", "run_round", "snapshot_index",
+    "unpack_codes",
 ]

@@ -57,8 +57,12 @@ def load_features(path):
                 raise LoadError(f"{path}: truncated header at byte {4 + len(dims)}")
             n, d = struct.unpack("<II", dims)
             size = os.fstat(fh.fileno()).st_size    # before sizing a read
-            if size < 12 + 4 * n * d:
+            end = 12 + 4 * n * d
+            if size < end:
                 raise LoadError(f"{path}: truncated payload at byte {size}")
+            if size > end:
+                raise LoadError(f"{path}: {size - end} extra bytes after the "
+                                f"{n} x {d} payload")
             raw = fh.read(4 * n * d)
             x = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
         else:
@@ -463,13 +467,26 @@ def _stored_dtype(dtype):
         return False
 
 
+def _object_once(pairs):
+    """A JSON object's (key, value) pairs as a dict; a key given twice, at
+    any depth, is a LoadError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise LoadError(f"header repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_header(path, header):
     """The header's fields and its array specs, refused with a LoadError
     naming the field unless it is a JSON object of the META_FIELDS and one
     spec for each of the ARRAYS, each giving its name, a dtype that a
     checkpoint stores and a shape of integers >= 0."""
     try:
-        meta = json.loads(header.decode())
+        meta = json.loads(header.decode(), object_pairs_hook=_object_once)
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None
     except ValueError:                      # not UTF-8, or not JSON
         raise LoadError(f"{path}: header is not JSON") from None
     if not isinstance(meta, dict):

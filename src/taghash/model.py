@@ -6,9 +6,7 @@ data has already been seen.  The reweighting diagonal of old data is frozen
 into D1/D2 at commit time; it is never refreshed afterwards.
 
 A round's tags Y are a float64 CSR matrix, and every product with them runs
-over their nonzeros.  The tag residual row norms ||y_i - b_i W||^2 are
-expanded into ||y_i||^2 (once per round), b_i . (W y_i') and b_i W W' b_i',
-so they cost n r^2 instead of n r c once W Y' is known.
+over their nonzeros; the tag residual row norms cost n r^2 (tag_residual_sq).
 """
 import sys
 from dataclasses import dataclass
@@ -98,6 +96,48 @@ class RoundData:
         return self.y.power(2) @ np.ones(self.y.shape[1])
 
 
+class RoundWork:
+    """One round's chunk, its codes b, W and weights (set by the caller), and
+    what the steps read of them: the live totals c1 = stats.c1 + B'B,
+    c2 = stats.c2 + B'phi and c3 = stats.c3 + phi'phi (new arrays, so the
+    statistics are untouched until commit_round stores them),
+    phi_sq = trace(phi'phi), w_yt = W Y' and the tag residual row norms
+    tag_sq.  c3 and phi_sq are formed once; codes_changed and w_changed are
+    the only places that form the others again, and tag_sq is formed when
+    first read after either."""
+
+    def __init__(self, chunk, stats, w, b):
+        self.chunk = chunk
+        self._stats = stats
+        phi_gram = chunk.phi.T @ chunk.phi
+        self.c3 = stats.c3 + phi_gram
+        self.phi_sq = float(np.trace(phi_gram))
+        self.weights = None
+        self.codes_changed(b)
+        self.w_changed(w)
+
+    def codes_changed(self, b):
+        """Take b as the chunk's codes and form c1 and c2 from it."""
+        self.b = b
+        self.c1 = self._stats.c1 + b.T @ b
+        self.c2 = self._stats.c2 + b.T @ self.chunk.phi
+        self._tag_sq = None
+
+    def w_changed(self, w):
+        """Take w as the tag projection and form W Y' from it."""
+        self.w = w
+        self.w_yt = (self.chunk.y @ w.T).T      # through the nonzeros
+        self._tag_sq = None
+
+    @property
+    def tag_sq(self):
+        """||y_i - b_i W||^2 per row, for the current codes and W."""
+        if self._tag_sq is None:
+            self._tag_sq = tag_residual_sq(self.chunk.y_sq, self.b, self.w,
+                                           self.w_yt)
+        return self._tag_sq
+
+
 @dataclass
 class ModelState:
     """Learned maps and the round count.  The rows seen are not kept: they
@@ -132,7 +172,7 @@ class AccumStats:
     c1 = sum B'B        (r, r)     c2 = sum B'phi      (r, m)
     c3 = sum phi'phi    (m, m)     c5 = sum B'Z        (r, f)
     d1 = sum B'KB       (r, r)     d2 = sum B'KY       (r, c)
-    c4 = sum phi'B (m, r) is not stored: the property c4 is the view c2'.
+    sum phi'B (m, r) is not stored: it is c2'.
     sy_weighted = sum_i K_ii ||Y_i||^2 and sz = sum ||Z||_F^2 are the scalar
     constants needed to evaluate the historical objective terms exactly.
     The round count is not kept here but in ModelState.round_index.
@@ -147,21 +187,12 @@ class AccumStats:
     sy_weighted: float = 0.0
     sz: float = 0.0
 
-    @property
-    def c4(self):
-        return self.c2.T
-
     @classmethod
     def zeros(cls, hyper):
         r, m, f, c = hyper.r, hyper.m, hyper.f, hyper.c
         return cls(
             c1=np.zeros((r, r)), c2=np.zeros((r, m)), c3=np.zeros((m, m)),
             c5=np.zeros((r, f)), d1=np.zeros((r, r)), d2=np.zeros((r, c)))
-
-
-def tag_projection(w, y):
-    """W Y' (r, n) for the CSR tags y, formed through their nonzeros."""
-    return (y @ w.T).T
 
 
 def tag_residual_sq(y_sq, b, w, w_yt):
@@ -178,60 +209,49 @@ def tag_residual_sq(y_sq, b, w, w_yt):
     return np.maximum(out, 0.0, out=out)
 
 
-def commit_round(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
-                 bt_b):
+def commit_round(state, stats, work):
     """Fold one finished round into the streaming statistics.
 
-    After this the chunk's raw matrices may be discarded; only its codes
-    are kept (by the caller) for retrieval.  phi_gram is
-    chunk.phi.T @ chunk.phi, bt_phi is b_new.T @ chunk.phi and bt_b is
-    b_new.T @ b_new.
+    c1, c2 and c3 become the workspace's live totals; the other statistics
+    add the chunk's part under its final codes and weights.  After this the
+    chunk's raw matrices may be discarded; only its codes are kept (by the
+    caller) for retrieval.
     """
-    b = np.asarray(b_new, dtype=np.float64)
-    y, z = chunk.y, chunk.z
-    k = np.asarray(weights, dtype=np.float64)
+    b, k, y, z = work.b, work.weights, work.chunk.y, work.chunk.z
     if np.any(k <= 0):
         raise ValueError("reweighting entries must be strictly positive")
 
-    stats.c1 += bt_b
-    stats.c2 += bt_phi
-    stats.c3 += phi_gram
+    stats.c1, stats.c2, stats.c3 = work.c1, work.c2, work.c3
     stats.c5 += b.T @ z
     # row-major like the sparse product reads it, whatever b's layout
     bk = np.multiply(b, k[:, None], order="C")
     stats.d1 += bk.T @ b
     stats.d2 += (y.T @ bk).T
-    stats.sy_weighted += float(np.sum(k * chunk.y_sq))
+    stats.sy_weighted += float(np.sum(k * work.chunk.y_sq))
     stats.sz += float(np.sum(z * z))
 
     state.round_index += 1
     state.check_finite()
-    return stats
 
 
-def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
-                    bt_b, tag_sq):
+def objective_value(state, stats, work):
     """Surrogate objective with frozen reweighting diagonals.
 
-    Current-chunk tag term uses the supplied weights; historical terms are
-    rebuilt exactly from the accumulators.  This is the quantity each
+    Current-chunk tag term uses the workspace's weights; historical terms
+    are rebuilt exactly from the accumulators.  This is the quantity each
     optimization step descends.
 
     The two kernel-feature terms, ||phi - BU||^2 and ||B - phi P||^2 over
-    history and chunk, are expanded into the statistics plus the chunk's
-    phi'phi (phi_gram), B'phi (bt_phi) and B'B (bt_b), so no n x m residual
-    is formed.
-    A NaN or inf in phi makes the trace of phi'phi non-finite, so phi is
-    checked there.  tag_sq holds the chunk's squared tag residual row
-    norms, tag_residual_sq(y_sq, b_new, w, W Y'); only the tag term reads
-    it, and a NaN or inf in y makes it non-finite, so y is checked there.
+    history and chunk, are expanded into the workspace's live totals and
+    trace(phi'phi), so no n x m residual is formed.  A NaN or inf in phi
+    makes that trace non-finite, so phi is checked there.  Only the tag
+    term reads the tag residual row norms, and a NaN or inf in y makes them
+    non-finite, so y is checked there.
     """
     h = state.hyper
-    b = np.asarray(b_new, dtype=np.float64)
-    z = chunk.z
-    k = np.asarray(weights, dtype=np.float64)
-    phi_sq = float(np.trace(phi_gram))
-    checked = (b, z, k, phi_sq) + ((tag_sq,) if h.tag_regression else ())
+    b, z, k = work.b, work.chunk.z, work.weights
+    checked = (b, z, k, work.phi_sq) + (
+        (work.tag_sq,) if h.tag_regression else ())
     for a in checked:
         if not np.all(np.isfinite(a)):
             raise FloatingPointError("non-finite input to objective")
@@ -239,16 +259,14 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
 
     total = 0.0
     if h.tag_regression:
-        total += float(np.sum(k * tag_sq))
+        total += float(np.sum(k * work.tag_sq))
         total += stats.sy_weighted - 2.0 * float(np.sum(w * stats.d2)) \
             + float(np.sum(w * (stats.d1 @ w)))
-    if h.beta > 0 or h.mu > 0:
-        btb = stats.c1 + bt_b
     if h.beta > 0:
         # sum over history and chunk of ||phi - BU||^2
-        fit = float(np.trace(stats.c3)) + phi_sq \
-            - 2.0 * float(np.sum(u * (stats.c2 + bt_phi))) \
-            + float(np.sum(u * (btb @ u)))
+        fit = float(np.trace(stats.c3)) + work.phi_sq \
+            - 2.0 * float(np.sum(u * work.c2)) \
+            + float(np.sum(u * (work.c1 @ u)))
         total += h.beta * fit
     if h.theta > 0:
         res = z - b @ v
@@ -258,11 +276,10 @@ def objective_value(state, stats, chunk, b_new, weights, phi_gram, bt_phi,
     if h.mu > 0:
         # sum over history and chunk of ||B - phi P||^2; phi'B is row-major
         # so that the sum's order, and its last bits, ignore P's layout
-        phi_b = np.add(stats.c4, bt_phi.T, order="C")
-        fit = float(np.trace(btb)) - 2.0 * float(np.sum(p * phi_b)) \
-            + float(np.sum(p * ((stats.c3 + phi_gram) @ p)))
+        phi_b = np.ascontiguousarray(work.c2.T)
+        fit = float(np.trace(work.c1)) - 2.0 * float(np.sum(p * phi_b)) \
+            + float(np.sum(p * (work.c3 @ p)))
         total += h.mu * fit
     total += h.alpha * sum(
         float(np.sum(a * a)) for a in (w, u, v, p))
     return total
-

@@ -5,26 +5,9 @@ projection matrices, then cyclic bit-by-bit descent on the chunk's binary
 codes.  Every solve combines the committed streaming statistics with the
 current chunk's live contribution recomputed from the evolving codes; the
 contribution is frozen into the accumulators only at commit time.
-
-Each iteration touches the n-row chunk only where the math requires it.
-What does not depend on the codes is computed once per round: the chunk's
-Gram matrix phi'phi, and from it the factored m x m hash-projection system
-c3 + phi'phi + (alpha/mu) I; commit folds the same phi'phi into c3.  The one
-product of the codes with the kernel features, B'phi, is computed once per
-code matrix: after the random start and after each code step.  It serves
-that iteration's objective, the next iteration's U and P right-hand sides
-(c2 + B'phi and its transpose) and commit's c2.  B'B is formed at the same
-points; it serves the objective, the next U and V systems and commit's c1.
-The code step's linear term projects phi once, through beta U' + mu P.
-
-The tags Y are a float64 CSR matrix (RoundData), so every tag product runs
-over their nonzeros.  W Y' is formed once per W: at the random start and
-after each W solve; it serves the code step's linear term and the tag
-residual row norms.  Those norms, ||y_i - b_i W||^2, are expanded into
-||y_i||^2 (once per round), b_i . (W y_i') and b_i W W' b_i'
-(tag_residual_sq), so they cost n r^2 instead of n r c; they are formed once
-per code matrix: at the random start, for the first reweighting, and after
-each code step, for that iteration's objective and the next reweighting.
+Each iteration touches the n-row chunk only where the math requires it:
+every tag product runs over the CSR tags' nonzeros (RoundData), and the
+code step's linear term projects phi once, through beta U' + mu P.
 
 The codes stay column-major for the whole round, the layout in which the
 code step reads one bit's column.  The code step builds its coupling
@@ -35,8 +18,11 @@ words once, straight from their signs.  Every scipy call of the round,
 the m x m factor included, runs on one LAPACK thread, so that it does not
 wait for cores that numpy's threaded products keep busy (see taghash.blas).
 
-run_round forms each of these products and passes it to every step that
-uses it, as a required argument; no step has a path that computes one.
+Every step reads the round from one RoundWork (taghash.model), which
+holds the live contribution: run_round tells it when the codes or W
+change, it forms their products again there and nowhere else, and commit
+stores its live totals.  c3 + phi'phi does not depend on the codes, so the
+m x m hash-projection system c3 + phi'phi + (alpha/mu) I is factored once.
 """
 import numpy as np
 import scipy.linalg
@@ -44,8 +30,7 @@ from scipy.linalg.blas import dger
 
 from . import blas
 from .codes import CodeBlock, pack_signs
-from .model import (commit_round, objective_value, tag_projection,
-                    tag_residual_sq)
+from .model import RoundWork, commit_round, objective_value
 
 
 class RoundAborted(RuntimeError):
@@ -74,12 +59,11 @@ class RidgeFactor:
 
 
 def init_round(chunk, state, seed):
-    """Draw random codes for the chunk and the initial reweighting diagonal.
+    """Draw random column-major codes for the chunk.
 
-    Returns (codes, W Y', tag residual row norms, weights); the codes are
-    column-major and the norms are tag_residual_sq of the codes.  The tag
-    projection W is warm-started from the previous round; at round 1 it is
-    drawn Gaussian with standard deviation 0.01.
+    The tag projection W is warm-started from the previous round; at round 1
+    it is drawn Gaussian with standard deviation 0.01, after the codes, so
+    build the round's RoundWork from state.w only once this has run.
     """
     h = state.hyper
     rng = np.random.default_rng(seed)
@@ -88,77 +72,62 @@ def init_round(chunk, state, seed):
     b -= 1.0
     if state.round_index == 0:
         state.w = rng.normal(0.0, 0.01, size=(h.r, h.c))
-    w_yt = tag_projection(state.w, chunk.y)
-    tag_sq = tag_residual_sq(chunk.y_sq, b, state.w, w_yt)
-    return b, w_yt, tag_sq, compute_reweights(tag_sq, h.epsilon_norm)
+    return b
 
 
-def update_u(stats, hyper, bt_b, bt_phi):
-    """Ridge solve for the codes -> kernel-features projection.
-
-    bt_b is b.T @ b and bt_phi is b.T @ chunk.phi.
-    """
-    a = stats.c1 + bt_b + (hyper.alpha / hyper.beta) * np.eye(hyper.r)
-    return RidgeFactor(a).solve(stats.c2 + bt_phi)
+def update_u(hyper, work):
+    """Ridge solve for the codes -> kernel-features projection."""
+    ridge = (hyper.alpha / hyper.beta) * np.eye(hyper.r)
+    return RidgeFactor(work.c1 + ridge).solve(work.c2)
 
 
-def factor_p_system(stats, phi_gram, hyper):
-    """Factor the hash-projection system c3 + phi'phi + (alpha/mu) I.
-
-    It does not depend on the codes, so one factor serves every outer
-    iteration of a round.  phi_gram is chunk.phi.T @ chunk.phi.
-    """
-    a = stats.c3 + phi_gram + (hyper.alpha / hyper.mu) * np.eye(hyper.m)
-    return RidgeFactor(a)
+def factor_p_system(hyper, work):
+    """Factor the hash-projection system c3 + phi'phi + (alpha/mu) I, which
+    serves every outer iteration of a round."""
+    return RidgeFactor(work.c3 + (hyper.alpha / hyper.mu) * np.eye(hyper.m))
 
 
-def update_p(stats, factor, bt_phi):
-    """Ridge solve for the hash projection.
-
-    factor is the round's factor_p_system and bt_phi is b.T @ chunk.phi;
-    its transpose is the chunk's part of the right-hand side.
-    """
-    return factor.solve(stats.c4 + bt_phi.T)
+def update_p(factor, work):
+    """Ridge solve for the hash projection through factor_p_system."""
+    return factor.solve(work.c2.T)
 
 
-def update_v(stats, chunk, b, hyper, bt_b):
-    """Ridge solve for the codes -> semantics projection; bt_b is b.T @ b."""
-    a = stats.c1 + bt_b + (hyper.alpha / hyper.theta) * np.eye(hyper.r)
-    return RidgeFactor(a).solve(stats.c5 + b.T @ chunk.z)
+def update_v(stats, hyper, work):
+    """Ridge solve for the codes -> semantics projection."""
+    ridge = (hyper.alpha / hyper.theta) * np.eye(hyper.r)
+    return RidgeFactor(work.c1 + ridge).solve(
+        stats.c5 + work.b.T @ work.chunk.z)
 
 
 def compute_reweights(tag_sq, epsilon_norm):
-    """Per-row weights 1 / max(||residual row||, floor) for the tag term.
-
-    tag_sq holds the squared residual row norms, tag_residual_sq(...).
-    """
+    """Per-row weights 1 / max(||residual row||, floor) for the tag term,
+    from the squared residual row norms tag_sq."""
     return 1.0 / np.maximum(np.sqrt(tag_sq), epsilon_norm)
 
 
-def update_w(stats, chunk, b, weights, hyper):
+def update_w(stats, hyper, work):
     """Reweighted ridge solve for the codes -> tags projection.
 
     Historical rows enter through the frozen accumulators; current-chunk
-    rows through the supplied weights.  B'KY runs over the tags' nonzeros.
+    rows through the workspace's weights.  B'KY runs over the nonzeros.
     """
     # row-major like the sparse product reads it, whatever b's layout
-    bk = np.multiply(b, weights[:, None], order="C")
-    a = stats.d1 + bk.T @ b + hyper.alpha * np.eye(hyper.r)
-    return RidgeFactor(a).solve(stats.d2 + (chunk.y.T @ bk).T)
+    bk = np.multiply(work.b, work.weights[:, None], order="C")
+    a = stats.d1 + bk.T @ work.b + hyper.alpha * np.eye(hyper.r)
+    return RidgeFactor(a).solve(stats.d2 + (work.chunk.y.T @ bk).T)
 
 
-def assemble_q(chunk, state, weights, w_yt):
+def assemble_q(state, work):
     """Linear-term matrix of the code subproblem for the current chunk.
 
-    w_yt is W Y' (tag_projection) for the current W.  Both kernel-feature
-    terms, beta phi U' and mu phi P, come from one projection of phi.
-    """
-    h = state.hyper
+    Both kernel-feature terms, beta phi U' and mu phi P, come from one
+    projection of phi."""
+    h, chunk = state.hyper, work.chunk
     # built bit-major and returned as its column-major transpose, the
     # layout in which update_b_dcc reads one bit's column
     qt = np.zeros((h.r, chunk.n))
     if h.tag_regression:
-        qt += w_yt * weights
+        qt += work.w_yt * work.weights
     if h.theta > 0:
         qt += h.theta * (state.v @ chunk.z.T)
     if h.beta > 0 or h.mu > 0:
@@ -264,35 +233,31 @@ def run_round(state, stats, chunk, seed):
     """
     h = state.hyper
     saved = {n: getattr(state, n).copy() for n in ("w", "u", "v", "p")}
-    b, w_yt, tag_sq, weights = init_round(chunk, state, seed)
-    phi_gram = chunk.phi.T @ chunk.phi
-    bt_phi = b.T @ chunk.phi
-    bt_b = b.T @ b
+    b = init_round(chunk, state, seed)      # draws W at round 1
+    work = RoundWork(chunk, stats, state.w, b)
+    work.weights = compute_reweights(work.tag_sq, h.epsilon_norm)
     trace = []
     try:
         with blas.one_lapack_thread():
             if h.mu > 0:
-                p_factor = factor_p_system(stats, phi_gram, h)
+                p_factor = factor_p_system(h, work)
             for _ in range(h.iters):
                 if h.beta > 0:
-                    state.u = update_u(stats, h, bt_b, bt_phi)
+                    state.u = update_u(h, work)
                 if h.mu > 0:
-                    state.p = update_p(stats, p_factor, bt_phi)
+                    state.p = update_p(p_factor, work)
                 if h.theta > 0:
-                    state.v = update_v(stats, chunk, b, h, bt_b)
+                    state.v = update_v(stats, h, work)
                 if h.tag_regression:
-                    weights = compute_reweights(tag_sq, h.epsilon_norm)
-                    state.w = update_w(stats, chunk, b, weights, h)
-                    w_yt = tag_projection(state.w, chunk.y)
-                q = assemble_q(chunk, state, weights, w_yt)
-                b = update_b_dcc(q, b, state, weights)
-                bt_phi = b.T @ chunk.phi
-                bt_b = b.T @ b
-                if h.tag_regression:
-                    tag_sq = tag_residual_sq(chunk.y_sq, b, state.w, w_yt)
+                    work.weights = compute_reweights(work.tag_sq,
+                                                     h.epsilon_norm)
+                    state.w = update_w(stats, h, work)
+                    work.w_changed(state.w)
+                q = assemble_q(state, work)
+                work.codes_changed(
+                    update_b_dcc(q, work.b, state, work.weights))
                 try:
-                    obj = objective_value(state, stats, chunk, b, weights,
-                                          phi_gram, bt_phi, bt_b, tag_sq)
+                    obj = objective_value(state, stats, work)
                 except FloatingPointError as exc:
                     raise RoundAborted(str(exc)) from exc
                 if not np.isfinite(obj):
@@ -303,6 +268,7 @@ def run_round(state, stats, chunk, seed):
         for n, a in saved.items():
             setattr(state, n, a)
         raise
-    commit_round(state, stats, chunk, b, weights, phi_gram, bt_phi, bt_b)
+    commit_round(state, stats, work)
     # b is column-major; its signs pack about 3x faster from a row-major copy
-    return CodeBlock(pack_signs(np.greater(b, 0.0, order="C")), h.r), trace
+    return CodeBlock(pack_signs(np.greater(work.b, 0.0, order="C")),
+                     h.r), trace

@@ -9,7 +9,7 @@ from taghash.codes import CodeBlock, pack_codes
 from taghash.dataio import CHECKPOINT_VERSION
 from taghash.kernel import AnchorSet
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
-                           commit_round)
+                           RoundWork, commit_round)
 
 
 def random_round_data(rng, n, m, c, f):
@@ -29,6 +29,14 @@ def code_block(dense):
     return CodeBlock(pack_codes(dense), dense.shape[1])
 
 
+def round_work(chunk, stats, w, b, weights):
+    """The RoundWork of chunk over stats, with codes b, tag projection w
+    and the given weights; every product formed afresh."""
+    work = RoundWork(chunk, stats, w, b)
+    work.weights = weights
+    return work
+
+
 def make_state(hyper, rng=None):
     rng = rng or np.random.default_rng(0)
     anchors = AnchorSet(rng.normal(size=(hyper.m, 4)), kernel_width=1.0)
@@ -45,8 +53,7 @@ def committed_history(rng, hyper, n_chunks, n):
         chunk = random_round_data(rng, n, hyper.m, hyper.c, hyper.f)
         b = random_codes(rng, n, hyper.r)
         k = rng.uniform(0.2, 2.0, size=n)
-        commit_round(state, stats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                     b.T @ chunk.phi, b.T @ b)
+        commit_round(state, stats, round_work(chunk, stats, state.w, b, k))
         chunks.append(chunk)
         codes.append(b)
         weights.append(k)

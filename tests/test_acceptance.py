@@ -20,8 +20,7 @@ from taghash.codes import CodeBlock, pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
-from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           tag_projection)
+from taghash.model import AccumStats, Hyperparams, RoundData, commit_round
 from taghash.optimizer import (CodeCoupling, assemble_q, compute_reweights,
                                dcc_bit_column, factor_p_system, init_round,
                                update_b_dcc, update_p, update_u, update_v,
@@ -30,7 +29,7 @@ from taghash.retrieval import hamming_rank, hash_queries
 from taghash.synthetic import make_cluster_stream
 
 from conftest import (code_block, make_state, random_codes,
-                      random_round_data)
+                      random_round_data, round_work)
 from oracles import (as_dense, batch_stats, code_subproblem_value,
                      naive_average_precision, naive_map, row_sq_norms,
                      true_tag_objective)
@@ -75,29 +74,27 @@ def test_criterion_01_incremental_matches_batch():
     # reweighting diagonals are available to the oracle
     for rnd in range(5):
         chunk = random_round_data(rng, 50, hyper.m, hyper.c, hyper.f)
-        b, _, _, weights = init_round(chunk, state, seed=rnd)
-        phi_gram = chunk.phi.T @ chunk.phi
+        b = init_round(chunk, state, seed=rnd)
         for _ in range(hyper.iters):
-            state.u = update_u(stats, hyper, b.T @ b, b.T @ chunk.phi)
-            state.p = update_p(stats,
-                               factor_p_system(stats, phi_gram, hyper),
-                               b.T @ chunk.phi)
-            state.v = update_v(stats, chunk, b, hyper, b.T @ b)
-            weights = compute_reweights(row_sq_norms(chunk.y, b, state.w),
-                                        hyper.epsilon_norm)
-            state.w = update_w(stats, chunk, b, weights, hyper)
-            q = assemble_q(chunk, state, weights,
-                           tag_projection(state.w, chunk.y))
-            b = update_b_dcc(q, b, state, weights)
-        commit_round(state, stats, chunk, b, weights, phi_gram,
-                     b.T @ chunk.phi, b.T @ b)
+            work = round_work(chunk, stats, state.w, b, None)
+            state.u = update_u(hyper, work)
+            state.p = update_p(factor_p_system(hyper, work), work)
+            state.v = update_v(stats, hyper, work)
+            work.weights = compute_reweights(
+                row_sq_norms(chunk.y, b, state.w), hyper.epsilon_norm)
+            state.w = update_w(stats, hyper, work)
+            work.w_changed(state.w)
+            b = update_b_dcc(assemble_q(state, work), b, state, work.weights)
+        work.codes_changed(b)
+        commit_round(state, stats, work)
+        weights = work.weights
         chunks.append(chunk)
         codes.append(b)
         frozen.append(weights)
 
     ref = batch_stats(chunks, codes, frozen, hyper)
     for key in ("c1", "c2", "c3", "c4", "c5", "d1", "d2"):
-        got = getattr(stats, key)
+        got = stats.c2.T if key == "c4" else getattr(stats, key)
         want = ref[key]
         denom = max(np.max(np.abs(want)), 1e-30)
         assert np.max(np.abs(got - want)) / denom <= 1e-10, key
@@ -116,8 +113,7 @@ def test_criterion_02_closed_form_optimality(small_hyper):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
         b = random_codes(rng, 10, h.r)
         k = rng.uniform(0.2, 2.0, size=10)
-        commit_round(state, stats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                     b.T @ chunk.phi, b.T @ b)
+        commit_round(state, stats, round_work(chunk, stats, state.w, b, k))
         hist_chunks.append(chunk)
         hist_codes.append(b)
         hist_weights.append(k)
@@ -132,19 +128,18 @@ def test_criterion_02_closed_form_optimality(small_hyper):
     s = np.sqrt(k_all)[:, None]
 
     bk = cur_b * cur_k[:, None]
-    bt_phi = cur_b.T @ cur.phi
-    p_factor = factor_p_system(stats, cur.phi.T @ cur.phi, h)
+    work = round_work(cur, stats, state.w, cur_b, cur_k)
     steps = [
-        (update_u(stats, h, cur_b.T @ cur_b, bt_phi),
+        (update_u(h, work),
          stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * np.eye(h.r),
          stats.c2 + cur_b.T @ cur.phi, b_all, phi_all, h.alpha / h.beta),
-        (update_p(stats, p_factor, bt_phi),
+        (update_p(factor_p_system(h, work), work),
          stats.c3 + cur.phi.T @ cur.phi + (h.alpha / h.mu) * np.eye(h.m),
-         stats.c4 + cur.phi.T @ cur_b, phi_all, b_all, h.alpha / h.mu),
-        (update_v(stats, cur, cur_b, h, cur_b.T @ cur_b),
+         stats.c2.T + cur.phi.T @ cur_b, phi_all, b_all, h.alpha / h.mu),
+        (update_v(stats, h, work),
          stats.c1 + cur_b.T @ cur_b + (h.alpha / h.theta) * np.eye(h.r),
          stats.c5 + cur_b.T @ cur.z, b_all, z_all, h.alpha / h.theta),
-        (update_w(stats, cur, cur_b, cur_k, h),
+        (update_w(stats, h, work),
          stats.d1 + bk.T @ cur_b + h.alpha * np.eye(h.r),
          stats.d2 + bk.T @ cur.y, s * b_all, s * y_all, h.alpha),
     ]
@@ -171,8 +166,8 @@ def test_criterion_03_irls_descent(small_hyper):
     for _ in range(2):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
         b = random_codes(rng, 10, h.r)
-        commit_round(state, stats, chunk, b, rng.uniform(0.2, 2.0, size=10),
-                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b)
+        k = rng.uniform(0.2, 2.0, size=10)
+        commit_round(state, stats, round_work(chunk, stats, state.w, b, k))
     chunk = random_round_data(rng, 14, h.m, h.c, h.f)
     b = random_codes(rng, 14, h.r)
     state.w = rng.normal(scale=0.5, size=(h.r, h.c))
@@ -180,7 +175,7 @@ def test_criterion_03_irls_descent(small_hyper):
     for _ in range(7):
         k = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                               h.epsilon_norm)
-        state.w = update_w(stats, chunk, b, k, h)
+        state.w = update_w(stats, h, round_work(chunk, stats, state.w, b, k))
         cur = true_tag_objective(state, stats, chunk, b)
         assert cur <= prev + 1e-9
         prev = cur
@@ -198,8 +193,9 @@ def test_criterion_04_dcc_descent_and_fixed_point():
     state.p = rng.normal(size=(h.m, h.r))
     chunk = random_round_data(rng, 4, h.m, h.c, h.f)
     k = rng.uniform(0.5, 1.5, size=4)
-    q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
     b = random_codes(rng, 4, h.r)
+    q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
+                                     b, k))
 
     # per-bit descent over the 3 sweeps
     prev = code_subproblem_value(b, q, state, k)
@@ -413,9 +409,9 @@ def test_criterion_11_reweighting_flags_swapped_tags(monkeypatch):
     committed = []
     real_commit = optimizer.commit_round
 
-    def spy(state, stats, chunk, b_new, weights, *rest):
-        committed.append(np.array(weights))
-        return real_commit(state, stats, chunk, b_new, weights, *rest)
+    def spy(state, stats, work):
+        committed.append(np.array(work.weights))
+        return real_commit(state, stats, work)
 
     monkeypatch.setattr(optimizer, "commit_round", spy)
     aucs = []

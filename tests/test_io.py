@@ -79,6 +79,15 @@ class TestFeatureFiles:
                                             f"byte 12$"):
             load_features(str(path))
 
+    def test_payload_longer_than_its_header_is_refused(self, tmp_path):
+        # 4 rows of 3 floats under a header that declares 2 rows
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"WOHF" + struct.pack("<II", 2, 3)
+                         + np.ones((4, 3), "<f4").tobytes())
+        with pytest.raises(LoadError, match=f"{path}: 24 extra bytes after "
+                                            f"the 2 x 3 payload$"):
+            load_features(str(path))
+
     def test_non_finite_rejected_with_position(self, tmp_path):
         x = np.ones((3, 2))
         x[1, 1] = np.nan
@@ -406,7 +415,7 @@ class TestCheckpoint:
         for name in ("w", "u", "v", "p"):
             assert np.array_equal(getattr(state, name),
                                   getattr(trainer.state, name))
-        for name in ("c1", "c2", "c3", "c4", "c5", "d1", "d2"):
+        for name in ("c1", "c2", "c3", "c5", "d1", "d2"):
             assert np.array_equal(getattr(stats, name),
                                   getattr(trainer.stats, name))
         assert stats.sy_weighted == trainer.stats.sy_weighted
@@ -705,6 +714,29 @@ class TestCheckpointHeader:
         trainer.save(str(path))
         rewrite_header(path, edit)
         with pytest.raises(LoadError, match=f"{path}: {message}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key, anchor, repeat", [
+        ("sz", b'"sz": ', b'"sz": 12345.0, "sz": '),
+        ("r", b'"hyper": {', b'"hyper": {"r": 3, '),
+    ], ids=["top-level", "in-hyper"])
+    def test_header_that_repeats_a_key_is_refused(self, tmp_path, key,
+                                                  anchor, repeat):
+        # json keeps the last of two equal keys; the first must not vanish
+        trainer, _ = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", blob, 8)
+        header = blob[16:16 + hlen]
+        assert header.count(anchor) == 1
+        header = header.replace(anchor, repeat)
+        body = (blob[:8] + struct.pack("<Q", len(header)) + header
+                + blob[16 + hlen:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert json.loads(header)          # CRC-valid JSON, one key twice
+        with pytest.raises(LoadError, match=f"{path}: header repeats the "
+                                            f"key '{key}'"):
             load_checkpoint(str(path))
 
     def test_header_that_is_not_json_is_refused(self, tmp_path):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
-                           commit_round, objective_value)
+                           RoundWork, commit_round, objective_value)
 
 from conftest import (committed_history, make_state, random_codes,
-                      random_round_data)
-from oracles import batch_stats, row_sq_norms
+                      random_round_data, round_work)
+from oracles import batch_stats
 
-STAT_KEYS = ("c1", "c2", "c3", "c4", "c5", "d1", "d2")
+STAT_KEYS = ("c1", "c2", "c3", "c5", "d1", "d2")
 
 
 class TestHyperparams:
@@ -61,8 +61,8 @@ class TestCommitRound:
         b = np.array([[1.0, 1.0], [-1.0, 1.0]])
         chunk = RoundData(phi=np.zeros((2, 3)), y=np.zeros((2, 2)),
                           z=np.zeros((2, 2)))
-        commit_round(state, stats, chunk, b, np.ones(2),
-                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b)
+        commit_round(state, stats,
+                     round_work(chunk, stats, state.w, b, np.ones(2)))
         assert np.array_equal(stats.c1, [[2.0, 0.0], [0.0, 2.0]])
 
     def test_unit_weights_make_d1_equal_c1(self, small_hyper):
@@ -72,8 +72,8 @@ class TestCommitRound:
         chunk = random_round_data(rng, 9, small_hyper.m, small_hyper.c,
                                   small_hyper.f)
         b = random_codes(rng, 9, small_hyper.r)
-        commit_round(state, stats, chunk, b, np.ones(9),
-                     chunk.phi.T @ chunk.phi, b.T @ chunk.phi, b.T @ b)
+        commit_round(state, stats,
+                     round_work(chunk, stats, state.w, b, np.ones(9)))
         assert np.allclose(stats.d1, stats.c1, atol=1e-12)
 
     def test_five_chunks_match_batch_oracle(self, small_hyper):
@@ -84,14 +84,10 @@ class TestCommitRound:
         for key in STAT_KEYS:
             got, want = getattr(stats, key), ref[key]
             assert np.allclose(got, want, rtol=1e-10), key
+        assert np.allclose(stats.c2.T, ref["c4"], rtol=1e-10)
         assert stats.sy_weighted == pytest.approx(ref["sy_weighted"],
                                                   rel=1e-10)
         assert stats.sz == pytest.approx(ref["sz"], rel=1e-10)
-
-    def test_c4_is_c2_transposed(self, small_hyper):
-        rng = np.random.default_rng(1)
-        _, stats, *_ = committed_history(rng, small_hyper, 3, 8)
-        assert np.allclose(stats.c4, stats.c2.T, atol=1e-12)
 
     def test_symmetric_psd_accumulators(self, small_hyper):
         rng = np.random.default_rng(2)
@@ -107,6 +103,40 @@ class TestCommitRound:
         _, stats8, *_ = committed_history(rng, small_hyper, 8, 6)
         for key in STAT_KEYS:
             assert getattr(stats1, key).shape == getattr(stats8, key).shape
+
+
+class TestRoundWork:
+    PRODUCTS = ("c1", "c2", "c3", "phi_sq", "w_yt", "tag_sq")
+
+    def assert_fresh(self, work, stats, w, b):
+        fresh = RoundWork(work.chunk, stats, w, b)
+        for name in self.PRODUCTS:
+            assert np.array_equal(getattr(work, name),
+                                  getattr(fresh, name)), name
+
+    def test_changes_give_the_products_of_a_fresh_workspace(
+            self, small_hyper):
+        # every product read, then the codes and W changed one at a time:
+        # the workspace must hold what one built on the new ones holds,
+        # and must leave the statistics as they were
+        h = small_hyper
+        rng = np.random.default_rng(9)
+        _, stats, *_ = committed_history(rng, h, 2, 7)
+        before = {name: np.copy(getattr(stats, name)) for name in STAT_KEYS}
+        chunk = random_round_data(rng, 6, h.m, h.c, h.f)
+        b, b2 = random_codes(rng, 6, h.r), random_codes(rng, 6, h.r)
+        w, w2 = rng.normal(size=(2, h.r, h.c))
+        work = RoundWork(chunk, stats, w, b)
+        c3 = work.c3
+        for name in self.PRODUCTS:
+            getattr(work, name)
+        work.codes_changed(b2)
+        self.assert_fresh(work, stats, w, b2)
+        work.w_changed(w2)
+        self.assert_fresh(work, stats, w2, b2)
+        assert work.c3 is c3
+        for name in STAT_KEYS:
+            assert np.array_equal(getattr(stats, name), before[name]), name
 
 
 def batch_objective(state, chunks, codes, weights, cur_chunk, cur_b, cur_k):
@@ -147,9 +177,8 @@ class TestObjectiveValue:
         chunk = random_round_data(rng, 6, h.m, h.c, h.f)
         b = np.zeros((6, h.r))
         k = rng.uniform(0.5, 1.5, size=6)
-        got = objective_value(state, stats, chunk, b, k,
-                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi,
-                              b.T @ b, row_sq_norms(chunk.y, b, state.w))
+        got = objective_value(state, stats,
+                              round_work(chunk, stats, state.w, b, k))
         want = (float(np.sum(k * np.sum(chunk.y ** 2, axis=1)))
                 + h.beta * float(np.sum(chunk.phi ** 2))
                 + h.theta * float(np.sum(chunk.z ** 2)))
@@ -168,9 +197,8 @@ class TestObjectiveValue:
         state.u = np.eye(3)
         state.p = np.eye(3)
         chunk = RoundData(phi=b, y=b @ state.w, z=b @ state.v)
-        got = objective_value(state, stats, chunk, b, np.full(8, 1.0),
-                              chunk.phi.T @ chunk.phi, b.T @ chunk.phi,
-                              b.T @ b, row_sq_norms(chunk.y, b, state.w))
+        got = objective_value(
+            state, stats, round_work(chunk, stats, state.w, b, np.ones(8)))
         assert got == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_from_scratch_evaluator(self, small_hyper):
@@ -185,10 +213,8 @@ class TestObjectiveValue:
                                 small_hyper.f)
         cur_b = random_codes(rng, 6, small_hyper.r)
         cur_k = rng.uniform(0.3, 1.8, size=6)
-        got = objective_value(state, stats, cur, cur_b, cur_k,
-                              cur.phi.T @ cur.phi, cur_b.T @ cur.phi,
-                              cur_b.T @ cur_b,
-                              row_sq_norms(cur.y, cur_b, state.w))
+        got = objective_value(state, stats,
+                              round_work(cur, stats, state.w, cur_b, cur_k))
         want = batch_objective(state, chunks, codes, weights, cur, cur_b,
                                cur_k)
         assert got == pytest.approx(want, rel=1e-9)
@@ -207,12 +233,8 @@ class TestObjectiveValue:
         bad = {"phi": chunk.phi, "y": chunk.y.data, "z": chunk.z,
                "weights": k, "b": b}[where]
         bad.flat[1] = value
-        phi_gram = chunk.phi.T @ chunk.phi
         # the inf code poisons B'phi, B'B and the tag residuals
         with np.errstate(invalid="ignore"):
-            bt_phi = b.T @ chunk.phi
-            bt_b = b.T @ b
-            tag_sq = row_sq_norms(chunk.y, b, state.w)
-        with pytest.raises(FloatingPointError):
-            objective_value(state, stats, chunk, b, k, phi_gram, bt_phi,
-                            bt_b, tag_sq)
+            work = round_work(chunk, stats, state.w, b, k)
+            with pytest.raises(FloatingPointError):
+                objective_value(state, stats, work)

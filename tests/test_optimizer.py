@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from taghash import blas
+from taghash import blas, model
 from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
-                           objective_value, tag_projection, tag_residual_sq)
+                           objective_value)
 from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
                                compute_reweights, dcc_bit_column,
                                factor_p_system, init_round, run_round,
@@ -14,7 +14,7 @@ from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
                                update_w)
 
 from conftest import (committed_history, make_state, random_codes,
-                      random_round_data)
+                      random_round_data, round_work)
 from oracles import (as_dense, code_subproblem_value, dcc_fresh_products,
                      row_sq_norms, true_tag_objective)
 
@@ -47,36 +47,38 @@ def ridge_lstsq(design, target, ridge):
 class TestClosedFormSolves:
     def test_u_matches_batch_lstsq(self, small_hyper):
         rng = np.random.default_rng(10)
-        _, stats, cur, cur_b, _, b_all, phi_all, *_ = stacked_problem(
-            rng, small_hyper)
-        got = update_u(stats, small_hyper, cur_b.T @ cur_b,
-                       cur_b.T @ cur.phi)
+        state, stats, cur, cur_b, cur_k, b_all, phi_all, *_ = \
+            stacked_problem(rng, small_hyper)
+        got = update_u(small_hyper,
+                       round_work(cur, stats, state.w, cur_b, cur_k))
         want = ridge_lstsq(b_all, phi_all,
                            small_hyper.alpha / small_hyper.beta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_p_matches_batch_lstsq(self, small_hyper):
         rng = np.random.default_rng(11)
-        _, stats, cur, cur_b, _, b_all, phi_all, *_ = stacked_problem(
-            rng, small_hyper)
-        factor = factor_p_system(stats, cur.phi.T @ cur.phi, small_hyper)
-        got = update_p(stats, factor, cur_b.T @ cur.phi)
+        state, stats, cur, cur_b, cur_k, b_all, phi_all, *_ = \
+            stacked_problem(rng, small_hyper)
+        work = round_work(cur, stats, state.w, cur_b, cur_k)
+        got = update_p(factor_p_system(small_hyper, work), work)
         want = ridge_lstsq(phi_all, b_all, small_hyper.alpha / small_hyper.mu)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_v_matches_batch_lstsq(self, small_hyper):
         rng = np.random.default_rng(12)
-        _, stats, cur, cur_b, _, b_all, _, _, z_all, _ = stacked_problem(
-            rng, small_hyper)
-        got = update_v(stats, cur, cur_b, small_hyper, cur_b.T @ cur_b)
+        state, stats, cur, cur_b, cur_k, b_all, _, _, z_all, _ = \
+            stacked_problem(rng, small_hyper)
+        got = update_v(stats, small_hyper,
+                       round_work(cur, stats, state.w, cur_b, cur_k))
         want = ridge_lstsq(b_all, z_all, small_hyper.alpha / small_hyper.theta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_w_matches_weighted_batch_lstsq(self, small_hyper):
         rng = np.random.default_rng(13)
-        (_, stats, cur, cur_b, cur_k, b_all, _, y_all, _,
+        (state, stats, cur, cur_b, cur_k, b_all, _, y_all, _,
          k_all) = stacked_problem(rng, small_hyper)
-        got = update_w(stats, cur, cur_b, cur_k, small_hyper)
+        got = update_w(stats, small_hyper,
+                       round_work(cur, stats, state.w, cur_b, cur_k))
         s = np.sqrt(k_all)[:, None]
         want = ridge_lstsq(s * b_all, s * y_all, small_hyper.alpha)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -84,19 +86,19 @@ class TestClosedFormSolves:
     def test_normal_equation_residuals(self, small_hyper):
         rng = np.random.default_rng(14)
         h = small_hyper
-        _, stats, cur, cur_b, cur_k, *_ = stacked_problem(rng, h)
+        state, stats, cur, cur_b, cur_k, *_ = stacked_problem(rng, h)
+        work = round_work(cur, stats, state.w, cur_b, cur_k)
         eye = np.eye(h.r)
-        u = update_u(stats, h, cur_b.T @ cur_b, cur_b.T @ cur.phi)
+        u = update_u(h, work)
         a = stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * eye
         assert np.max(np.abs(a @ u - (stats.c2 + cur_b.T @ cur.phi))) <= 1e-8
-        p = update_p(stats, factor_p_system(stats, cur.phi.T @ cur.phi, h),
-                     cur_b.T @ cur.phi)
+        p = update_p(factor_p_system(h, work), work)
         a = stats.c3 + cur.phi.T @ cur.phi + (h.alpha / h.mu) * np.eye(h.m)
-        assert np.max(np.abs(a @ p - (stats.c4 + cur.phi.T @ cur_b))) <= 1e-8
-        v = update_v(stats, cur, cur_b, h, cur_b.T @ cur_b)
+        assert np.max(np.abs(a @ p - (stats.c2.T + cur.phi.T @ cur_b))) <= 1e-8
+        v = update_v(stats, h, work)
         a = stats.c1 + cur_b.T @ cur_b + (h.alpha / h.theta) * eye
         assert np.max(np.abs(a @ v - (stats.c5 + cur_b.T @ cur.z))) <= 1e-8
-        w = update_w(stats, cur, cur_b, cur_k, h)
+        w = update_w(stats, h, work)
         bk = cur_b * cur_k[:, None]
         a = stats.d1 + bk.T @ cur_b + h.alpha * eye
         assert np.max(np.abs(a @ w - (stats.d2 + bk.T @ cur.y))) <= 1e-8
@@ -104,25 +106,21 @@ class TestClosedFormSolves:
     def test_perturbations_never_improve(self, small_hyper):
         rng = np.random.default_rng(15)
         h = small_hyper
-        (_, stats, cur, cur_b, cur_k, b_all, phi_all, y_all, z_all,
+        (state, stats, cur, cur_b, cur_k, b_all, phi_all, y_all, z_all,
          k_all) = stacked_problem(rng, h)
+        work = round_work(cur, stats, state.w, cur_b, cur_k)
 
         def quad(design, target, ridge, x):
             res = design @ x - target
             return float(np.sum(res * res)) + ridge * float(np.sum(x * x))
 
         s = np.sqrt(k_all)[:, None]
-        bt_phi = cur_b.T @ cur.phi
-        factor = factor_p_system(stats, cur.phi.T @ cur.phi, h)
         solved = [
-            (update_u(stats, h, cur_b.T @ cur_b, bt_phi), b_all, phi_all,
-             h.alpha / h.beta),
-            (update_p(stats, factor, bt_phi), phi_all, b_all,
+            (update_u(h, work), b_all, phi_all, h.alpha / h.beta),
+            (update_p(factor_p_system(h, work), work), phi_all, b_all,
              h.alpha / h.mu),
-            (update_v(stats, cur, cur_b, h, cur_b.T @ cur_b), b_all, z_all,
-             h.alpha / h.theta),
-            (update_w(stats, cur, cur_b, cur_k, h), s * b_all, s * y_all,
-             h.alpha),
+            (update_v(stats, h, work), b_all, z_all, h.alpha / h.theta),
+            (update_w(stats, h, work), s * b_all, s * y_all, h.alpha),
         ]
         for x, design, target, ridge in solved:
             base = quad(design, target, ridge, x)
@@ -139,7 +137,7 @@ class TestClosedFormSolves:
         stats = AccumStats.zeros(h)
         chunk = random_round_data(rng, 2, h.m, h.c, h.f)
         b = random_codes(rng, 2, h.r)  # rank <= 2 < r
-        u = update_u(stats, h, b.T @ b, b.T @ chunk.phi)
+        u = update_u(h, round_work(chunk, stats, state.w, b, np.ones(2)))
         assert np.all(np.isfinite(u))
         a = b.T @ b
         rhs = b.T @ chunk.phi
@@ -174,7 +172,8 @@ class TestReweighting:
         for _ in range(7):
             k = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                                   h.epsilon_norm)
-            state.w = update_w(stats, chunk, b, k, h)
+            state.w = update_w(stats, h,
+                               round_work(chunk, stats, state.w, b, k))
             values.append(true_tag_objective(state, stats, chunk, b))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9), values
@@ -203,8 +202,10 @@ class TestCodeDescent:
         state.p[:, 2] = 0.0  # forces a zero column in Q
         chunk = random_round_data(rng, 7, h.m, h.c, h.f)
         k = np.ones(7)
-        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
-        b = update_b_dcc(q, random_codes(rng, 7, h.r), state, k)
+        b0 = random_codes(rng, 7, h.r)
+        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
+                                         b0, k))
+        b = update_b_dcc(q, b0, state, k)
         want = np.where(chunk.phi @ state.p >= 0, 1.0, -1.0)
         assert np.array_equal(b, want)
         assert np.all(b[:, 2] == 1.0)
@@ -218,8 +219,9 @@ class TestCodeDescent:
         state.v = rng.normal(size=(h.r, h.f))
         chunk = random_round_data(rng, 15, h.m, h.c, h.f)
         k = rng.uniform(0.2, 2.0, size=15)
-        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b = random_codes(rng, 15, h.r)
+        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
+                                         b, k))
         prev = code_subproblem_value(b, q, state, k)
         for _ in range(3):
             for l in range(h.r):
@@ -256,8 +258,9 @@ class TestCodeDescent:
         n = 400
         chunk = random_round_data(rng, n, h.m, h.c, h.f)
         k = np.exp(rng.normal(scale=3.0, size=n))
-        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b0 = random_codes(rng, n, h.r)
+        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
+                                         b0, k))
         got = update_b_dcc(q, b0, state, k)
         assert np.array_equal(got, dcc_fresh_products(q, b0, state, k))
         assert not np.array_equal(got, b0)
@@ -273,8 +276,9 @@ class TestCodeDescent:
         state.p = rng.normal(size=(h.m, r))
         chunk = random_round_data(rng, n, h.m, h.c, h.f)
         k = rng.uniform(0.5, 1.5, size=n)
-        q = assemble_q(chunk, state, k, tag_projection(state.w, chunk.y))
         b = random_codes(rng, n, r)
+        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
+                                         b, k))
         for _ in range(50):
             nxt = update_b_dcc(q, b, state, k)
             if np.array_equal(nxt, b):
@@ -388,6 +392,19 @@ class TestRunRound:
         assert np.max(np.abs(state.w)) < 0.1
         assert np.std(state.w) == pytest.approx(0.01, rel=0.5)
 
+    @pytest.mark.parametrize("tag_regression", [True, False])
+    def test_tag_norms_formed_only_where_read(self, monkeypatch, small_hyper,
+                                              tag_regression):
+        # once for the first weights; with the tag term, once more after
+        # each code step, for the objective and the next reweighting
+        calls = []
+        real = model.tag_residual_sq
+        monkeypatch.setattr(model, "tag_residual_sq",
+                            lambda *a: calls.append(1) or real(*a))
+        h = dataclasses.replace(small_hyper, tag_regression=tag_regression)
+        one_round(np.random.default_rng(41), h)
+        assert len(calls) == (1 + h.iters if tag_regression else 1)
+
     REPLAY_CASES = {
         "default": ({}, 9),
         # alpha = 0 with fewer rows than anchors: the P system is singular
@@ -396,14 +413,18 @@ class TestRunRound:
         # no P system is built, but commit still folds phi'phi into c3
         "mu0": ({"mu": 0.0}, 9),
         "beta0": ({"beta": 0.0}, 9),
+        # the first weights, from the random codes, are never refreshed
+        # and are what commit folds into d1, d2 and sy_weighted
+        "no_tag_regression": ({"tag_regression": False}, 9),
+        "theta0": ({"theta": 0.0}, 9),
     }
 
     @pytest.mark.parametrize("case", list(REPLAY_CASES))
     def test_trace_matches_manual_replay(self, case):
         # replay the exact iteration schedule by hand with the standalone
-        # steps, every product formed afresh at its call rather than cached
-        # for the round, and require the same bits as run_round: trace,
-        # codes, projections and statistics
+        # steps, each reading a new RoundWork whose products are formed
+        # afresh rather than refreshed through the round, and require the
+        # same bits as run_round: trace, codes, projections and statistics
         overrides, n = self.REPLAY_CASES[case]
         h = Hyperparams(**{**dict(r=4, m=6, f=3, c=5, alpha=2.0, beta=0.5,
                                   theta=0.7, mu=1.3, iters=3, dcc_sweeps=2),
@@ -420,34 +441,32 @@ class TestRunRound:
 
         manual = make_state(h)
         mstats = AccumStats.zeros(h)
-        b, _, _, k = init_round(chunk, manual, seed=3)
+        b, k = init_round(chunk, manual, seed=3), None
+
+        def fresh():
+            return round_work(chunk, mstats, manual.w, b, k)
+
+        # the first weights come from the random codes
+        k = compute_reweights(fresh().tag_sq, h.epsilon_norm)
         manual_trace = []
         for _ in range(h.iters):
             if h.beta > 0:
-                manual.u = update_u(mstats, h, b.T @ b, b.T @ chunk.phi)
+                manual.u = update_u(h, fresh())
             if h.mu > 0:
-                factor = factor_p_system(mstats, chunk.phi.T @ chunk.phi, h)
-                manual.p = update_p(mstats, factor, b.T @ chunk.phi)
+                manual.p = update_p(factor_p_system(h, fresh()), fresh())
             if h.theta > 0:
-                manual.v = update_v(mstats, chunk, b, h, b.T @ b)
-            k = compute_reweights(
-                tag_residual_sq(chunk.y_sq, b, manual.w,
-                                tag_projection(manual.w, chunk.y)),
-                h.epsilon_norm)
-            manual.w = update_w(mstats, chunk, b, k, h)
-            q = assemble_q(chunk, manual, k,
-                           tag_projection(manual.w, chunk.y))
-            b = update_b_dcc(q, b, manual, k)
-            manual_trace.append(objective_value(
-                manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                b.T @ chunk.phi, b.T @ b,
-                tag_residual_sq(chunk.y_sq, b, manual.w,
-                                tag_projection(manual.w, chunk.y))))
+                manual.v = update_v(mstats, h, fresh())
+            if h.tag_regression:
+                k = compute_reweights(fresh().tag_sq, h.epsilon_norm)
+                manual.w = update_w(mstats, h, fresh())
+            b = update_b_dcc(assemble_q(manual, fresh()), b, manual, k)
+            manual_trace.append(objective_value(manual, mstats, fresh()))
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
-        assert np.array_equal(state.p, manual.p)
-        commit_round(manual, mstats, chunk, b, k, chunk.phi.T @ chunk.phi,
-                     b.T @ chunk.phi, b.T @ b)
+        for name in ("w", "u", "v", "p"):
+            assert np.array_equal(getattr(state, name),
+                                  getattr(manual, name)), name
+        commit_round(manual, mstats, fresh())
         for field in dataclasses.fields(AccumStats):
             assert np.array_equal(getattr(stats, field.name),
                                   getattr(mstats, field.name)), field.name

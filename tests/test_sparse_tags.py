@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse
 
 from taghash.engine import StreamTrainer
-from taghash.model import Hyperparams, RoundData, tag_projection, \
-    tag_residual_sq
+from taghash.model import (AccumStats, Hyperparams, RoundData, RoundWork,
+                           tag_residual_sq)
 from taghash.optimizer import compute_reweights
 from taghash.semantics import EmbeddingTable, pool_semantics, tag_matrix
 from taghash.synthetic import make_cluster_stream
@@ -22,6 +22,14 @@ def identity_norms(y, b, w):
     """tag_residual_sq with ||y_i||^2 and W Y' formed from y directly."""
     y_sq = np.sum(y * y, axis=1)
     return tag_residual_sq(y_sq, b, w, w @ y.T)
+
+
+def round_norms(chunk, b, w):
+    """The tag residual row norms a round's workspace forms from the CSR
+    tags."""
+    (r, c), m, f = w.shape, chunk.phi.shape[1], chunk.z.shape[1]
+    stats = AccumStats.zeros(Hyperparams(r=r, m=m, f=f, c=c))
+    return RoundWork(chunk, stats, w, b).tag_sq
 
 
 class TestResidualNormIdentity:
@@ -40,7 +48,7 @@ class TestResidualNormIdentity:
                           z=np.zeros((60, 2)))
         b = random_codes(rng, 60, 8)
         w = rng.normal(size=(8, 40))
-        got = tag_residual_sq(chunk.y_sq, b, w, tag_projection(w, chunk.y))
+        got = round_norms(chunk, b, w)
         assert np.allclose(got, row_sq_norms(dense, b, w), rtol=1e-12,
                            atol=0)
 
@@ -51,7 +59,7 @@ class TestResidualNormIdentity:
         chunk = RoundData(phi=np.zeros((20, 3)), y=y, z=np.zeros((20, 2)))
         b = random_codes(rng, 20, 4)
         w = rng.normal(size=(4, 6))
-        got = tag_residual_sq(chunk.y_sq, b, w, tag_projection(w, chunk.y))
+        got = round_norms(chunk, b, w)
         assert np.allclose(got, row_sq_norms(y, b, w), rtol=1e-12, atol=0)
         tagless = np.any(y, axis=1) == 0
         assert np.allclose(got[tagless], np.sum((b @ w)[tagless] ** 2, 1),
