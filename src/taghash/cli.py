@@ -192,6 +192,10 @@ def cmd_preprocess(args):
         counts += y.sum(axis=0)
         chunk_tags.append(y)
     surviving, _ = dataio.prune_vocab(counts, cfg["min_count"], coverage)
+    if len(surviving) == 2 and manifest.tag_format is None:
+        raise ConfigError(f"{cfg['manifest']}: 2 tags survive pruning, and "
+                          "train cannot tell 2-column tag files' format "
+                          "apart; declare \"tag_format\" in the manifest")
 
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -248,8 +252,7 @@ def cmd_train(args):
 
     n_chunks = len(manifest.chunks[:cfg["chunks"]])
     rows = []
-    start_round = trainer.state.round_index if trainer.state else 0
-    for i in range(start_round, n_chunks):
+    for i in range(len(trainer.p_history), n_chunks):
         x, y, _ = manifest.load_chunk(i)
         tagless = int(np.sum(y.sum(axis=1) == 0))
         if tagless:
@@ -257,7 +260,7 @@ def cmd_train(args):
                   file=sys.stderr)
         # a RoundAborted leaves the checkpoint at the last committed round
         _, trace = trainer.process_chunk(x, y)
-        rnd = trainer.state.round_index
+        rnd = len(trainer.p_history)
         rows.append((rnd, trainer.hyper.r, "round_time",
                      f"{trainer.round_times[-1]:.6f}"))
         for j, obj in enumerate(trace, 1):
@@ -267,7 +270,7 @@ def cmd_train(args):
     if cfg["metrics"] is not None:
         _write_metrics(cfg["metrics"], rows)
     samples = sum(cb.n for cb in trainer.code_blocks)
-    print(f"trained {trainer.state.round_index} rounds "
+    print(f"trained {len(trainer.p_history)} rounds "
           f"({samples} samples) -> {ckpt_path}")
     return 0
 

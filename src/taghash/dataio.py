@@ -270,7 +270,7 @@ class ChunkManifest:
             man = cls(
                 d=doc["d"], c=doc["c"], chunks=list(doc["chunks"]),
                 labels_dim=doc.get("labels_dim", 0),
-                tag_vocab=list(doc.get("tag_vocab", [])),
+                tag_vocab=doc.get("tag_vocab", []),
                 tag_format=doc.get("tag_format"))
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad manifest: {e}") from None
@@ -279,6 +279,10 @@ class ChunkManifest:
             if not (_is_count(value) and value >= least):
                 raise LoadError(f"{path}: {name} must be an integer >= "
                                 f"{least}, got {value!r}")
+        if not (isinstance(man.tag_vocab, list)
+                and all(isinstance(tag, str) for tag in man.tag_vocab)):
+            raise LoadError(f"{path}: tag_vocab must be a list of strings, "
+                            f"got {man.tag_vocab!r}")
         if man.tag_vocab and len(man.tag_vocab) != man.c:
             raise LoadError(f"{path}: tag_vocab lists {len(man.tag_vocab)} "
                             f"tags but c is {man.c}")
@@ -396,12 +400,10 @@ def _stored_arrays(state, stats, code_blocks, p_history):
             for name, (dtype, _) in ARRAYS.items()]
 
 
-def _derived(p_history, hyper):
-    """The round count and P by name, as p_history gives them: its length
-    and a copy of its last projection, zeros when it is empty."""
-    rounds = len(p_history)
-    p = np.array(p_history[-1]) if rounds else np.zeros((hyper.m, hyper.r))
-    return {"round_index": rounds, "p": p}
+def _last_p(p_history, h):
+    """P as p_history gives it: a copy of its last projection, zeros when it
+    is empty."""
+    return np.array(p_history[-1]) if p_history else np.zeros((h.m, h.r))
 
 
 def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
@@ -411,13 +413,12 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     records the hash projection after each round so MAP-per-round curves
     can be rebuilt at evaluation time.  The file is written beside path,
     fsynced, renamed over path, and the directory is fsynced; a failed
-    write, fsync or rename removes the file beside path.  A state whose
-    round count or P differs from what p_history gives is refused first.
+    write, fsync or rename removes the file beside path.  A state whose P
+    differs from p_history's last projection is refused first.
     """
-    for name, value in _derived(p_history, state.hyper).items():
-        if not np.array_equal(getattr(state, name), value):
-            raise ValueError(f"state.{name} differs from what the "
-                             f"{len(p_history)} projections of p_history give")
+    if not np.array_equal(state.p, _last_p(p_history, state.hyper)):
+        raise ValueError(f"state.p differs from what the {len(p_history)} "
+                         f"projections of p_history give")
     arrays = _stored_arrays(state, stats, code_blocks, p_history)
     for name, _, shape, parts in arrays:
         if sum(a.size for a in parts) != int(np.prod(shape)):
@@ -525,8 +526,8 @@ def _read_header(path, header):
 
 
 def _read_arrays(path, blob, offset, specs, hyper):
-    """Arrays by name, each copied once out of the file's bytes, and each
-    refused, named, unless its dtype and shape fit hyper."""
+    """Arrays by name, each copied once out of the file's bytes; one whose
+    dtype or shape does not fit hyper, or bytes after the last, refused."""
     size = {**vars(hyper), "n": n_words(hyper.r), "*": None}
     arrays = {}
     for spec in specs:
@@ -546,6 +547,9 @@ def _read_arrays(path, blob, offset, specs, hyper):
         arrays[name] = np.frombuffer(
             blob, dtype=dt, count=count, offset=offset).reshape(shape).copy()
         offset += dt.itemsize * count
+    if offset < len(blob) - 4:
+        raise LoadError(f"{path}: {len(blob) - 4 - offset} extra bytes after "
+                        f"the last array")
     return arrays
 
 
@@ -558,7 +562,8 @@ def load_checkpoint(path):
     rounds_committed, total_rows or total_seen) or lists an array twice, is
     refused with a LoadError naming the version or the field.  So is one
     whose arrays do not fit its hyperparameters, or its codes their code
-    length.  The round count and P are derived from p_history.
+    length, or has bytes after its last array.  P and the round count are
+    p_history's last projection and length.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -600,7 +605,7 @@ def load_checkpoint(path):
         raise LoadError(f"{path}: {e}") from None
     state = ModelState(
         **{name: arrays[name] for name in STATE_MATRICES},
-        **_derived(history, hyper), anchors=anchors, hyper=hyper)
+        p=_last_p(history, hyper), anchors=anchors, hyper=hyper)
     stats = AccumStats(
         **{name: arrays[name] for name in STATS_MATRICES},
         sy_weighted=meta["sy_weighted"], sz=meta["sz"])

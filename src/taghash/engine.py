@@ -11,8 +11,7 @@ import numpy as np
 
 from . import dataio
 from .kernel import build_anchor_set, rbf_map
-from .model import (AccumStats, Hyperparams, ModelState, RoundData,
-                    StateError, _is_count)
+from .model import AccumStats, ModelState, RoundData, StateError, _is_count
 from .optimizer import run_round
 from .retrieval import round_snapshots, snapshot_index
 from .semantics import pool_semantics, tag_matrix
@@ -58,13 +57,14 @@ class StreamTrainer:
         self.p_history = []
         self.round_times = []
 
-    def prepare_round(self, x, y):
-        """Kernelize features and pool tag semantics for one chunk.
+    def prepare_round(self, x, y, anchors):
+        """Kernelize features against the anchor set and pool tag semantics
+        for one chunk.
 
         The tags, dense or sparse, become one float64 CSR matrix, built from
         their nonzeros, which pooling and the round share.
         """
-        phi = rbf_map(x, self.state.anchors)
+        phi = rbf_map(x, anchors)
         y = tag_matrix(y)
         sem = pool_semantics(y, self.table)
         return RoundData(phi=phi, y=y, z=sem.z)
@@ -74,20 +74,23 @@ class StreamTrainer:
 
         A chunk is refused with ValueError before it changes anything when
         it has no rows or its tags are not an (n, c) matrix of 0s and 1s
-        for its n feature rows.
+        for its n feature rows.  A round that raises leaves the trainer as
+        it was: even the first round's anchors are kept only if it commits.
         """
         x, y = _checked_chunk(x, y, self.hyper.c)
-        if self.state is None:
+        state, stats = self.state, self.stats
+        if state is None:
             anchors = build_anchor_set(x, self.hyper.m, self.seed)
-            self.state = ModelState.fresh(anchors, self.hyper)
-            self.stats = AccumStats.zeros(self.hyper)
-        chunk = self.prepare_round(x, y)
-        round_seed = [self.seed, self.state.round_index]
+            state = ModelState.fresh(anchors, self.hyper)
+            stats = AccumStats.zeros(self.hyper)
+        chunk = self.prepare_round(x, y, state.anchors)
+        rnd = len(self.p_history)
         start = time.perf_counter()
-        codes, trace = run_round(self.state, self.stats, chunk, round_seed)
+        codes, trace = run_round(state, stats, chunk, [self.seed, rnd], rnd)
         self.round_times.append(time.perf_counter() - start)
+        self.state, self.stats = state, stats
         self.code_blocks.append(codes)
-        self.p_history.append(self.state.p.copy())
+        self.p_history.append(state.p.copy())
         return codes, trace
 
     def _trained(self, call):

@@ -97,17 +97,19 @@ class RoundData:
 
 
 class RoundWork:
-    """One round's chunk, its codes b, W and weights (set by the caller), and
-    what the steps read of them: the live totals c1 = stats.c1 + B'B,
-    c2 = stats.c2 + B'phi and c3 = stats.c3 + phi'phi (new arrays, so the
-    statistics are untouched until commit_round stores them),
-    phi_sq = trace(phi'phi), w_yt = W Y' and the tag residual row norms
-    tag_sq.  c3 and phi_sq are formed once; codes_changed and w_changed are
-    the only places that form the others again, and tag_sq is formed when
-    first read after either."""
+    """One round's chunk, its codes b, its maps W, U, V, P (U, V and P the
+    state's at the start), its weights (set by the caller) and what the
+    steps read of them: the live totals c1 = stats.c1 + B'B, c2 = stats.c2
+    + B'phi and c3 = stats.c3 + phi'phi (new arrays: only commit_round
+    writes the state and statistics), phi_sq = trace(phi'phi), w_yt = W Y'
+    and the tag residual row norms tag_sq.  c3 and phi_sq are formed once;
+    codes_changed and w_changed are the only places that form the others
+    again, and tag_sq is formed when first read after either."""
 
-    def __init__(self, chunk, stats, w, b):
+    def __init__(self, chunk, stats, state, w, b):
         self.chunk = chunk
+        self.hyper = state.hyper
+        self.u, self.v, self.p = state.u, state.v, state.p
         self._stats = stats
         phi_gram = chunk.phi.T @ chunk.phi
         self.c3 = stats.c3 + phi_gram
@@ -140,8 +142,8 @@ class RoundWork:
 
 @dataclass
 class ModelState:
-    """Learned maps and the round count.  The rows seen are not kept: they
-    are the sum of the committed code blocks' rows."""
+    """Learned maps.  The round count and the rows seen are not kept: they
+    are the trainer's p_history length and its code blocks' rows summed."""
 
     w: np.ndarray                # (r, c) codes -> tags
     u: np.ndarray                # (r, m) codes -> kernel features
@@ -149,7 +151,6 @@ class ModelState:
     p: np.ndarray                # (m, r) hash projection (the public function)
     anchors: AnchorSet
     hyper: Hyperparams
-    round_index: int = 0         # rounds committed so far
 
     @classmethod
     def fresh(cls, anchors, hyper):
@@ -158,11 +159,6 @@ class ModelState:
             w=np.zeros((r, c)), u=np.zeros((r, m)),
             v=np.zeros((r, f)), p=np.zeros((m, r)),
             anchors=anchors, hyper=hyper)
-
-    def check_finite(self):
-        for name in ("w", "u", "v", "p"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise FloatingPointError(f"non-finite entries in {name}")
 
 
 @dataclass
@@ -175,7 +171,6 @@ class AccumStats:
     sum phi'B (m, r) is not stored: it is c2'.
     sy_weighted = sum_i K_ii ||Y_i||^2 and sz = sum ||Z||_F^2 are the scalar
     constants needed to evaluate the historical objective terms exactly.
-    The round count is not kept here but in ModelState.round_index.
     """
 
     c1: np.ndarray
@@ -210,17 +205,22 @@ def tag_residual_sq(y_sq, b, w, w_yt):
 
 
 def commit_round(state, stats, work):
-    """Fold one finished round into the streaming statistics.
+    """Fold one finished round into the model; the one writer of the state
+    and the statistics.
 
-    c1, c2 and c3 become the workspace's live totals; the other statistics
-    add the chunk's part under its final codes and weights.  After this the
-    chunk's raw matrices may be discarded; only its codes are kept (by the
-    caller) for retrieval.
+    Non-positive weights and non-finite W, U, V or P are refused before
+    anything is written.  The state takes the workspace's maps, c1, c2 and
+    c3 its live totals, and the other statistics add the chunk's part under
+    its final codes and weights.  The caller keeps only the codes.
     """
     b, k, y, z = work.b, work.weights, work.chunk.y, work.chunk.z
     if np.any(k <= 0):
         raise ValueError("reweighting entries must be strictly positive")
+    for name in ("w", "u", "v", "p"):
+        if not np.all(np.isfinite(getattr(work, name))):
+            raise FloatingPointError(f"non-finite entries in {name}")
 
+    state.w, state.u, state.v, state.p = work.w, work.u, work.v, work.p
     stats.c1, stats.c2, stats.c3 = work.c1, work.c2, work.c3
     stats.c5 += b.T @ z
     # row-major like the sparse product reads it, whatever b's layout
@@ -230,11 +230,8 @@ def commit_round(state, stats, work):
     stats.sy_weighted += float(np.sum(k * work.chunk.y_sq))
     stats.sz += float(np.sum(z * z))
 
-    state.round_index += 1
-    state.check_finite()
 
-
-def objective_value(state, stats, work):
+def objective_value(stats, work):
     """Surrogate objective with frozen reweighting diagonals.
 
     Current-chunk tag term uses the workspace's weights; historical terms
@@ -248,14 +245,14 @@ def objective_value(state, stats, work):
     term reads the tag residual row norms, and a NaN or inf in y makes them
     non-finite, so y is checked there.
     """
-    h = state.hyper
+    h = work.hyper
     b, z, k = work.b, work.chunk.z, work.weights
     checked = (b, z, k, work.phi_sq) + (
         (work.tag_sq,) if h.tag_regression else ())
     for a in checked:
         if not np.all(np.isfinite(a)):
             raise FloatingPointError("non-finite input to objective")
-    w, u, v, p = state.w, state.u, state.v, state.p
+    w, u, v, p = work.w, work.u, work.v, work.p
 
     total = 0.0
     if h.tag_regression:

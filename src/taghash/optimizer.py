@@ -19,10 +19,10 @@ the m x m factor included, runs on one LAPACK thread, so that it does not
 wait for cores that numpy's threaded products keep busy (see taghash.blas).
 
 Every step reads the round from one RoundWork (taghash.model), which
-holds the live contribution: run_round tells it when the codes or W
-change, it forms their products again there and nowhere else, and commit
-stores its live totals.  c3 + phi'phi does not depend on the codes, so the
-m x m hash-projection system c3 + phi'phi + (alpha/mu) I is factored once.
+holds its codes, W, U, V, P and live contribution: the solves store their
+results there, run_round tells it when the codes or W change, and only
+commit_round writes the model.  c3 + phi'phi does not depend on the codes,
+so the m x m system c3 + phi'phi + (alpha/mu) I is factored once.
 """
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,7 @@ from .model import RoundWork, commit_round, objective_value
 
 
 class RoundAborted(RuntimeError):
-    """Objective went non-finite; model state was rolled back."""
+    """Objective went non-finite; the round wrote nothing."""
 
 
 class RidgeFactor:
@@ -58,21 +58,18 @@ class RidgeFactor:
         return scipy.linalg.cho_solve(self._cho, rhs, check_finite=False)
 
 
-def init_round(chunk, state, seed):
-    """Draw random column-major codes for the chunk.
-
-    The tag projection W is warm-started from the previous round; at round 1
-    it is drawn Gaussian with standard deviation 0.01, after the codes, so
-    build the round's RoundWork from state.w only once this has run.
+def init_round(chunk, state, seed, rnd):
+    """Random column-major codes b for the chunk and the round's first tag
+    projection w, as (b, w); rnd counts the rounds committed before.  w is
+    the state's W, but at the first round (rnd == 0) it is drawn Gaussian
+    with standard deviation 0.01, after the codes.
     """
     h = state.hyper
     rng = np.random.default_rng(seed)
     b = rng.integers(0, 2, size=(chunk.n, h.r)).astype(np.float64, order="F")
     b *= 2.0
     b -= 1.0
-    if state.round_index == 0:
-        state.w = rng.normal(0.0, 0.01, size=(h.r, h.c))
-    return b
+    return b, rng.normal(0.0, 0.01, size=(h.r, h.c)) if rnd == 0 else state.w
 
 
 def update_u(hyper, work):
@@ -117,25 +114,25 @@ def update_w(stats, hyper, work):
     return RidgeFactor(a).solve(stats.d2 + (work.chunk.y.T @ bk).T)
 
 
-def assemble_q(state, work):
+def assemble_q(work):
     """Linear-term matrix of the code subproblem for the current chunk.
 
     Both kernel-feature terms, beta phi U' and mu phi P, come from one
     projection of phi."""
-    h, chunk = state.hyper, work.chunk
+    h, chunk = work.hyper, work.chunk
     # built bit-major and returned as its column-major transpose, the
     # layout in which update_b_dcc reads one bit's column
     qt = np.zeros((h.r, chunk.n))
     if h.tag_regression:
         qt += work.w_yt * work.weights
     if h.theta > 0:
-        qt += h.theta * (state.v @ chunk.z.T)
+        qt += h.theta * (work.v @ chunk.z.T)
     if h.beta > 0 or h.mu > 0:
         proj = np.zeros((h.r, h.m))
         if h.beta > 0:
-            proj += h.beta * state.u
+            proj += h.beta * work.u
         if h.mu > 0:
-            proj += h.mu * state.p.T
+            proj += h.mu * work.p.T
         qt += proj @ chunk.phi.T
     return qt.T
 
@@ -150,21 +147,21 @@ class CodeCoupling:
     When bits of column l flip, only those rows of C change.
     """
 
-    def __init__(self, b, state, weights):
-        h = state.hyper
+    def __init__(self, b, work):
+        h = work.hyper
         self.gram = np.zeros((h.r, h.r))
         if h.beta > 0:
-            self.gram += h.beta * (state.u @ state.u.T)
+            self.gram += h.beta * (work.u @ work.u.T)
         if h.theta > 0:
-            self.gram += h.theta * (state.v @ state.v.T)
+            self.gram += h.theta * (work.v @ work.v.T)
         # built bit-major, so that the n x r products are column-major like
         # the codes in update_b_dcc and each bit's column is contiguous
         products = self.gram @ b.T
         self.tag = None
         if h.tag_regression:
-            self.tag = state.w @ state.w.T
-            self.weights = weights
-            products += (self.tag @ b.T) * weights
+            self.tag = work.w @ work.w.T
+            self.weights = work.weights
+            products += (self.tag @ b.T) * work.weights
         self.products = products.T
 
     def own(self, l):
@@ -203,19 +200,19 @@ def dcc_bit_column(q, b, l, coupling):
     return np.where(t >= 0.0, 1.0, -1.0)
 
 
-def update_b_dcc(q, b, state, weights):
-    """Cyclic bit-wise descent on the chunk's codes.
+def update_b_dcc(q, work):
+    """Cyclic bit-wise descent on the workspace's codes.
 
     Each bit column is set to its single-bit optimum given the others;
     runs the configured number of full sweeps.  The coupling products are
     built once and then updated on the rows whose bit flipped.  Works on a
-    column-major copy of b, so that each bit column is contiguous, and
-    returns it in that layout.
+    column-major copy of the codes, so that each bit column is contiguous,
+    and returns it in that layout.
     """
-    b = np.array(b, dtype=float, order="F")
-    coupling = CodeCoupling(b, state, weights)
-    for _ in range(state.hyper.dcc_sweeps):
-        for l in range(state.hyper.r):
+    b = np.array(work.b, dtype=float, order="F")
+    coupling = CodeCoupling(b, work)
+    for _ in range(work.hyper.dcc_sweeps):
+        for l in range(work.hyper.r):
             col = dcc_bit_column(q, b, l, coupling)
             rows = np.flatnonzero(col != b[:, l])
             if rows.size:
@@ -224,50 +221,41 @@ def update_b_dcc(q, b, state, weights):
     return b
 
 
-def run_round(state, stats, chunk, seed):
+def run_round(state, stats, chunk, seed, rnd):
     """Execute one full round on a preprocessed chunk and commit it.
 
-    Returns (CodeBlock, objective trace).  The trace holds the surrogate
-    objective after each outer iteration.  On a non-finite objective the
-    projection matrices are restored and RoundAborted is raised.
+    rnd counts the rounds committed before this one.  Returns (CodeBlock,
+    objective trace): the surrogate objective after each outer iteration.
+    The steps write only the round's RoundWork and commit_round writes the
+    model at the end, so a non-finite objective raises RoundAborted
+    ("... at round rnd + 1") with state and stats untouched.
     """
     h = state.hyper
-    saved = {n: getattr(state, n).copy() for n in ("w", "u", "v", "p")}
-    b = init_round(chunk, state, seed)      # draws W at round 1
-    work = RoundWork(chunk, stats, state.w, b)
+    b, w = init_round(chunk, state, seed, rnd)
+    work = RoundWork(chunk, stats, state, w, b)
     work.weights = compute_reweights(work.tag_sq, h.epsilon_norm)
     trace = []
-    try:
-        with blas.one_lapack_thread():
+    with blas.one_lapack_thread():
+        if h.mu > 0:
+            p_factor = factor_p_system(h, work)
+        for _ in range(h.iters):
+            if h.beta > 0:
+                work.u = update_u(h, work)
             if h.mu > 0:
-                p_factor = factor_p_system(h, work)
-            for _ in range(h.iters):
-                if h.beta > 0:
-                    state.u = update_u(h, work)
-                if h.mu > 0:
-                    state.p = update_p(p_factor, work)
-                if h.theta > 0:
-                    state.v = update_v(stats, h, work)
-                if h.tag_regression:
-                    work.weights = compute_reweights(work.tag_sq,
-                                                     h.epsilon_norm)
-                    state.w = update_w(stats, h, work)
-                    work.w_changed(state.w)
-                q = assemble_q(state, work)
-                work.codes_changed(
-                    update_b_dcc(q, work.b, state, work.weights))
-                try:
-                    obj = objective_value(state, stats, work)
-                except FloatingPointError as exc:
-                    raise RoundAborted(str(exc)) from exc
-                if not np.isfinite(obj):
-                    raise RoundAborted(
-                        f"non-finite objective at round {state.round_index}")
-                trace.append(obj)
-    except RoundAborted:
-        for n, a in saved.items():
-            setattr(state, n, a)
-        raise
+                work.p = update_p(p_factor, work)
+            if h.theta > 0:
+                work.v = update_v(stats, h, work)
+            if h.tag_regression:
+                work.weights = compute_reweights(work.tag_sq, h.epsilon_norm)
+                work.w_changed(update_w(stats, h, work))
+            work.codes_changed(update_b_dcc(assemble_q(work), work))
+            try:
+                obj = objective_value(stats, work)
+            except FloatingPointError as exc:
+                raise RoundAborted(str(exc)) from exc
+            if not np.isfinite(obj):
+                raise RoundAborted(f"non-finite objective at round {rnd + 1}")
+            trace.append(obj)
     commit_round(state, stats, work)
     # b is column-major; its signs pack about 3x faster from a row-major copy
     return CodeBlock(pack_signs(np.greater(work.b, 0.0, order="C")),

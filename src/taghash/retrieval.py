@@ -164,7 +164,7 @@ def round_snapshots(state, code_blocks, p_history):
     rows = 0
     for i, p in enumerate(p_history):
         rows += code_blocks[i].n
-        snap = replace(state, p=p, round_index=i + 1)
+        snap = replace(state, p=p)
         index = CodeBlock(full.packed[:rows], full.r)
         out.append((i + 1, snap, index))
     return out

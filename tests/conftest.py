@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import zlib
@@ -29,12 +30,28 @@ def code_block(dense):
     return CodeBlock(pack_codes(dense), dense.shape[1])
 
 
-def round_work(chunk, stats, w, b, weights):
-    """The RoundWork of chunk over stats, with codes b, tag projection w
+def round_work(chunk, stats, state, b, weights):
+    """The RoundWork of chunk over stats, with the state's maps, codes b
     and the given weights; every product formed afresh."""
-    work = RoundWork(chunk, stats, w, b)
+    work = RoundWork(chunk, stats, state, state.w, b)
     work.weights = weights
     return work
+
+
+def model_bytes(state, stats):
+    """The bytes of every array and number of a state and its statistics,
+    by field name, to compare a model with itself byte for byte."""
+    out = {"anchors": (state.anchors.anchors.tobytes(),
+                       state.anchors.kernel_width)}
+    for obj in (state, stats):
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if isinstance(value, np.ndarray):
+                out[field.name] = (value.dtype.str, value.shape,
+                                   value.tobytes())
+            elif not isinstance(value, AnchorSet):
+                out[field.name] = value
+    return out
 
 
 def make_state(hyper, rng=None):
@@ -53,7 +70,7 @@ def committed_history(rng, hyper, n_chunks, n):
         chunk = random_round_data(rng, n, hyper.m, hyper.c, hyper.f)
         b = random_codes(rng, n, hyper.r)
         k = rng.uniform(0.2, 2.0, size=n)
-        commit_round(state, stats, round_work(chunk, stats, state.w, b, k))
+        commit_round(state, stats, round_work(chunk, stats, state, b, k))
         chunks.append(chunk)
         codes.append(b)
         weights.append(k)

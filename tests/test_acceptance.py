@@ -20,7 +20,7 @@ from taghash.codes import CodeBlock, pack_codes
 from taghash.engine import StreamTrainer
 from taghash.evaluation import (EvalJudgments, average_precision,
                                 mean_average_precision)
-from taghash.model import AccumStats, Hyperparams, RoundData, commit_round
+from taghash.model import AccumStats, Hyperparams, RoundWork, commit_round
 from taghash.optimizer import (CodeCoupling, assemble_q, compute_reweights,
                                dcc_bit_column, factor_p_system, init_round,
                                update_b_dcc, update_p, update_u, update_v,
@@ -74,18 +74,17 @@ def test_criterion_01_incremental_matches_batch():
     # reweighting diagonals are available to the oracle
     for rnd in range(5):
         chunk = random_round_data(rng, 50, hyper.m, hyper.c, hyper.f)
-        b = init_round(chunk, state, seed=rnd)
+        b, w = init_round(chunk, state, seed=rnd, rnd=rnd)
+        work = RoundWork(chunk, stats, state, w, b)
         for _ in range(hyper.iters):
-            work = round_work(chunk, stats, state.w, b, None)
-            state.u = update_u(hyper, work)
-            state.p = update_p(factor_p_system(hyper, work), work)
-            state.v = update_v(stats, hyper, work)
+            work.u = update_u(hyper, work)
+            work.p = update_p(factor_p_system(hyper, work), work)
+            work.v = update_v(stats, hyper, work)
             work.weights = compute_reweights(
-                row_sq_norms(chunk.y, b, state.w), hyper.epsilon_norm)
-            state.w = update_w(stats, hyper, work)
-            work.w_changed(state.w)
-            b = update_b_dcc(assemble_q(state, work), b, state, work.weights)
-        work.codes_changed(b)
+                row_sq_norms(chunk.y, b, work.w), hyper.epsilon_norm)
+            work.w_changed(update_w(stats, hyper, work))
+            b = update_b_dcc(assemble_q(work), work)
+            work.codes_changed(b)
         commit_round(state, stats, work)
         weights = work.weights
         chunks.append(chunk)
@@ -113,7 +112,7 @@ def test_criterion_02_closed_form_optimality(small_hyper):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
         b = random_codes(rng, 10, h.r)
         k = rng.uniform(0.2, 2.0, size=10)
-        commit_round(state, stats, round_work(chunk, stats, state.w, b, k))
+        commit_round(state, stats, round_work(chunk, stats, state, b, k))
         hist_chunks.append(chunk)
         hist_codes.append(b)
         hist_weights.append(k)
@@ -128,7 +127,7 @@ def test_criterion_02_closed_form_optimality(small_hyper):
     s = np.sqrt(k_all)[:, None]
 
     bk = cur_b * cur_k[:, None]
-    work = round_work(cur, stats, state.w, cur_b, cur_k)
+    work = round_work(cur, stats, state, cur_b, cur_k)
     steps = [
         (update_u(h, work),
          stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * np.eye(h.r),
@@ -167,7 +166,7 @@ def test_criterion_03_irls_descent(small_hyper):
         chunk = random_round_data(rng, 10, h.m, h.c, h.f)
         b = random_codes(rng, 10, h.r)
         k = rng.uniform(0.2, 2.0, size=10)
-        commit_round(state, stats, round_work(chunk, stats, state.w, b, k))
+        commit_round(state, stats, round_work(chunk, stats, state, b, k))
     chunk = random_round_data(rng, 14, h.m, h.c, h.f)
     b = random_codes(rng, 14, h.r)
     state.w = rng.normal(scale=0.5, size=(h.r, h.c))
@@ -175,7 +174,7 @@ def test_criterion_03_irls_descent(small_hyper):
     for _ in range(7):
         k = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                               h.epsilon_norm)
-        state.w = update_w(stats, h, round_work(chunk, stats, state.w, b, k))
+        state.w = update_w(stats, h, round_work(chunk, stats, state, b, k))
         cur = true_tag_objective(state, stats, chunk, b)
         assert cur <= prev + 1e-9
         prev = cur
@@ -194,20 +193,20 @@ def test_criterion_04_dcc_descent_and_fixed_point():
     chunk = random_round_data(rng, 4, h.m, h.c, h.f)
     k = rng.uniform(0.5, 1.5, size=4)
     b = random_codes(rng, 4, h.r)
-    q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
-                                     b, k))
+    work = round_work(chunk, AccumStats.zeros(h), state, b, k)
+    q = assemble_q(work)
 
     # per-bit descent over the 3 sweeps
     prev = code_subproblem_value(b, q, state, k)
     for _ in range(h.dcc_sweeps):
         for l in range(h.r):
-            b[:, l] = dcc_bit_column(q, b, l, CodeCoupling(b, state, k))
+            b[:, l] = dcc_bit_column(q, b, l, CodeCoupling(b, work))
             cur = code_subproblem_value(b, q, state, k)
             assert cur <= prev + 1e-9
             prev = cur
 
     # fixed point: one more application of every bit rule changes nothing
-    coupling = CodeCoupling(b, state, k)
+    coupling = CodeCoupling(b, work)
     for l in range(h.r):
         assert np.array_equal(dcc_bit_column(q, b, l, coupling), b[:, l])
 

@@ -163,8 +163,8 @@ class TestTrain:
     def test_chunk_limit(self, workdir):
         ckpt = str(workdir["root"] / "lim.ckpt")
         assert run_train(workdir, ckpt, extra=["--chunks", "2"]) == 0
-        state, stats, blocks, *_ = load_checkpoint(ckpt)
-        assert state.round_index == 2
+        _, _, blocks, p_history, _ = load_checkpoint(ckpt)
+        assert len(p_history) == 2
         assert len(blocks) == 2
 
     @pytest.mark.parametrize("chunks", ["0", "-1"])
@@ -418,6 +418,27 @@ class TestPreprocess:
             assert fh.read().split() == ["1", "1", "1", "1", "0", "0"]
         assert np.array_equal(pruned.load_chunk(0)[1], y[:, :1])
 
+    def test_two_surviving_tags_need_a_declared_tag_format(self, tmp_path,
+                                                          capsys):
+        # min count 1 keeps a and b: the pruned 2-column tag files could be
+        # dense rows or sparse pairs, which train cannot tell apart, so
+        # preprocess refuses before it writes anything
+        man_path, emb = self.build_raw(tmp_path)
+        out = tmp_path / "out"
+        argv = ["preprocess", "--manifest", man_path, "--embeddings", emb,
+                "--min-count", "1", "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "2 tags survive pruning" in err and '"tag_format"' in err
+        assert not out.exists()
+        man = ChunkManifest.from_file(man_path)
+        man.tag_format = "sparse"
+        man.save(man_path)
+        assert cli.main(argv) == 0
+        pruned = ChunkManifest.from_file(str(out / "manifest.json"))
+        assert pruned.c == 2 and pruned.tag_format == "sparse"
+        assert pruned.load_chunk(0)[1].sum() == 5
+
     def test_idempotent_on_its_own_output(self, tmp_path):
         man_path, emb = self.build_raw(tmp_path)
         out1 = str(tmp_path / "o1")
@@ -654,14 +675,11 @@ class TestExitCodes:
     def test_eval_needs_one_projection_per_round(self, workdir, tmp_path,
                                                  capsys, projections):
         # a 2-round checkpoint with too few or too many projections cannot
-        # give a MAP curve, but it still serves queries; save_checkpoint
-        # refuses such a state, so the file is written field by field
+        # give a MAP curve, but it still serves queries; the file is
+        # written field by field
         ckpt = str(tmp_path / "two.ckpt")
         assert run_train(workdir, ckpt, extra=["--chunks", "2"]) == 0
-        state, stats, blocks, p_history, seed = load_checkpoint(ckpt)
-        with pytest.raises(ValueError, match="state.round_index differs"):
-            dataio.save_checkpoint(ckpt, state, stats, blocks,
-                                   [p_history[-1]] * projections, seed)
+        p_history = load_checkpoint(ckpt)[3]
         meta, arrays = read_checkpoint_fields(ckpt)
         arrays["p_history"] = np.stack([p_history[-1]] * projections)
         write_checkpoint_fields(ckpt, meta, arrays)

@@ -177,10 +177,10 @@ class TestTrainerInput:
         x = x.copy()
         x[3, 2] = np.nan
         with pytest.raises(ValueError, match="NaN or inf"):
-            trainer.prepare_round(x, y)
+            trainer.prepare_round(x, y, trainer.state.anchors)
         with pytest.raises(ValueError, match="NaN or inf"):
             trainer.process_chunk(x, y)
-        assert trainer.state.round_index == 1
+        assert len(trainer.p_history) == 1
         assert len(trainer.code_blocks) == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

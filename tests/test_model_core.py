@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from taghash.model import (AccumStats, Hyperparams, ModelState, RoundData,
-                           RoundWork, commit_round, objective_value)
+from taghash.model import (AccumStats, Hyperparams, RoundData, RoundWork,
+                           commit_round, objective_value)
 
-from conftest import (committed_history, make_state, random_codes,
-                      random_round_data, round_work)
+from conftest import (committed_history, make_state, model_bytes,
+                      random_codes, random_round_data, round_work)
 from oracles import batch_stats
 
 STAT_KEYS = ("c1", "c2", "c3", "c5", "d1", "d2")
@@ -62,7 +62,7 @@ class TestCommitRound:
         chunk = RoundData(phi=np.zeros((2, 3)), y=np.zeros((2, 2)),
                           z=np.zeros((2, 2)))
         commit_round(state, stats,
-                     round_work(chunk, stats, state.w, b, np.ones(2)))
+                     round_work(chunk, stats, state, b, np.ones(2)))
         assert np.array_equal(stats.c1, [[2.0, 0.0], [0.0, 2.0]])
 
     def test_unit_weights_make_d1_equal_c1(self, small_hyper):
@@ -73,8 +73,27 @@ class TestCommitRound:
                                   small_hyper.f)
         b = random_codes(rng, 9, small_hyper.r)
         commit_round(state, stats,
-                     round_work(chunk, stats, state.w, b, np.ones(9)))
+                     round_work(chunk, stats, state, b, np.ones(9)))
         assert np.allclose(stats.d1, stats.c1, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", ["weights", "w", "u", "v", "p"])
+    def test_refusal_writes_nothing(self, small_hyper, bad):
+        # a zero weight or a non-finite map is refused before the state or
+        # the statistics change
+        h = small_hyper
+        rng = np.random.default_rng(3)
+        state, stats, *_ = committed_history(rng, h, 2, 6)
+        chunk = random_round_data(rng, 5, h.m, h.c, h.f)
+        work = round_work(chunk, stats, state, random_codes(rng, 5, h.r),
+                          np.ones(5))
+        value = getattr(work, bad).copy()
+        value.flat[1] = 0.0 if bad == "weights" else np.nan
+        setattr(work, bad, value)
+        before = model_bytes(state, stats)
+        with pytest.raises(ValueError if bad == "weights"
+                           else FloatingPointError):
+            commit_round(state, stats, work)
+        assert model_bytes(state, stats) == before
 
     def test_five_chunks_match_batch_oracle(self, small_hyper):
         rng = np.random.default_rng(42)
@@ -108,8 +127,8 @@ class TestCommitRound:
 class TestRoundWork:
     PRODUCTS = ("c1", "c2", "c3", "phi_sq", "w_yt", "tag_sq")
 
-    def assert_fresh(self, work, stats, w, b):
-        fresh = RoundWork(work.chunk, stats, w, b)
+    def assert_fresh(self, work, stats, state, w, b):
+        fresh = RoundWork(work.chunk, stats, state, w, b)
         for name in self.PRODUCTS:
             assert np.array_equal(getattr(work, name),
                                   getattr(fresh, name)), name
@@ -121,19 +140,19 @@ class TestRoundWork:
         # and must leave the statistics as they were
         h = small_hyper
         rng = np.random.default_rng(9)
-        _, stats, *_ = committed_history(rng, h, 2, 7)
+        state, stats, *_ = committed_history(rng, h, 2, 7)
         before = {name: np.copy(getattr(stats, name)) for name in STAT_KEYS}
         chunk = random_round_data(rng, 6, h.m, h.c, h.f)
         b, b2 = random_codes(rng, 6, h.r), random_codes(rng, 6, h.r)
         w, w2 = rng.normal(size=(2, h.r, h.c))
-        work = RoundWork(chunk, stats, w, b)
+        work = RoundWork(chunk, stats, state, w, b)
         c3 = work.c3
         for name in self.PRODUCTS:
             getattr(work, name)
         work.codes_changed(b2)
-        self.assert_fresh(work, stats, w, b2)
+        self.assert_fresh(work, stats, state, w, b2)
         work.w_changed(w2)
-        self.assert_fresh(work, stats, w2, b2)
+        self.assert_fresh(work, stats, state, w2, b2)
         assert work.c3 is c3
         for name in STAT_KEYS:
             assert np.array_equal(getattr(stats, name), before[name]), name
@@ -177,8 +196,7 @@ class TestObjectiveValue:
         chunk = random_round_data(rng, 6, h.m, h.c, h.f)
         b = np.zeros((6, h.r))
         k = rng.uniform(0.5, 1.5, size=6)
-        got = objective_value(state, stats,
-                              round_work(chunk, stats, state.w, b, k))
+        got = objective_value(stats, round_work(chunk, stats, state, b, k))
         want = (float(np.sum(k * np.sum(chunk.y ** 2, axis=1)))
                 + h.beta * float(np.sum(chunk.phi ** 2))
                 + h.theta * float(np.sum(chunk.z ** 2)))
@@ -197,8 +215,8 @@ class TestObjectiveValue:
         state.u = np.eye(3)
         state.p = np.eye(3)
         chunk = RoundData(phi=b, y=b @ state.w, z=b @ state.v)
-        got = objective_value(
-            state, stats, round_work(chunk, stats, state.w, b, np.ones(8)))
+        got = objective_value(stats,
+                              round_work(chunk, stats, state, b, np.ones(8)))
         assert got == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_from_scratch_evaluator(self, small_hyper):
@@ -213,8 +231,8 @@ class TestObjectiveValue:
                                 small_hyper.f)
         cur_b = random_codes(rng, 6, small_hyper.r)
         cur_k = rng.uniform(0.3, 1.8, size=6)
-        got = objective_value(state, stats,
-                              round_work(cur, stats, state.w, cur_b, cur_k))
+        got = objective_value(stats,
+                              round_work(cur, stats, state, cur_b, cur_k))
         want = batch_objective(state, chunks, codes, weights, cur, cur_b,
                                cur_k)
         assert got == pytest.approx(want, rel=1e-9)
@@ -235,6 +253,6 @@ class TestObjectiveValue:
         bad.flat[1] = value
         # the inf code poisons B'phi, B'B and the tag residuals
         with np.errstate(invalid="ignore"):
-            work = round_work(chunk, stats, state.w, b, k)
+            work = round_work(chunk, stats, state, b, k)
             with pytest.raises(FloatingPointError):
-                objective_value(state, stats, work)
+                objective_value(stats, work)

@@ -1,20 +1,24 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from taghash import blas, model
-from taghash.model import (AccumStats, Hyperparams, RoundData, commit_round,
+from taghash.engine import StreamTrainer
+from taghash.model import (AccumStats, Hyperparams, StateError, commit_round,
                            objective_value)
 from taghash.optimizer import (CodeCoupling, RoundAborted, assemble_q,
                                compute_reweights, dcc_bit_column,
                                factor_p_system, init_round, run_round,
                                update_b_dcc, update_p, update_u, update_v,
                                update_w)
+from taghash.semantics import EmbeddingTable
+from taghash.synthetic import make_cluster_stream
 
-from conftest import (committed_history, make_state, random_codes,
-                      random_round_data, round_work)
+from conftest import (committed_history, make_state, model_bytes,
+                      random_codes, random_round_data, round_work)
 from oracles import (as_dense, code_subproblem_value, dcc_fresh_products,
                      row_sq_norms, true_tag_objective)
 
@@ -50,7 +54,7 @@ class TestClosedFormSolves:
         state, stats, cur, cur_b, cur_k, b_all, phi_all, *_ = \
             stacked_problem(rng, small_hyper)
         got = update_u(small_hyper,
-                       round_work(cur, stats, state.w, cur_b, cur_k))
+                       round_work(cur, stats, state, cur_b, cur_k))
         want = ridge_lstsq(b_all, phi_all,
                            small_hyper.alpha / small_hyper.beta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -59,7 +63,7 @@ class TestClosedFormSolves:
         rng = np.random.default_rng(11)
         state, stats, cur, cur_b, cur_k, b_all, phi_all, *_ = \
             stacked_problem(rng, small_hyper)
-        work = round_work(cur, stats, state.w, cur_b, cur_k)
+        work = round_work(cur, stats, state, cur_b, cur_k)
         got = update_p(factor_p_system(small_hyper, work), work)
         want = ridge_lstsq(phi_all, b_all, small_hyper.alpha / small_hyper.mu)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -69,7 +73,7 @@ class TestClosedFormSolves:
         state, stats, cur, cur_b, cur_k, b_all, _, _, z_all, _ = \
             stacked_problem(rng, small_hyper)
         got = update_v(stats, small_hyper,
-                       round_work(cur, stats, state.w, cur_b, cur_k))
+                       round_work(cur, stats, state, cur_b, cur_k))
         want = ridge_lstsq(b_all, z_all, small_hyper.alpha / small_hyper.theta)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
@@ -78,7 +82,7 @@ class TestClosedFormSolves:
         (state, stats, cur, cur_b, cur_k, b_all, _, y_all, _,
          k_all) = stacked_problem(rng, small_hyper)
         got = update_w(stats, small_hyper,
-                       round_work(cur, stats, state.w, cur_b, cur_k))
+                       round_work(cur, stats, state, cur_b, cur_k))
         s = np.sqrt(k_all)[:, None]
         want = ridge_lstsq(s * b_all, s * y_all, small_hyper.alpha)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
@@ -87,7 +91,7 @@ class TestClosedFormSolves:
         rng = np.random.default_rng(14)
         h = small_hyper
         state, stats, cur, cur_b, cur_k, *_ = stacked_problem(rng, h)
-        work = round_work(cur, stats, state.w, cur_b, cur_k)
+        work = round_work(cur, stats, state, cur_b, cur_k)
         eye = np.eye(h.r)
         u = update_u(h, work)
         a = stats.c1 + cur_b.T @ cur_b + (h.alpha / h.beta) * eye
@@ -108,7 +112,7 @@ class TestClosedFormSolves:
         h = small_hyper
         (state, stats, cur, cur_b, cur_k, b_all, phi_all, y_all, z_all,
          k_all) = stacked_problem(rng, h)
-        work = round_work(cur, stats, state.w, cur_b, cur_k)
+        work = round_work(cur, stats, state, cur_b, cur_k)
 
         def quad(design, target, ridge, x):
             res = design @ x - target
@@ -137,7 +141,7 @@ class TestClosedFormSolves:
         stats = AccumStats.zeros(h)
         chunk = random_round_data(rng, 2, h.m, h.c, h.f)
         b = random_codes(rng, 2, h.r)  # rank <= 2 < r
-        u = update_u(h, round_work(chunk, stats, state.w, b, np.ones(2)))
+        u = update_u(h, round_work(chunk, stats, state, b, np.ones(2)))
         assert np.all(np.isfinite(u))
         a = b.T @ b
         rhs = b.T @ chunk.phi
@@ -173,7 +177,7 @@ class TestReweighting:
             k = compute_reweights(row_sq_norms(chunk.y, b, state.w),
                                   h.epsilon_norm)
             state.w = update_w(stats, h,
-                               round_work(chunk, stats, state.w, b, k))
+                               round_work(chunk, stats, state, b, k))
             values.append(true_tag_objective(state, stats, chunk, b))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9), values
@@ -189,7 +193,9 @@ class TestCodeDescent:
         state.v = rng.normal(size=(1, 2))
         q = rng.normal(size=(10, 1))
         b0 = random_codes(rng, 10, 1)
-        b = update_b_dcc(q, b0, state, np.ones(10))
+        chunk = random_round_data(rng, 10, h.m, h.c, h.f)
+        b = update_b_dcc(q, round_work(chunk, AccumStats.zeros(h), state, b0,
+                                       np.ones(10)))
         assert np.array_equal(b[:, 0], np.where(q[:, 0] >= 0, 1.0, -1.0))
 
     def test_decoupled_terms_give_sign_of_projection(self):
@@ -203,9 +209,8 @@ class TestCodeDescent:
         chunk = random_round_data(rng, 7, h.m, h.c, h.f)
         k = np.ones(7)
         b0 = random_codes(rng, 7, h.r)
-        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
-                                         b0, k))
-        b = update_b_dcc(q, b0, state, k)
+        work = round_work(chunk, AccumStats.zeros(h), state, b0, k)
+        b = update_b_dcc(assemble_q(work), work)
         want = np.where(chunk.phi @ state.p >= 0, 1.0, -1.0)
         assert np.array_equal(b, want)
         assert np.all(b[:, 2] == 1.0)
@@ -220,12 +225,12 @@ class TestCodeDescent:
         chunk = random_round_data(rng, 15, h.m, h.c, h.f)
         k = rng.uniform(0.2, 2.0, size=15)
         b = random_codes(rng, 15, h.r)
-        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
-                                         b, k))
+        work = round_work(chunk, AccumStats.zeros(h), state, b, k)
+        q = assemble_q(work)
         prev = code_subproblem_value(b, q, state, k)
         for _ in range(3):
             for l in range(h.r):
-                b[:, l] = dcc_bit_column(q, b, l, CodeCoupling(b, state, k))
+                b[:, l] = dcc_bit_column(q, b, l, CodeCoupling(b, work))
                 cur = code_subproblem_value(b, q, state, k)
                 assert cur <= prev + 1e-9
                 prev = cur
@@ -259,9 +264,9 @@ class TestCodeDescent:
         chunk = random_round_data(rng, n, h.m, h.c, h.f)
         k = np.exp(rng.normal(scale=3.0, size=n))
         b0 = random_codes(rng, n, h.r)
-        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
-                                         b0, k))
-        got = update_b_dcc(q, b0, state, k)
+        work = round_work(chunk, AccumStats.zeros(h), state, b0, k)
+        q = assemble_q(work)
+        got = update_b_dcc(q, work)
         assert np.array_equal(got, dcc_fresh_products(q, b0, state, k))
         assert not np.array_equal(got, b0)
 
@@ -277,13 +282,14 @@ class TestCodeDescent:
         chunk = random_round_data(rng, n, h.m, h.c, h.f)
         k = rng.uniform(0.5, 1.5, size=n)
         b = random_codes(rng, n, r)
-        q = assemble_q(state, round_work(chunk, AccumStats.zeros(h), state.w,
-                                         b, k))
+        work = round_work(chunk, AccumStats.zeros(h), state, b, k)
+        q = assemble_q(work)
         for _ in range(50):
-            nxt = update_b_dcc(q, b, state, k)
+            nxt = update_b_dcc(q, work)
             if np.array_equal(nxt, b):
                 break
             b = nxt
+            work.codes_changed(b)
         return h, state, q, b, k
 
     def test_fixed_point_is_columnwise_optimal(self):
@@ -314,11 +320,11 @@ class TestRunRound:
         stats = AccumStats.zeros(small_hyper)
         chunk = random_round_data(rng, 10, small_hyper.m, small_hyper.c,
                                   small_hyper.f)
-        block, trace = run_round(state, stats, chunk, seed=0)
+        block, trace = run_round(state, stats, chunk, seed=0, rnd=0)
         assert block.dense.shape == (10, small_hyper.r)
         assert set(np.unique(block.dense)) <= {-1, 1}
         assert "rounds_committed" not in vars(stats)
-        assert state.round_index == 1
+        assert "round_index" not in vars(state)
         assert block.n == 10 and "total_seen" not in vars(state)
         assert len(trace) == small_hyper.iters
         assert np.all(np.isfinite(trace))
@@ -331,7 +337,7 @@ class TestRunRound:
         for _ in range(2):
             state = make_state(small_hyper)
             stats = AccumStats.zeros(small_hyper)
-            block, trace = run_round(state, stats, chunk, seed=5)
+            block, trace = run_round(state, stats, chunk, seed=5, rnd=0)
             outs.append((block.dense.copy(), np.array(trace),
                          state.p.copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
@@ -347,7 +353,7 @@ class TestRunRound:
         state = make_state(h)
         stats = AccumStats.zeros(h)
         chunk = random_round_data(rng, 14, h.m, h.c, h.f)
-        _, trace = run_round(state, stats, chunk, seed=2)
+        _, trace = run_round(state, stats, chunk, seed=2, rnd=0)
         assert np.all(np.diff(trace) <= 1e-9), trace
 
     def test_second_round_extends_history(self, small_hyper):
@@ -355,12 +361,11 @@ class TestRunRound:
         state = make_state(small_hyper)
         stats = AccumStats.zeros(small_hyper)
         c1_seen = []
-        for _ in range(2):
+        for rnd in range(2):
             chunk = random_round_data(rng, 8, small_hyper.m, small_hyper.c,
                                       small_hyper.f)
-            run_round(state, stats, chunk, seed=1)
+            run_round(state, stats, chunk, seed=1, rnd=rnd)
             c1_seen.append(np.trace(stats.c1))
-        assert state.round_index == 2
         # trace of C1 counts committed rows times bits
         assert c1_seen[0] == pytest.approx(8 * small_hyper.r)
         assert c1_seen[1] == pytest.approx(16 * small_hyper.r)
@@ -371,26 +376,25 @@ class TestRunRound:
         stats = AccumStats.zeros(small_hyper)
         good = random_round_data(rng, 8, small_hyper.m, small_hyper.c,
                                  small_hyper.f)
-        run_round(state, stats, good, seed=0)
-        before = {n: getattr(state, n).copy() for n in ("w", "u", "v", "p")}
+        run_round(state, stats, good, seed=0, rnd=0)
+        before = model_bytes(state, stats)
         bad = random_round_data(rng, 8, small_hyper.m, small_hyper.c,
                                 small_hyper.f)
         bad.phi[3, 2] = np.nan
         with pytest.raises(RoundAborted):
-            run_round(state, stats, bad, seed=1)
-        for name, a in before.items():
-            assert np.array_equal(getattr(state, name), a)
+            run_round(state, stats, bad, seed=1, rnd=1)
+        assert model_bytes(state, stats) == before
         assert "rounds_committed" not in vars(stats)
-        assert state.round_index == 1
 
     def test_round_one_warm_start_is_small(self, small_hyper):
         state = make_state(small_hyper)
         chunk = random_round_data(np.random.default_rng(35), 6,
                                   small_hyper.m, small_hyper.c,
                                   small_hyper.f)
-        init_round(chunk, state, seed=9)
-        assert np.max(np.abs(state.w)) < 0.1
-        assert np.std(state.w) == pytest.approx(0.01, rel=0.5)
+        _, w = init_round(chunk, state, seed=9, rnd=0)
+        assert np.max(np.abs(w)) < 0.1
+        assert np.std(w) == pytest.approx(0.01, rel=0.5)
+        assert not np.any(state.w)
 
     @pytest.mark.parametrize("tag_regression", [True, False])
     def test_tag_norms_formed_only_where_read(self, monkeypatch, small_hyper,
@@ -437,14 +441,14 @@ class TestRunRound:
 
         state = make_state(h)
         stats = AccumStats.zeros(h)
-        block, trace = run_round(state, stats, chunk, seed=3)
+        block, trace = run_round(state, stats, chunk, seed=3, rnd=0)
 
         manual = make_state(h)
         mstats = AccumStats.zeros(h)
-        b, k = init_round(chunk, manual, seed=3), None
+        (b, manual.w), k = init_round(chunk, manual, seed=3, rnd=0), None
 
         def fresh():
-            return round_work(chunk, mstats, manual.w, b, k)
+            return round_work(chunk, mstats, manual, b, k)
 
         # the first weights come from the random codes
         k = compute_reweights(fresh().tag_sq, h.epsilon_norm)
@@ -459,8 +463,8 @@ class TestRunRound:
             if h.tag_regression:
                 k = compute_reweights(fresh().tag_sq, h.epsilon_norm)
                 manual.w = update_w(mstats, h, fresh())
-            b = update_b_dcc(assemble_q(manual, fresh()), b, manual, k)
-            manual_trace.append(objective_value(manual, mstats, fresh()))
+            b = update_b_dcc(assemble_q(fresh()), fresh())
+            manual_trace.append(objective_value(mstats, fresh()))
         assert np.array_equal(block.dense.astype(float), b)
         assert manual_trace == trace
         for name in ("w", "u", "v", "p"):
@@ -470,6 +474,62 @@ class TestRunRound:
         for field in dataclasses.fields(AccumStats):
             assert np.array_equal(getattr(stats, field.name),
                                   getattr(mstats, field.name)), field.name
+
+
+def poison_stream():
+    """A table of one tag more than a cluster stream's, whose row for it is
+    so large that a round whose chunk carries it overflows the semantic
+    term; chunk(i, poisoned) gives the stream's chunk i with that tag on
+    every fifth row when poisoned, on none otherwise."""
+    stream = make_cluster_stream(n_rounds=4, n_per_round=40, d=8, f=8,
+                                 n_queries=10, seed=3)
+    table = EmbeddingTable(np.vstack([stream.table.vectors,
+                                      np.full((1, 8), 1e200)]))
+
+    def chunk(i, poisoned=False):
+        x, y = stream.chunks[i]
+        extra = np.zeros((len(y), 1), dtype=y.dtype)
+        extra[::5] = poisoned
+        return x, np.hstack([y, extra])
+    return table, chunk
+
+
+def trainer_bytes(trainer):
+    """What a trainer has committed, as bytes and numbers: its model, code
+    blocks and projections, and its round times."""
+    model = (trainer.state, trainer.stats) if trainer.state is None else \
+        model_bytes(trainer.state, trainer.stats)
+    return (model, [cb.packed.tobytes() for cb in trainer.code_blocks],
+            [p.tobytes() for p in trainer.p_history], trainer.round_times[:])
+
+
+@pytest.mark.parametrize("rnd", [1, 3])
+def test_aborted_round_leaves_the_trainer_unchanged(tmp_path, rnd):
+    # the abort happens inside the round, after the steps have run; the
+    # trainer must hold what it held before the call, with no state after
+    # an aborted first round, and the next valid chunk must train as if
+    # the refused one had never come
+    table, chunk = poison_stream()
+    hyper = Hyperparams(r=8, m=16, f=8, c=10, iters=3, dcc_sweeps=2)
+    trainer, clean = (StreamTrainer(hyper, table, seed=0) for _ in range(2))
+    for t in (trainer, clean):
+        for i in range(rnd - 1):
+            t.process_chunk(*chunk(i))
+    before = trainer_bytes(trainer)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RoundAborted, match=f"^non-finite objective at round {rnd}$"):
+        trainer.process_chunk(*chunk(rnd - 1, poisoned=True))
+    assert trainer_bytes(trainer) == before
+    if rnd == 1:
+        assert trainer.state is None
+        with pytest.raises(StateError):
+            trainer.save(str(tmp_path / "ck.bin"))
+        assert os.listdir(tmp_path) == []
+    codes, trace = trainer.process_chunk(*chunk(rnd))
+    clean_codes, clean_trace = clean.process_chunk(*chunk(rnd))
+    assert codes.packed.tobytes() == clean_codes.packed.tobytes()
+    assert trace == clean_trace
+    assert trainer_bytes(trainer)[:3] == trainer_bytes(clean)[:3]
 
 
 def record_lapack_calls(monkeypatch):
@@ -492,7 +552,7 @@ def one_round(rng, h, n=9):
     state = make_state(h)
     stats = AccumStats.zeros(h)
     chunk = random_round_data(rng, n, h.m, h.c, h.f)
-    block, _ = run_round(state, stats, chunk, seed=3)
+    block, _ = run_round(state, stats, chunk, seed=3, rnd=0)
     return block, state
 
 
@@ -534,7 +594,7 @@ def test_iteration_solves_run_on_one_lapack_thread(monkeypatch, small_hyper):
                                 small_hyper.c, small_hyper.f)
         bad.phi[3, 2] = np.nan
         with pytest.raises(RoundAborted):
-            run_round(state, stats, bad, seed=1)
+            run_round(state, stats, bad, seed=1, rnd=0)
         threads_after_abort = get()
     finally:
         put(before)

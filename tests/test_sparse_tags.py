@@ -14,7 +14,7 @@ from taghash.optimizer import compute_reweights
 from taghash.semantics import EmbeddingTable, pool_semantics, tag_matrix
 from taghash.synthetic import make_cluster_stream
 
-from conftest import random_codes
+from conftest import make_state, random_codes
 from oracles import row_sq_norms
 
 
@@ -28,8 +28,9 @@ def round_norms(chunk, b, w):
     """The tag residual row norms a round's workspace forms from the CSR
     tags."""
     (r, c), m, f = w.shape, chunk.phi.shape[1], chunk.z.shape[1]
-    stats = AccumStats.zeros(Hyperparams(r=r, m=m, f=f, c=c))
-    return RoundWork(chunk, stats, w, b).tag_sq
+    hyper = Hyperparams(r=r, m=m, f=f, c=c)
+    return RoundWork(chunk, AccumStats.zeros(hyper), make_state(hyper), w,
+                     b).tag_sq
 
 
 class TestResidualNormIdentity:
