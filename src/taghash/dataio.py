@@ -176,8 +176,10 @@ def load_tags(path, c, n, tag_format=None):
 # -------------------------------------------------------------- embeddings
 
 def read_embedding_file(path):
-    """Parse a word-embedding text dump: 'token v1 v2 ... vf' per line."""
-    vectors = {}
+    """Parse a word-embedding text dump: 'token v1 v2 ... vf' per line.
+
+    A token given on two lines is refused, naming both."""
+    vectors, lines = {}, {}
     f = None
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -185,6 +187,10 @@ def read_embedding_file(path):
             if not parts:
                 continue
             token, vals = parts[0], parts[1:]
+            if token in lines:
+                raise LoadError(f"{path}: line {lineno}: token {token!r} "
+                                f"repeats line {lines[token]}")
+            lines[token] = lineno
             if f is None:
                 f = len(vals)
                 if f == 0:
@@ -338,8 +344,9 @@ class ChunkManifest:
 # ------------------------------------------------------------------ config
 
 def load_config(path):
-    """Parse a 'key = value' config file; '#' starts a comment."""
-    out = {}
+    """Parse a 'key = value' config file; '#' starts a comment.  A key set
+    on two lines is refused, naming both."""
+    out, lines = {}, {}
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -347,90 +354,98 @@ def load_config(path):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ConfigError(f"{path}: line {lineno}: {key} is set again,"
+                                  f" first on line {lines[key]}")
+            out[key], lines[key] = val, lineno
     return out
 
 
 # -------------------------------------------------------------- checkpoint
 #
 # Layout: magic, version (<u4), header length (<u8), a JSON header of the
-# META_FIELDS and one spec per array, the ARRAYS back to back as raw
-# little-endian bytes in that order, and a CRC-32 of everything before it.
-# The codes are stored as their packed words, codes_packed (<u8,
-# N x ceil(r/64)).  The round count, P and the rows seen are not stored:
-# they are p_history's length and last projection and codes_rows' sum.
-# Version 2 with exactly these fields is the one layout read; any other
-# version or field is refused.
+# META_FIELDS and the array specs, the arrays back to back as raw little-
+# endian bytes in that order, and a CRC-32 of everything before it.  _layout
+# gives the specs from ModelState.shapes, AccumStats.shapes and four counts:
+# the anchor dimension, the code blocks, the code rows and the rounds.  The
+# codes are their packed words, one block after another.  The round count,
+# P and the rows seen are not stored: they are p_history's length and last
+# projection and codes_rows' sum.  Version 2 of this layout is the one read.
 
 META_FIELDS = ("hyper", "kernel_width", "sy_weighted", "sz", "seed")
-# The state's and the statistics' float64 matrices, stored under their
-# attributes' names, and every stored array in file order with its dtype.
-# A shape has a letter a dimension: r, m, f, c the hyperparameters, n the
-# words per code and * a free dimension.
-STATE_MATRICES = {"w": "rc", "u": "rm", "v": "rf"}
-STATS_MATRICES = {"c1": "rr", "c2": "rm", "c3": "mm", "c5": "rf",
-                  "d1": "rr", "d2": "rc"}
-ARRAYS = {"anchors": ("<f8", "m*"),
-          **{name: ("<f8", dims)
-             for name, dims in (STATE_MATRICES | STATS_MATRICES).items()},
-          "codes_rows": ("<i8", "*"), "codes_packed": ("<u8", "*n"),
-          "p_history": ("<f8", "*mr")}
-STORED_DTYPES = {np.dtype(dtype) for dtype, _ in ARRAYS.values()}
 
 
-def _stored_arrays(state, stats, code_blocks, p_history):
-    """(name, dtype, shape, parts) of every stored array, in file order.
-
-    An array is written as its parts, C-ordered and back to back: the codes
-    as each block's words and the history as each round's projection, so
-    neither is concatenated first.
-    """
-    h = state.hyper
-    rows = np.asarray([cb.n for cb in code_blocks], dtype="<i8")
-    whole = {"anchors": state.anchors.anchors, "codes_rows": rows,
-             **{name: getattr(state, name) for name in STATE_MATRICES},
-             **{name: getattr(stats, name) for name in STATS_MATRICES}}
-    arrays = {name: (np.shape(a), [a]) for name, a in whole.items()}
-    arrays["codes_packed"] = ((int(rows.sum()), n_words(h.r)),
-                              [cb.packed for cb in code_blocks])
-    arrays["p_history"] = ((len(p_history), h.m, h.r), p_history)
-    return [(name, dtype, arrays[name][0],
-             [np.ascontiguousarray(a, dtype=dtype) for a in arrays[name][1]])
-            for name, (dtype, _) in ARRAYS.items()]
+def _layout(hyper, d, blocks, rows, rounds):
+    """Every stored array's spec, {"name", "dtype", "shape"}, in file
+    order: what save_checkpoint writes and load_checkpoint requires."""
+    maps = ModelState.shapes(hyper)
+    p = maps.pop("p")                   # stored as p_history's last entry
+    shapes = {"anchors": (hyper.m, d), **maps, **AccumStats.shapes(hyper),
+              "codes_rows": (blocks,),
+              "codes_packed": (rows, n_words(hyper.r)),
+              "p_history": (rounds, *p)}
+    dtypes = {"codes_rows": "<i8", "codes_packed": "<u8"}
+    return [{"name": name, "dtype": dtypes.get(name, "<f8"),
+             "shape": list(shape)} for name, shape in shapes.items()]
 
 
-def _last_p(p_history, h):
-    """P as p_history gives it: a copy of its last projection, zeros when it
-    is empty."""
-    return np.array(p_history[-1]) if p_history else np.zeros((h.m, h.r))
+# the stored arrays' names, which do not depend on the sizes
+ARRAY_NAMES = tuple(spec["name"] for spec in _layout(
+    Hyperparams(r=1, m=1, f=1, c=1), 0, 0, 0, 0))
+
+
+def _sizes(hyper):
+    return f"r={hyper.r}, m={hyper.m}, f={hyper.f}, c={hyper.c}"
 
 
 def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
     """Serialize the full training state; atomic, durable, CRC-protected.
 
-    code_blocks: per-round CodeBlock list in commit order.  p_history
-    records the hash projection after each round so MAP-per-round curves
-    can be rebuilt at evaluation time.  The file is written beside path,
-    fsynced, renamed over path, and the directory is fsynced; a failed
-    write, fsync or rename removes the file beside path.  A state whose P
-    differs from p_history's last projection is refused first.
+    code_blocks: CodeBlock list in commit order, one per round for a
+    trainer, any number for a served index.  p_history records the hash
+    projection after each round, at least one, so MAP-per-round curves can
+    be rebuilt at evaluation time.  An empty p_history, a state whose P
+    differs from its last projection, or an array that does not fit the
+    layout of the hyperparameters and four counts is refused with a
+    ValueError naming it before any file is opened.  The file is written
+    beside path, fsynced, renamed over path, and the directory is fsynced;
+    a failed write, fsync or rename removes the file beside path.
     """
-    if not np.array_equal(state.p, _last_p(p_history, state.hyper)):
+    h = state.hyper
+    if not p_history:
+        raise ValueError("p_history is empty: a checkpoint holds at least "
+                         "one round")
+    if not np.array_equal(state.p, p_history[-1]):
         raise ValueError(f"state.p differs from what the {len(p_history)} "
                          f"projections of p_history give")
-    arrays = _stored_arrays(state, stats, code_blocks, p_history)
-    for name, _, shape, parts in arrays:
-        if sum(a.size for a in parts) != int(np.prod(shape)):
-            raise ValueError(f"{name} does not fill its shape {shape}")
+    rows = np.asarray([cb.n for cb in code_blocks], dtype="<i8")
+    layout = _layout(h, np.shape(state.anchors.anchors)[1], len(code_blocks),
+                     int(rows.sum()), len(p_history))
+    # an array is written as its parts, C-ordered and back to back: the
+    # codes as each block's words and the history as each round's
+    # projection, so neither is concatenated first
+    stored = {name: [a] for name, a in (vars(state) | vars(stats)).items()}
+    stored.update(anchors=[state.anchors.anchors], codes_rows=[rows],
+                  codes_packed=[cb.packed for cb in code_blocks],
+                  p_history=[p[None] for p in p_history])
+    arrays = []
+    for spec in layout:
+        name, dtype, shape = spec["name"], spec["dtype"], tuple(spec["shape"])
+        parts = [np.ascontiguousarray(a, dtype=dtype) for a in stored[name]]
+        if not (all(a.ndim == len(shape) and a.shape[1:] == shape[1:]
+                    for a in parts) and sum(map(len, parts)) == shape[0]):
+            got = [a.shape for a in parts]
+            raise ValueError(f"{name} is {got[0] if len(got) == 1 else got}, "
+                             f"expected {dtype} {shape} for {_sizes(h)}")
+        arrays.append(parts)
     meta = {
-        "hyper": asdict(state.hyper),
+        "hyper": asdict(h),
         "kernel_width": state.anchors.kernel_width,
         "sy_weighted": stats.sy_weighted,
         "sz": stats.sz,
         "seed": seed,
-        "arrays": [{"name": name, "dtype": dtype, "shape": list(shape)}
-                   for name, dtype, shape, _ in arrays],
+        "arrays": layout,
     }
     header = json.dumps(meta, sort_keys=True).encode()
     head = CHECKPOINT_MAGIC + struct.pack(
@@ -442,7 +457,7 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
         with fh:
             crc = zlib.crc32(head)
             fh.write(head)
-            for _, _, _, parts in arrays:
+            for parts in arrays:
                 for a in parts:
                     crc = zlib.crc32(a, crc)
                     fh.write(a)
@@ -460,14 +475,6 @@ def save_checkpoint(path, state, stats, code_blocks, p_history, seed):
         os.close(fd)
 
 
-def _stored_dtype(dtype):
-    """Whether dtype is a string naming a dtype that ARRAYS lists."""
-    try:
-        return isinstance(dtype, str) and np.dtype(dtype) in STORED_DTYPES
-    except (TypeError, ValueError):         # not a dtype numpy knows
-        return False
-
-
 def _object_once(pairs):
     """A JSON object's (key, value) pairs as a dict; a key given twice, at
     any depth, is a LoadError naming it."""
@@ -481,9 +488,8 @@ def _object_once(pairs):
 
 def _read_header(path, header):
     """The header's fields and its array specs, refused with a LoadError
-    naming the field unless it is a JSON object of the META_FIELDS and one
-    spec for each of the ARRAYS, each giving its name, a dtype that a
-    checkpoint stores and a shape of integers >= 0."""
+    naming the field unless it is a JSON object holding each of the
+    META_FIELDS and a list of one spec for each stored array."""
     try:
         meta = json.loads(header.decode(), object_pairs_hook=_object_once)
     except LoadError as exc:
@@ -496,61 +502,50 @@ def _read_header(path, header):
     specs = meta.pop("arrays", [])
     if not isinstance(specs, list):
         raise LoadError(f"{path}: arrays is not a list, got {specs!r}")
-    for spec in specs:
-        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
-                and spec["name"] not in meta):
-            raise LoadError(f"{path}: array spec {spec!r} needs a name that "
-                            f"no header field has")
-    names = [*meta, *(spec["name"] for spec in specs)]
-    layout = META_FIELDS + tuple(ARRAYS)
-    extra = [name for name in names if name not in layout]
+    names = [*meta, *(spec["name"] if isinstance(spec, dict) and "name" in spec
+                      else repr(spec) for spec in specs)]
+    layout = META_FIELDS + ARRAY_NAMES
+    extra = [str(name) for name in names if name not in layout]
     if extra:
         raise LoadError(f"{path}: checkpoint stores {', '.join(extra)}, "
                         f"which version {CHECKPOINT_VERSION} does not")
     missing = [name for name in layout if name not in names]
     if missing:
         raise LoadError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    twice = [name for name in ARRAYS if names.count(name) > 1]
+    twice = [name for name in layout if names.count(name) > 1]
     if twice:
         raise LoadError(f"{path}: checkpoint lists {', '.join(twice)} more "
                         f"than once")
-    for spec in specs:
-        name, dtype, shape = spec["name"], spec.get("dtype"), spec.get("shape")
-        if not _stored_dtype(dtype):
-            raise LoadError(f"{path}: {name} has dtype {dtype!r}, not one of "
-                            f"{sorted(d.str for d in STORED_DTYPES)}")
-        if not (isinstance(shape, list) and all(map(_is_count, shape))):
-            raise LoadError(f"{path}: {name} has shape {shape!r}, not a list "
-                            f"of integers >= 0")
     return meta, specs
 
 
-def _read_arrays(path, blob, offset, specs, hyper):
-    """Arrays by name, each copied once out of the file's bytes; one whose
-    dtype or shape does not fit hyper, or bytes after the last, refused."""
-    size = {**vars(hyper), "n": n_words(hyper.r), "*": None}
-    arrays = {}
-    for spec in specs:
-        name, dt, shape = spec["name"], np.dtype(spec["dtype"]), spec["shape"]
-        dtype, dims = ARRAYS[name]
-        want = [size[d] for d in dims]
-        if dt != dtype or len(shape) != len(want) or any(
-                d not in (None, got) for d, got in zip(want, shape)):
-            want = ", ".join("*" if d is None else str(d) for d in want)
+def _read_layout(path, specs, hyper):
+    """_layout for the four counts the specs give, refused with a LoadError
+    unless each count is an integer >= 0 (the rounds >= 1) and the specs
+    are that list, compared type for type, so that 8.0 is not 8."""
+    shapes = {spec["name"]: spec.get("shape") for spec in specs}
+    counts = []
+    for name, axis, least in (("anchors", 1, 0), ("codes_rows", 0, 0),
+                              ("codes_packed", 0, 0), ("p_history", 0, 1)):
+        shape = shapes[name]
+        n = shape[axis] if isinstance(shape, list) and len(shape) > axis \
+            else None
+        if not (_is_count(n) and n >= least):
+            raise LoadError(f"{path}: {name} has shape {shape!r}, whose axis "
+                            f"{axis} is not an integer >= {least}")
+        counts.append(n)
+    layout = _layout(hyper, *counts)
+    for got, want in zip(specs, layout):
+        # == alone takes 8.0 and True for 8 and 1
+        if got != want or not all(type(n) is int for n in got["shape"]):
+            shape = got.get("shape")
+            shape = tuple(shape) if isinstance(shape, list) else repr(shape)
+            other = "" if got["name"] == want["name"] else want["name"] + " "
             raise LoadError(
-                f"{path}: {name} is {dt} {tuple(shape)}, expected {dtype} "
-                f"({want}) for r={hyper.r}, m={hyper.m}, f={hyper.f}, "
-                f"c={hyper.c}")
-        count = math.prod(shape)
-        if offset + dt.itemsize * count > len(blob) - 4:
-            raise LoadError(f"{path}: {name} runs past the end of the file")
-        arrays[name] = np.frombuffer(
-            blob, dtype=dt, count=count, offset=offset).reshape(shape).copy()
-        offset += dt.itemsize * count
-    if offset < len(blob) - 4:
-        raise LoadError(f"{path}: {len(blob) - 4 - offset} extra bytes after "
-                        f"the last array")
-    return arrays
+                f"{path}: {got['name']} is {got.get('dtype')} {shape}, "
+                f"expected {other}{want['dtype']} {tuple(want['shape'])} for "
+                f"{_sizes(hyper)}")
+    return layout
 
 
 def load_checkpoint(path):
@@ -561,9 +556,11 @@ def load_checkpoint(path):
     (such as an older file's c4, p, codes_dense, round_index,
     rounds_committed, total_rows or total_seen) or lists an array twice, is
     refused with a LoadError naming the version or the field.  So is one
-    whose arrays do not fit its hyperparameters, or its codes their code
-    length, or has bytes after its last array.  P and the round count are
-    p_history's last projection and length.
+    whose array specs differ from _layout's for its hyperparameters and the
+    four counts its specs give (an empty p_history among them), whose codes
+    do not fit their code length or their per-block row counts, or that
+    has bytes after its last array.  P and the round count are p_history's
+    last projection and length.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -587,7 +584,20 @@ def load_checkpoint(path):
         hyper = Hyperparams(**meta["hyper"])
     except (TypeError, ValueError) as e:    # missing, unknown or refused
         raise LoadError(f"{path}: bad hyper: {e}") from None
-    arrays = _read_arrays(path, blob, 16 + hlen, specs, hyper)
+
+    arrays, offset = {}, 16 + hlen
+    for spec in _read_layout(path, specs, hyper):
+        name, dt, shape = spec["name"], np.dtype(spec["dtype"]), spec["shape"]
+        count = math.prod(shape)
+        if offset + dt.itemsize * count > len(blob) - 4:
+            raise LoadError(f"{path}: {name} runs past the end of the file")
+        # each array copied once out of the file's bytes
+        arrays[name] = np.frombuffer(
+            blob, dtype=dt, count=count, offset=offset).reshape(shape).copy()
+        offset += dt.itemsize * count
+    if offset < len(blob) - 4:
+        raise LoadError(f"{path}: {len(blob) - 4 - offset} extra bytes after "
+                        f"the last array")
     history = list(arrays["p_history"])
     rows, codes = arrays["codes_rows"], arrays["codes_packed"]
     if np.any(rows < 0) or int(np.sum(rows)) != len(codes):
@@ -603,15 +613,14 @@ def load_checkpoint(path):
         anchors = AnchorSet(arrays["anchors"], meta["kernel_width"])
     except ValueError as e:         # no anchors, or a width <= 0
         raise LoadError(f"{path}: {e}") from None
+    arrays["p"] = history[-1].copy()
     state = ModelState(
-        **{name: arrays[name] for name in STATE_MATRICES},
-        p=_last_p(history, hyper), anchors=anchors, hyper=hyper)
+        **{name: arrays[name] for name in ModelState.shapes(hyper)},
+        anchors=anchors, hyper=hyper)
     stats = AccumStats(
-        **{name: arrays[name] for name in STATS_MATRICES},
+        **{name: arrays[name] for name in AccumStats.shapes(hyper)},
         sy_weighted=meta["sy_weighted"], sz=meta["sz"])
-    blocks = []
-    start = 0
-    for n in rows.tolist():
-        blocks.append(CodeBlock(codes[start:start + n], hyper.r))
-        start += n
+    ends = np.cumsum(rows).tolist()
+    blocks = [CodeBlock(codes[end - n:end], hyper.r)
+              for n, end in zip(rows.tolist(), ends)]
     return state, stats, blocks, history, meta["seed"]

@@ -118,7 +118,19 @@ class StreamTrainer:
 
     @classmethod
     def from_checkpoint(cls, path, table):
+        """The trainer a checkpoint holds, ready to take its next chunk.
+
+        A trainer keeps one code block per round, so a file with another
+        number of blocks than projections, such as a served index, is
+        refused with a LoadError naming both counts; load_checkpoint still
+        opens it for querying.
+        """
         state, stats, blocks, p_history, seed = dataio.load_checkpoint(path)
+        if len(blocks) != len(p_history):
+            raise dataio.LoadError(
+                f"{path}: {len(p_history)} round projections for "
+                f"{len(blocks)} code blocks; a trainer needs one per round, "
+                f"so a served index cannot be resumed")
         trainer = cls(state.hyper, table, seed)
         trainer.state = state
         trainer.stats = stats

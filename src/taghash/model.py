@@ -145,30 +145,36 @@ class ModelState:
     """Learned maps.  The round count and the rows seen are not kept: they
     are the trainer's p_history length and its code blocks' rows summed."""
 
-    w: np.ndarray                # (r, c) codes -> tags
-    u: np.ndarray                # (r, m) codes -> kernel features
-    v: np.ndarray                # (r, f) codes -> semantics
-    p: np.ndarray                # (m, r) hash projection (the public function)
+    w: np.ndarray                # codes -> tags
+    u: np.ndarray                # codes -> kernel features
+    v: np.ndarray                # codes -> semantics
+    p: np.ndarray                # hash projection (the public function)
     anchors: AnchorSet
     hyper: Hyperparams
 
     @classmethod
-    def fresh(cls, anchors, hyper):
+    def shapes(cls, hyper):
+        """Each map's shape under hyper, by attribute name; the one place
+        they are written (the checkpoint layout reads them too)."""
         r, m, f, c = hyper.r, hyper.m, hyper.f, hyper.c
-        return cls(
-            w=np.zeros((r, c)), u=np.zeros((r, m)),
-            v=np.zeros((r, f)), p=np.zeros((m, r)),
-            anchors=anchors, hyper=hyper)
+        return {"w": (r, c), "u": (r, m), "v": (r, f), "p": (m, r)}
+
+    @classmethod
+    def fresh(cls, anchors, hyper):
+        """A state of zero maps, shaped as shapes(hyper) gives them."""
+        return cls(**{name: np.zeros(shape)
+                      for name, shape in cls.shapes(hyper).items()},
+                   anchors=anchors, hyper=hyper)
 
 
 @dataclass
 class AccumStats:
     """Streaming sufficient statistics over all committed chunks.
 
-    c1 = sum B'B        (r, r)     c2 = sum B'phi      (r, m)
-    c3 = sum phi'phi    (m, m)     c5 = sum B'Z        (r, f)
-    d1 = sum B'KB       (r, r)     d2 = sum B'KY       (r, c)
-    sum phi'B (m, r) is not stored: it is c2'.
+    c1 = sum B'B        c2 = sum B'phi      c3 = sum phi'phi
+    c5 = sum B'Z        d1 = sum B'KB       d2 = sum B'KY
+    with the shapes that shapes() gives.  sum phi'B is not stored: it is
+    c2'.
     sy_weighted = sum_i K_ii ||Y_i||^2 and sz = sum ||Z||_F^2 are the scalar
     constants needed to evaluate the historical objective terms exactly.
     """
@@ -183,11 +189,19 @@ class AccumStats:
     sz: float = 0.0
 
     @classmethod
-    def zeros(cls, hyper):
+    def shapes(cls, hyper):
+        """Each matrix's shape under hyper, by attribute name; the one place
+        they are written (the checkpoint layout reads them too)."""
         r, m, f, c = hyper.r, hyper.m, hyper.f, hyper.c
-        return cls(
-            c1=np.zeros((r, r)), c2=np.zeros((r, m)), c3=np.zeros((m, m)),
-            c5=np.zeros((r, f)), d1=np.zeros((r, r)), d2=np.zeros((r, c)))
+        return {"c1": (r, r), "c2": (r, m), "c3": (m, m), "c5": (r, f),
+                "d1": (r, r), "d2": (r, c)}
+
+    @classmethod
+    def zeros(cls, hyper):
+        """Statistics of no chunk: zero matrices, shaped as shapes(hyper)
+        gives them, and zero scalars."""
+        return cls(**{name: np.zeros(shape)
+                      for name, shape in cls.shapes(hyper).items()})
 
 
 def tag_residual_sq(y_sq, b, w, w_yt):

@@ -77,12 +77,20 @@ def committed_history(rng, hyper, n_chunks, n):
     return state, stats, chunks, codes, weights
 
 
+def checkpoint_header(path):
+    """A checkpoint file's JSON header, its array specs included."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen])
+
+
 def read_checkpoint_fields(path):
     """(meta, arrays by name) of a checkpoint file, read from its layout."""
     with open(path, "rb") as fh:
         blob = fh.read()
     (hlen,) = struct.unpack("<Q", blob[8:16])
-    meta = json.loads(blob[16:16 + hlen])
+    meta = checkpoint_header(path)
     arrays, offset = {}, 16 + hlen
     for spec in meta.pop("arrays"):
         a = np.frombuffer(blob, np.dtype(spec["dtype"]),

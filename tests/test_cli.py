@@ -137,7 +137,12 @@ class TestTrain:
         assert run_train(workdir, str(ckpt), extra=["--chunks", "1"]) == 0
         before = ckpt.read_bytes()
         cfg = tmp_path / "changed.cfg"
-        cfg.write_text(Path(workdir["config"]).read_text() + config)
+        # the changed seed replaces the config's own: a key set twice is
+        # refused
+        text = Path(workdir["config"]).read_text()
+        if config:
+            text = text.replace("seed = 7\n", config)
+        cfg.write_text(text)
 
         def no_chunks(self, i):
             raise AssertionError(f"chunk {i} was read")
@@ -149,6 +154,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert all(text in err for text in refused), err
         assert ckpt.read_bytes() == before
+
+    def test_resume_refuses_a_served_index(self, workdir, tmp_path, capsys):
+        # one block more than rounds: resuming would start at chunk 2 and
+        # train chunk 1 a second time
+        ckpt = tmp_path / "served.ckpt"
+        assert run_train(workdir, str(ckpt), extra=["--chunks", "1"]) == 0
+        state, stats, blocks, p_history, seed = load_checkpoint(str(ckpt))
+        blocks.append(hash_queries(workdir["stream"].query_x, state))
+        dataio.save_checkpoint(str(ckpt), state, stats, blocks, p_history,
+                               seed)
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert run_train(workdir, str(ckpt), extra=["--resume"]) == 2
+        assert (f"{ckpt}: 1 round projections for 2 code blocks; a trainer "
+                f"needs one per round") in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+        assert cli.main(["query", "--config", workdir["config"],
+                         "--checkpoint", str(ckpt), "--features",
+                         workdir["queries"],
+                         "--out", str(tmp_path / "hits.tsv")]) == 0
 
     def test_resume_compares_after_variant_overrides(self, workdir,
                                                      tmp_path, capsys):

@@ -223,6 +223,14 @@ class TestEmbeddings:
         with pytest.raises(LoadError, match="empty"):
             read_embedding_file(str(path))
 
+    def test_repeated_token_is_refused(self, tmp_path):
+        # the second vector must not silently replace the first
+        path = tmp_path / "emb.txt"
+        path.write_text("cat 1.0 2.0\ndog 3.0 4.0\n\ncat 5.0 6.0\n")
+        with pytest.raises(LoadError, match=f"{path}: line 4: token 'cat' "
+                                            f"repeats line 1$"):
+            read_embedding_file(str(path))
+
 
 class TestPruning:
     def test_min_count_boundary_inclusive(self):
@@ -363,6 +371,14 @@ class TestManifestAndConfig:
         path = tmp_path / "run.cfg"
         path.write_text("bits 32\n")
         with pytest.raises(ConfigError, match="line 1"):
+            load_config(str(path))
+
+    def test_config_key_set_twice_is_refused(self, tmp_path):
+        # the last value must not silently win
+        path = tmp_path / "run.cfg"
+        path.write_text("bits = 16\n# a comment\nalpha = 300\n bits=32 \n")
+        with pytest.raises(ConfigError, match=f"{path}: line 4: bits is set "
+                                              f"again, first on line 1$"):
             load_config(str(path))
 
 
@@ -537,6 +553,91 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["ck.bin"]
 
+    @pytest.mark.parametrize("part, message", [
+        ("w", r"w is \(9, 8\), expected <f8 \(8, 9\) for r=8, m=16, f=8, "
+              r"c=9$"),
+        ("c3", r"c3 is \(16, 15\), expected <f8 \(16, 16\)"),
+        ("block", r"codes_packed is \[\(40, 1\), \(3, 2\)\], expected <u8 "
+                  r"\(43, 1\)"),
+        ("projection", r"p_history is \[\(1, 16, 8\), \(1, 8, 16\)\], "
+                       r"expected <f8 \(2, 16, 8\)"),
+    ], ids=["transposed-w", "c3", "70-bit-block", "transposed-projection"])
+    def test_save_refuses_an_array_unlike_the_layout(self, tmp_path, part,
+                                                      message):
+        # refused before the file beside path is opened, so the checkpoint
+        # already there keeps its bytes
+        trainer, _ = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        trainer.save(str(path))
+        before = path.read_bytes()
+        state, stats = trainer.state, trainer.stats
+        blocks, p_history = trainer.code_blocks, trainer.p_history
+        if part == "w":
+            state.w = state.w.T.copy()
+        elif part == "c3":
+            stats.c3 = stats.c3[:, :15]
+        elif part == "block":
+            blocks = blocks + [codes.CodeBlock(np.zeros((3, 2), "<u8"), 70)]
+        else:
+            p_history = p_history + [state.p.T.copy()]
+            state.p = p_history[-1]
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(str(path), state, stats, blocks, p_history, 0)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
+
+    def test_a_checkpoint_holds_at_least_one_round(self, tmp_path):
+        # neither written nor read: P and the round count come from the
+        # history, and a file of no round has no P to give
+        trainer, _ = trained_trainer(1)
+        path = tmp_path / "ck.bin"
+        with pytest.raises(ValueError, match="p_history is empty: a "
+                                             "checkpoint holds at least one "
+                                             "round$"):
+            save_checkpoint(str(path), trainer.state, trainer.stats, [], [],
+                            0)
+        assert os.listdir(tmp_path) == []
+        trainer.save(str(path))
+        meta, arrays = read_checkpoint_fields(str(path))
+        arrays["p_history"] = arrays["p_history"][:0]
+        arrays["codes_rows"] = arrays["codes_rows"][:0]
+        arrays["codes_packed"] = arrays["codes_packed"][:0]
+        write_checkpoint_fields(str(path), meta, arrays)
+        with pytest.raises(LoadError, match=re.escape(
+                f"{path}: p_history has shape [0, 16, 8], whose axis 0 is "
+                f"not an integer >= 1")):
+            load_checkpoint(str(path))
+
+    def test_arrays_in_another_order_are_refused(self, tmp_path):
+        # every array present, once, and of its layout's shape, but c1 and
+        # c2 change places in the header and in the bytes
+        path = str(tmp_path / "ck.bin")
+        trained_trainer(2)[0].save(path)
+        meta, arrays = read_checkpoint_fields(path)
+        names = list(arrays)
+        i, j = names.index("c1"), names.index("c2")
+        names[i], names[j] = names[j], names[i]
+        write_checkpoint_fields(path, meta, {n: arrays[n] for n in names})
+        with pytest.raises(LoadError, match=re.escape(
+                f"{path}: c2 is <f8 (8, 16), expected c1 <f8 (8, 8) for r=8, "
+                f"m=16, f=8, c=9")):
+            load_checkpoint(path)
+
+    def test_a_served_index_is_not_a_trainer(self, tmp_path):
+        # codes hashed after training make more blocks than rounds; resuming
+        # would start at chunk len(p_history) and train a chunk twice
+        trainer, stream = trained_trainer(2)
+        served = trainer.code_blocks + [
+            retrieval.hash_queries(stream.query_x, trainer.state)]
+        path = str(tmp_path / "ck.bin")
+        save_checkpoint(path, trainer.state, trainer.stats, served,
+                        trainer.p_history, trainer.seed)
+        with pytest.raises(LoadError, match=f"{path}: 2 round projections "
+                                            f"for 3 code blocks; a trainer "
+                                            f"needs one per round"):
+            StreamTrainer.from_checkpoint(path, stream.table)
+        assert len(load_checkpoint(path)[2]) == 3
+
     @pytest.mark.parametrize("layout", REFUSALS)
     def test_other_layout_is_refused(self, tmp_path, layout):
         path = str(tmp_path / "ck.bin")
@@ -624,7 +725,7 @@ class TestCheckpoint:
         meta, arrays = read_checkpoint_fields(path)
         arrays[name] = np.zeros(shape)
         write_checkpoint_fields(path, meta, arrays)
-        with pytest.raises(LoadError, match=rf"{name} is float64 "
+        with pytest.raises(LoadError, match=rf"{name} is <f8 "
                                             rf"\({shape[0]}, .*r=8, m=16"):
             load_checkpoint(path)
 
@@ -639,7 +740,7 @@ class TestCheckpoint:
         arrays["codes_packed"] = words
         write_checkpoint_fields(path, meta, arrays)
         with pytest.raises(LoadError, match=r"codes_packed is .*expected "
-                                            r"<u8 \(\*, 1\)"):
+                                            r"<u8 \(80, 1\)"):
             load_checkpoint(path)
 
     def test_packed_padding_bits_must_be_zero(self, tmp_path):
@@ -689,16 +790,33 @@ class TestCheckpointHeader:
     @pytest.mark.parametrize("edit, message", [
         (lambda h: [h], "header is a JSON list, not an object"),
         (lambda h: h.update(arrays={"c1": []}), "arrays is not a list"),
-        (lambda h: spec(h, "c1").pop("name"), "array spec .* needs a name"),
-        (lambda h: spec(h, "c1").update(name="seed"),
-         "array spec .* needs a name that no header field has"),
-        (lambda h: spec(h, "c1").pop("dtype"), "c1 has dtype None, not one"),
+        (lambda h: spec(h, "c1").pop("name"),
+         r"checkpoint stores \{'dtype': '<f8', 'shape': \[8, 8\]\}, which "
+         r"version 2 does not$"),
+        (lambda h: spec(h, "c1").update(name="seed"), "checkpoint lacks c1$"),
+        (lambda h: spec(h, "c1").pop("dtype"),
+         r"c1 is None \(8, 8\), expected <f8 \(8, 8\)"),
         (lambda h: spec(h, "c1").update(dtype="|O"),
-         "c1 has dtype '[|]O', not one of"),
-        (lambda h: spec(h, "c1").update(dtype=">f8"), "c1 has dtype '>f8'"),
+         r"c1 is [|]O \(8, 8\), expected <f8 \(8, 8\)"),
+        (lambda h: spec(h, "c1").update(dtype=">f8"),
+         r"c1 is >f8 \(8, 8\), expected <f8 \(8, 8\)"),
         (lambda h: spec(h, "c1").update(shape=[-8, -8]),
-         r"c1 has shape \[-8, -8\], not a list of integers >= 0"),
-        (lambda h: spec(h, "c1").update(shape=[8.0, 8]), "c1 has shape"),
+         r"c1 is <f8 \(-8, -8\), expected <f8 \(8, 8\) for r=8, m=16, f=8, "
+         r"c=9$"),
+        (lambda h: spec(h, "c1").update(shape=[8.0, 8]),
+         r"c1 is <f8 \(8.0, 8\), expected <f8 \(8, 8\)"),
+        (lambda h: spec(h, "c1").update(dtype="<f8", extra=1),
+         r"c1 is <f8 \(8, 8\), expected <f8 \(8, 8\)"),
+        (lambda h: spec(h, "anchors").update(shape=[16]),
+         r"anchors has shape \[16\], whose axis 1 is not an integer >= 0$"),
+        (lambda h: spec(h, "codes_rows").update(shape=[True]),
+         r"codes_rows has shape \[True\], whose axis 0 is not an integer "
+         r">= 0$"),
+        (lambda h: spec(h, "codes_packed").update(shape=[40.0, 1]),
+         r"codes_packed has shape \[40.0, 1\], whose axis 0 is not an "
+         r"integer >= 0$"),
+        (lambda h: spec(h, "p_history").update(shape="1"),
+         r"p_history has shape '1', whose axis 0 is not an integer >= 1$"),
         (lambda h: h["hyper"].update(r=0),
          "bad hyper: r must be an integer >= 1, got 0"),
         (lambda h: h["hyper"].update(r=8.0),
@@ -722,7 +840,9 @@ class TestCheckpointHeader:
         (lambda h: h.update(seed=False), "seed must be an integer >= 0"),
     ], ids=["list", "arrays-not-list", "no-name", "name-of-a-field",
             "no-dtype", "object-dtype", "big-endian", "negative-dimension",
-            "float-dimension", "r-0", "r-float", "iters-float",
+            "float-dimension", "extra-spec-key", "anchors-1-d",
+            "bool-block-count", "float-row-count", "string-shape", "r-0",
+            "r-float", "iters-float",
             "tag-regression-string", "sz-string", "sy-weighted-bool",
             "kernel-width-inf", "kernel-width-0", "seed-string", "seed-float",
             "seed-negative", "seed-bool"])
