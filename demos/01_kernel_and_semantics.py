@@ -6,7 +6,7 @@ vector per image.
 """
 import numpy as np
 
-from taghash.kernel import build_anchor_set, rbf_map
+from taghash.kernel import build_anchor_set
 from taghash.semantics import EmbeddingTable, pool_semantics
 
 rng = np.random.default_rng(0)
@@ -17,11 +17,12 @@ x = np.vstack([
     rng.normal(5.0, 1.0, size=(100, 6)),
 ])
 
-anchors = build_anchor_set(x, m=12, seed=0)
+# the first chunk fixes the anchors and the width, and one distance
+# matrix gives both the width and the chunk's kernel features; later chunks
+# and queries are mapped with rbf_map against the same anchors
+anchors, phi = build_anchor_set(x, m=12, seed=0)
 print(f"anchor set: {anchors.m} anchors, kernel width "
       f"{anchors.kernel_width:.3f}")
-
-phi = rbf_map(x, anchors)
 print(f"kernel features: shape {phi.shape}, "
       f"range [{phi.min():.4f}, {phi.max():.4f}]")
 

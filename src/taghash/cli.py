@@ -278,20 +278,25 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = _settings(args)
     state, _, blocks, p_history, _ = dataio.load_checkpoint(cfg["checkpoint"])
+    if len(blocks) != len(p_history):
+        raise LoadError(
+            f"evaluation refused: {cfg['checkpoint']}: {len(p_history)} round "
+            f"projections for {len(blocks)} code blocks; a MAP curve needs "
+            f"one per round")
     manifest = ChunkManifest.from_file(cfg["manifest"])
     if not manifest.labels_dim:
         raise LoadError("evaluation refused: manifest declares no labels")
-    if len(manifest.chunks) < len(blocks):
+    if len(manifest.chunks) < len(p_history):
         raise LoadError(
             f"evaluation refused: manifest lists {len(manifest.chunks)} "
-            f"chunks but the checkpoint has {len(blocks)} rounds")
+            f"chunks but the checkpoint has {len(p_history)} rounds")
     qx = dataio.load_features(cfg["queries"])
     if len(qx) == 0:
         raise LoadError(f"{cfg['queries']}: no queries")
     q_labels = dataio.load_tags(cfg["query_labels"], manifest.labels_dim,
                                 qx.shape[0], manifest.tag_format)
     db_labels = []
-    for i in range(len(blocks)):
+    for i in range(len(p_history)):
         _, _, labels = manifest.load_chunk(i)
         if labels is None:
             raise LoadError(f"evaluation refused: chunk {i} has no labels")

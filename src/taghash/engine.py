@@ -57,20 +57,12 @@ class StreamTrainer:
         self.p_history = []
         self.round_times = []
 
-    def prepare_round(self, x, y, anchors):
-        """Kernelize features against the anchor set and pool tag semantics
-        for one chunk.
-
-        The tags, dense or sparse, become one float64 CSR matrix, built from
-        their nonzeros, which pooling and the round share.
-        """
-        phi = rbf_map(x, anchors)
-        y = tag_matrix(y)
-        sem = pool_semantics(y, self.table)
-        return RoundData(phi=phi, y=y, z=sem.z)
-
     def process_chunk(self, x, y):
         """Run one full round on a raw chunk; returns (codes, trace).
+
+        The chunk's kernel features come with the anchor set from
+        build_anchor_set in the first round and from rbf_map after it; its
+        tags, as one float64 CSR matrix, are pooled into semantics.
 
         A chunk is refused with ValueError before it changes anything when
         it has no rows or its tags are not an (n, c) matrix of 0s and 1s
@@ -80,10 +72,12 @@ class StreamTrainer:
         x, y = _checked_chunk(x, y, self.hyper.c)
         state, stats = self.state, self.stats
         if state is None:
-            anchors = build_anchor_set(x, self.hyper.m, self.seed)
+            anchors, phi = build_anchor_set(x, self.hyper.m, self.seed)
             state = ModelState.fresh(anchors, self.hyper)
             stats = AccumStats.zeros(self.hyper)
-        chunk = self.prepare_round(x, y, state.anchors)
+        else:
+            phi = rbf_map(x, state.anchors)
+        chunk = RoundData(phi=phi, y=y, z=pool_semantics(y, self.table).z)
         rnd = len(self.p_history)
         start = time.perf_counter()
         codes, trace = run_round(state, stats, chunk, [self.seed, rnd], rnd)

@@ -119,13 +119,16 @@ def mean_average_precision(query_codes, index, judgments, cutoff=None):
 
     The index, a CodeBlock, holds the first index.n records of the
     judgments' database, as every round of a MAP curve does.  Each query
-    ranks the whole index, as hamming_rank does for k=None, and a cutoff
-    keeps the first cutoff rows.  Returns (map_value, n_excluded).
+    ranks the whole index, as hamming_rank does for k=None, and a cutoff,
+    an integer >= 1, keeps the first cutoff rows.  Returns (map_value,
+    n_excluded).
     """
     if index.n > len(judgments.db_labels):
         raise ValueError(
             f"index holds {index.n} records but only "
             f"{len(judgments.db_labels)} database records have labels")
+    if isinstance(cutoff, (int, np.integer)) and cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1 or None, got {cutoff!r}")
     _check_queries(query_codes.packed, index, cutoff)
     aps = []
     excluded = 0

@@ -48,8 +48,8 @@ class AnchorSet:
 def select_anchors(first_chunk, m, seed):
     """Sample m distinct rows of the first chunk, uniformly without replacement.
 
-    Returns the (m, d) anchor matrix; pair it with compute_kernel_width to
-    build an AnchorSet.
+    Returns the (m, d) anchor matrix; build_anchor_set pairs it with the
+    kernel width.
     """
     x = np.asarray(first_chunk, dtype=np.float64)
     n = x.shape[0]
@@ -73,21 +73,12 @@ def _pairwise_dists(x, anchors, anchor_sq):
     return np.sqrt(d, out=d)
 
 
-def compute_kernel_width(x, anchors):
-    """Mean Euclidean distance over all (sample, anchor) pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    if x.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    if x.shape[1] != anchors.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: samples are {x.shape[1]}-D, "
-            f"anchors are {anchors.shape[1]}-D")
-    anchor_sq = np.sum(anchors * anchors, axis=1)
-    sigma = float(np.mean(_pairwise_dists(x, anchors, anchor_sq)))
-    if sigma == 0.0:
-        raise DegenerateKernelError("all samples equal all anchors")
-    return sigma
+def _similarities(d, sigma):
+    # exp(-d^2 / (2 sigma^2)) of the distances d, written into d's buffer
+    np.multiply(d, d, out=d)
+    np.negative(d, out=d)
+    d /= 2.0 * sigma ** 2
+    return np.exp(d, out=d)
 
 
 def check_feature_shape(x, anchor_set):
@@ -109,20 +100,28 @@ def rbf_map(x, anchor_set):
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or inf")
     d = _pairwise_dists(x, anchor_set.anchors, anchor_set.sq_norms)
-    np.multiply(d, d, out=d)
-    np.negative(d, out=d)
-    d /= 2.0 * anchor_set.kernel_width ** 2
-    return np.exp(d, out=d)
+    return _similarities(d, anchor_set.kernel_width)
 
 
 def build_anchor_set(first_chunk, m, seed):
-    """Anchor selection + width estimation from the first chunk.
+    """Fit the kernel on the first chunk; returns (AnchorSet, phi).
 
-    Raises ValueError on NaN or inf features, as rbf_map does.
+    The anchors are select_anchors' m rows of the chunk, the width is the
+    mean distance over all (sample, anchor) pairs, and phi is the chunk's
+    rbf_map against that anchor set, formed in the buffer of the same
+    distance matrix.  Raises ValueError on NaN or inf features, as rbf_map
+    does, and on features so large that the width is not finite.
     """
     x = np.asarray(first_chunk, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("features contain NaN or inf")
     anchors = select_anchors(x, m, seed)
-    sigma = compute_kernel_width(x, anchors)
-    return AnchorSet(anchors, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _pairwise_dists(x, anchors, np.sum(anchors * anchors, axis=1))
+        sigma = float(np.mean(d))
+    if not np.isfinite(sigma):
+        raise ValueError("features too large for the kernel: the mean "
+                         "sample-anchor distance is not finite")
+    if sigma == 0.0:
+        raise DegenerateKernelError("all samples equal all anchors")
+    return AnchorSet(anchors, sigma), _similarities(d, sigma)

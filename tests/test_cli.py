@@ -720,6 +720,29 @@ class TestExitCodes:
                          workdir["queries"],
                          "--out", str(tmp_path / "hits.tsv")]) == 0
 
+    def test_eval_refuses_a_served_index_before_reading_chunks(
+            self, workdir, tmp_path, capsys, monkeypatch):
+        # 2 rounds and one code block more: however many chunks the
+        # manifest lists, the refusal names the projections and the blocks,
+        # and no chunk or query file is read first
+        ckpt = str(tmp_path / "served.ckpt")
+        assert run_train(workdir, ckpt, extra=["--chunks", "2"]) == 0
+        state, stats, blocks, p_history, seed = load_checkpoint(ckpt)
+        blocks.append(hash_queries(workdir["stream"].query_x, state))
+        dataio.save_checkpoint(ckpt, state, stats, blocks, p_history, seed)
+        read = []
+        monkeypatch.setattr(ChunkManifest, "load_chunk",
+                            lambda self, i: read.append(i))
+        monkeypatch.setattr(dataio, "load_features", read.append)
+        chunks = ChunkManifest.from_file(workdir["manifest"]).chunks
+        for n in (2, 3):
+            capsys.readouterr()
+            assert self.eval_with_chunks(workdir, ckpt, chunks[:n],
+                                         tmp_path) == 2
+            err = capsys.readouterr().err
+            assert f"{ckpt}: 2 round projections for 3 code blocks" in err
+        assert read == []
+
     def test_eval_without_queries_is_data_error(self, workdir, three_rounds,
                                                 tmp_path, capsys):
         queries = str(tmp_path / "none.bin")

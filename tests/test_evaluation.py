@@ -260,6 +260,17 @@ class TestMeanAveragePrecision:
         assert np.isfinite(full) and np.isfinite(cut)
         assert 0.0 <= cut <= 1.0
 
+    @pytest.mark.parametrize("cutoff", [0, -2])
+    def test_cutoff_below_one_is_refused(self, cutoff):
+        rng = np.random.default_rng(4)
+        queries = code_block(random_codes(rng, 3, 8))
+        judgments = EvalJudgments(query_labels=np.ones((3, 2), dtype=int),
+                                  db_labels=np.ones((10, 2), dtype=int))
+        index = make_index(random_codes(rng, 10, 8).astype(np.int8))
+        with pytest.raises(ValueError,
+                           match=f"cutoff must be >= 1 or None, got {cutoff}"):
+            mean_average_precision(queries, index, judgments, cutoff=cutoff)
+
     @pytest.mark.parametrize("n_q, sub_index, cutoff", [
         (QUERY_BLOCK - 1, False, None),
         (3 * QUERY_BLOCK + 5, False, None),

@@ -4,11 +4,14 @@ import pickle
 import numpy as np
 import pytest
 
+from taghash import kernel
 from taghash.engine import StreamTrainer
 from taghash.kernel import (AnchorSet, DegenerateKernelError,
-                            InsufficientDataError, build_anchor_set,
-                            compute_kernel_width, rbf_map, select_anchors)
-from taghash.model import Hyperparams
+                            InsufficientDataError, build_anchor_set, rbf_map,
+                            select_anchors)
+from taghash.model import AccumStats, Hyperparams, ModelState, RoundData
+from taghash.optimizer import run_round
+from taghash.semantics import pool_semantics
 from taghash.synthetic import make_cluster_stream
 
 
@@ -40,36 +43,93 @@ class TestSelectAnchors:
             select_anchors(np.zeros((3, 2)), 4, seed=0)
 
 
+def width(x, m, seed=0):
+    return build_anchor_set(x, m, seed)[0].kernel_width
+
+
 class TestKernelWidth:
+    # build_anchor_set's width: the mean distance over all (sample, anchor)
+    # pairs, the anchors drawn from the samples
+
     def test_single_pair_345(self):
-        assert compute_kernel_width([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
+        # one pair 5 apart, each way, and two zero self-pairs
+        assert width([[0.0, 0.0], [3.0, 4.0]], 2) == 2.5
 
     def test_symmetric_two_point(self):
-        assert compute_kernel_width([[0.0], [2.0]], [[0.0], [2.0]]) == 1.0
+        assert width([[0.0], [2.0]], 2) == 1.0
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(50, 8))
-        anchors = rng.normal(size=(5, 8))
+        anchors = build_anchor_set(x, 5, seed=3)[0].anchors
         total = 0.0
         for i in range(50):
             for j in range(5):
                 total += np.sqrt(np.sum((x[i] - anchors[j]) ** 2))
         expected = total / (50 * 5)
-        assert compute_kernel_width(x, anchors) == pytest.approx(
-            expected, abs=1e-12)
+        assert width(x, 5, seed=3) == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_invariant(self):
+        # with m = n every row is an anchor, whatever the seed draws
         rng = np.random.default_rng(4)
         x = rng.normal(size=(12, 3))
-        anchors = rng.normal(size=(4, 3))
-        base = compute_kernel_width(x, anchors)
-        assert compute_kernel_width(x[::-1], anchors[::-1]) == pytest.approx(
-            base, rel=1e-14)
+        assert width(x[::-1], 12, seed=5) == pytest.approx(
+            width(x, 12), rel=1e-14)
 
     def test_all_identical_is_degenerate(self):
-        with pytest.raises(DegenerateKernelError):
-            compute_kernel_width([[1.0, 1.0]], [[1.0, 1.0]])
+        for n in (1, 3):
+            with pytest.raises(DegenerateKernelError):
+                build_anchor_set(np.ones((n, 2)), 1, seed=0)
+
+
+class TestFirstChunkFeatures:
+    @pytest.mark.parametrize("dtype, n, m", [
+        (np.float64, 40, 8), (np.float32, 40, 8), (np.float64, 12, 12)])
+    def test_phi_byte_equal_to_rbf_map(self, dtype, n, m):
+        x = np.random.default_rng(n + m).normal(size=(n, 6)).astype(dtype)
+        aset, phi = build_anchor_set(x, m, seed=2)
+        want = rbf_map(x, aset)
+        assert phi.dtype == want.dtype and phi.shape == want.shape
+        assert phi.tobytes() == want.tobytes()
+
+    def test_first_round_forms_one_distance_matrix(self, monkeypatch):
+        calls = []
+        pairwise = kernel._pairwise_dists
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return pairwise(*args)
+
+        monkeypatch.setattr(kernel, "_pairwise_dists", counted)
+        stream = make_cluster_stream(n_rounds=2, n_per_round=30, d=6, f=4,
+                                     n_queries=5, seed=4)
+        trainer = StreamTrainer(Hyperparams(r=8, m=10, f=4, c=9, iters=2,
+                                            dcc_sweeps=1),
+                                stream.table, seed=0)
+        trainer.process_chunk(*stream.chunks[0])
+        assert calls == [(30, 6)]
+        trainer.process_chunk(*stream.chunks[1])
+        assert calls == [(30, 6), (30, 6)]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_first_round_equals_run_round_on_rbf_map(self, seed):
+        stream = make_cluster_stream(n_rounds=1, n_per_round=40, d=6, f=4,
+                                     n_queries=5, seed=seed)
+        hyper = Hyperparams(r=8, m=10, f=4, c=9, iters=2, dcc_sweeps=1)
+        x, y = stream.chunks[0]
+        trainer = StreamTrainer(hyper, stream.table, seed=seed)
+        codes, trace = trainer.process_chunk(x, y)
+
+        anchors = build_anchor_set(x, hyper.m, seed)[0]
+        state = ModelState.fresh(anchors, hyper)
+        stats = AccumStats.zeros(hyper)
+        chunk = RoundData(phi=rbf_map(x, anchors), y=y,
+                          z=pool_semantics(y, stream.table).z)
+        want_codes, want_trace = run_round(state, stats, chunk, [seed, 0], 0)
+        assert trace == want_trace
+        assert codes.packed.tobytes() == want_codes.packed.tobytes()
+        assert pickle.dumps((trainer.state, trainer.stats)) == pickle.dumps(
+            (state, stats))
 
 
 class TestRbfMap:
@@ -99,7 +159,7 @@ class TestRbfMap:
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(9)
-        aset = build_anchor_set(rng.normal(size=(40, 6)), 8, seed=0)
+        aset = build_anchor_set(rng.normal(size=(40, 6)), 8, seed=0)[0]
         phi = rbf_map(rng.normal(size=(30, 6)), aset)
         assert np.all(phi > 0.0) and np.all(phi <= 1.0)
 
@@ -177,8 +237,6 @@ class TestTrainerInput:
         x = x.copy()
         x[3, 2] = np.nan
         with pytest.raises(ValueError, match="NaN or inf"):
-            trainer.prepare_round(x, y, trainer.state.anchors)
-        with pytest.raises(ValueError, match="NaN or inf"):
             trainer.process_chunk(x, y)
         assert len(trainer.p_history) == 1
         assert len(trainer.code_blocks) == 1
@@ -196,6 +254,25 @@ class TestTrainerInput:
         x = x.copy()
         x[3, 2] = bad
         with pytest.raises(ValueError, match="NaN or inf"):
+            trainer.process_chunk(x, y)
+        assert trainer.state is None
+        assert trainer.code_blocks == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_chunk_too_large_for_the_kernel_rejected(self, seed):
+        # one huge entry overflows the distances, whether or not its row is
+        # an anchor; the width is refused before any state exists, with no
+        # overflow warning on the way
+        stream = make_cluster_stream(n_rounds=1, n_per_round=100, d=6, f=4,
+                                     n_queries=5, seed=4)
+        trainer = StreamTrainer(Hyperparams(r=8, m=20, f=4, c=9, iters=2,
+                                            dcc_sweeps=1),
+                                stream.table, seed=seed)
+        x, y = stream.chunks[0]
+        x = x.copy()
+        x[57, 1] = 1e200
+        with pytest.raises(ValueError, match="features too large for the "
+                                             "kernel"):
             trainer.process_chunk(x, y)
         assert trainer.state is None
         assert trainer.code_blocks == []
