@@ -170,11 +170,26 @@ def _load_table(cfg, manifest):
     return table
 
 
-def _write_metrics(path, rows):
-    with open(path, "w", newline="") as fh:
+def _write_metrics(path, rows, append=False):
+    """Write rows to a metrics CSV, after its header unless appending;
+    closing the file flushes them."""
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "bits", "metric", "value"])
+        if not append:
+            writer.writerow(["round", "bits", "metric", "value"])
         writer.writerows(rows)
+
+
+def _start_train_metrics(path, resume, rounds):
+    """Start train's metrics CSV: a fresh run starts it over, a resumed one
+    keeps the header and the rows of the checkpoint's rounds and drops
+    later rows, written before a save that never landed."""
+    kept = []
+    if resume and os.path.exists(path):
+        with open(path, newline="") as fh:
+            kept = [row for row in list(csv.reader(fh))[1:]
+                    if row and int(row[0]) <= rounds]
+    _write_metrics(path, kept)
 
 
 def cmd_preprocess(args):
@@ -228,10 +243,18 @@ def cmd_train(args):
         for name in ("bits", "anchors"):
             if cfg[name] is None:
                 raise UsageError(f"train requires {_flag(name)}")
-    # hyperparameters and seed set by flag or config, then the variant's
+    # hyperparameters and seed set by flag or config, then the variant's,
+    # which may repeat a given value but not change it
     given = {name: cfg[name] for name in (*_FIELDS, "seed")
              if cfg[name] is not None}
-    given.update(ABLATION_VARIANTS[cfg["variant"]])
+    variant = ABLATION_VARIANTS[cfg["variant"]]
+    clashes = [f"--variant {cfg['variant']} sets {name} = {value!r} but "
+               f"{name} = {given[name]!r} was given"
+               for name, value in variant.items()
+               if name in given and given[name] != value]
+    if clashes:
+        raise UsageError("; ".join(clashes))
+    given.update(variant)
     manifest = ChunkManifest.from_file(cfg["manifest"])
     table = _load_table(cfg, manifest)
 
@@ -251,7 +274,8 @@ def cmd_train(args):
         trainer = StreamTrainer(hyper, table, seed)
 
     n_chunks = len(manifest.chunks[:cfg["chunks"]])
-    rows = []
+    if cfg["metrics"] is not None:
+        _start_train_metrics(cfg["metrics"], resume, len(trainer.p_history))
     for i in range(len(trainer.p_history), n_chunks):
         x, y, _ = manifest.load_chunk(i)
         tagless = int(np.sum(y.sum(axis=1) == 0))
@@ -261,14 +285,16 @@ def cmd_train(args):
         # a RoundAborted leaves the checkpoint at the last committed round
         _, trace = trainer.process_chunk(x, y)
         rnd = len(trainer.p_history)
-        rows.append((rnd, trainer.hyper.r, "round_time",
-                     f"{trainer.round_times[-1]:.6f}"))
+        rows = [(rnd, trainer.hyper.r, "round_time",
+                 f"{trainer.round_times[-1]:.6f}")]
         for j, obj in enumerate(trace, 1):
             rows.append((rnd, trainer.hyper.r, f"objective_iter_{j}",
                          repr(obj)))
+        # a round's rows land before its save, so every committed round
+        # keeps them
+        if cfg["metrics"] is not None:
+            _write_metrics(cfg["metrics"], rows, append=True)
         trainer.save(ckpt_path)
-    if cfg["metrics"] is not None:
-        _write_metrics(cfg["metrics"], rows)
     samples = sum(cb.n for cb in trainer.code_blocks)
     print(f"trained {len(trainer.p_history)} rounds "
           f"({samples} samples) -> {ckpt_path}")

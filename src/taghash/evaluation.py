@@ -5,7 +5,7 @@ database item is relevant to a query iff their label sets intersect.
 Queries with no relevant item in the database are excluded from MAP and
 counted.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,10 +19,20 @@ QUERY_BLOCK = 32
 
 @dataclass
 class EvalJudgments:
-    """Binary label matrices for queries and database records."""
+    """Binary label matrices for queries and database records, and the
+    relevance of every database record to every query.
+
+    relevant, a read-only (n_q, N) bool matrix, is formed from the labels
+    when the judgments are built, one label product per QUERY_BLOCK
+    queries, and serves every MAP and precision@k computed from them.  It
+    takes one byte per query and database record for as long as the
+    judgments are held, a direct mean_average_precision call included.  A
+    later in-place edit of the label arrays is not seen.
+    """
 
     query_labels: np.ndarray     # (n_q, L)
     db_labels: np.ndarray        # (N, L), one row per database row
+    relevant: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q, db = np.shape(self.query_labels), np.shape(self.db_labels)
@@ -30,53 +40,38 @@ class EvalJudgments:
             raise ValueError(
                 f"label matrices must be 2-D with equal widths, got query "
                 f"labels {q} and database labels {db}")
+        db_binary = (self.db_labels != 0).astype(np.float32)
+        self.relevant = np.empty((q[0], db[0]), dtype=bool)
+        for start in range(0, q[0], QUERY_BLOCK):
+            block = slice(start, start + QUERY_BLOCK)
+            self.relevant[block] = _intersects(self.query_labels[block],
+                                               db_binary)
+        self.relevant.flags.writeable = False
 
     def relevance(self, query_idx):
-        """Boolean relevance of every database row to the given queries.
-
-        query_idx is one query index, giving an (N,) row, or a slice or
-        index array, giving a (queries, N) matrix.  Labels are binarized
-        before the product, which runs in float32 (exact up to 2**24 shared
-        labels), so no count can wrap around in a narrow label dtype.
-        """
-        q = (self.query_labels[query_idx] != 0).astype(np.float32)
-        db = (self.db_labels != 0).astype(np.float32)
-        return (q @ db.T) > 0
+        """Rows of relevant: an (N,) row for one query index, a
+        (queries, N) matrix for a slice or index array."""
+        return self.relevant[query_idx]
 
 
-class _CurveJudgments(EvalJudgments):
-    """Judgments that build each block of relevance rows once.
+def _intersects(query_labels, db_binary):
+    """Whether each query's label set meets each binarized database row's.
 
-    The labels are the same in every round of a MAP curve, so the rounds
-    after the first reuse the blocks the first one built.  query_relevance
-    asks only for slices.  The blocks of all queries are held for the
-    curve: one byte per query and database record.
+    The query labels are binarized before the product, which runs in
+    float32 (exact up to 2**24 shared labels), so no count can wrap around
+    in a narrow label dtype.
     """
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._blocks = {}
-
-    def relevance(self, query_idx):
-        key = (query_idx.start, query_idx.stop, query_idx.step)
-        if key not in self._blocks:
-            self._blocks[key] = super().relevance(query_idx)
-        return self._blocks[key]
+    return ((query_labels != 0).astype(np.float32) @ db_binary.T) > 0
 
 
 def query_relevance(judgments, n_queries):
-    """Yield (query index, relevance row) for the first n_queries queries.
-
-    Rows come from one label product per QUERY_BLOCK queries.
-    """
+    """(query index, relevance row) for the first n_queries queries: the
+    rows of judgments.relevant, formed when the judgments were built."""
     if n_queries > len(judgments.query_labels):
         raise ValueError(
             f"{n_queries} queries but only {len(judgments.query_labels)} "
             f"rows of query labels")
-    for start in range(0, n_queries, QUERY_BLOCK):
-        block = judgments.relevance(
-            slice(start, min(start + QUERY_BLOCK, n_queries)))
-        yield from enumerate(block, start)
+    return enumerate(judgments.relevant[:n_queries])
 
 
 def average_precision(ranked_rows, relevant, total_relevant=None):
@@ -151,10 +146,10 @@ def map_per_round(snapshots, query_features, judgments, cutoff=None):
 
     snapshots: iterable of (round, ModelState-like with that round's hash
     projection, CodeBlock index of codes committed up to that round).
-    Queries are hashed with each round's own projection.  Returns a list of
-    (round, map_value) rows ready for CSV emission.
+    Queries are hashed with each round's own projection, and every round
+    reads the relevance rows the judgments formed when they were built.
+    Returns a list of (round, map_value) rows ready for CSV emission.
     """
-    judgments = _CurveJudgments(judgments.query_labels, judgments.db_labels)
     rows = []
     for rnd, state, index in snapshots:
         codes = hash_queries(query_features, state)

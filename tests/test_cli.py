@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import taghash
-from taghash import cli, dataio
+from taghash import cli, dataio, evaluation
 from taghash.dataio import ChunkManifest, load_checkpoint
 from taghash.engine import StreamTrainer
 from taghash.evaluation import EvalJudgments, mean_average_precision
@@ -122,6 +122,48 @@ class TestTrain:
         assert run_train(workdir, resumed, extra=["--chunks", "1"]) == 0
         assert run_train(workdir, resumed, extra=["--resume"]) == 0
         assert Path(straight).read_bytes() == Path(resumed).read_bytes()
+
+    def test_metrics_keep_every_committed_round_on_resume(self, workdir,
+                                                          tmp_path):
+        def rows(path):
+            with open(path, newline="") as fh:
+                return list(csv.reader(fh))
+
+        straight = tmp_path / "s.csv"
+        resumed = tmp_path / "r.csv"
+        ckpt = str(tmp_path / "r.ckpt")
+        assert run_train(workdir, str(tmp_path / "s.ckpt"),
+                         str(straight)) == 0
+        assert run_train(workdir, ckpt, str(resumed),
+                         extra=["--chunks", "2"]) == 0
+        # a row of round 3 written before a save that never landed
+        with open(resumed, "a") as fh:
+            fh.write("3,16,objective_iter_1,0.5\n")
+        assert run_train(workdir, ckpt, str(resumed),
+                         extra=["--resume"]) == 0
+        got = rows(resumed)
+        assert got[0] == ["round", "bits", "metric", "value"]
+        assert [r[0] for r in got if r[2] == "round_time"] == ["1", "2", "3"]
+        assert ([r for r in got if r[2].startswith("objective_")]
+                == [r for r in rows(straight)
+                    if r[2].startswith("objective_")])
+
+    def test_metrics_keep_committed_rounds_after_a_bad_chunk(self, workdir,
+                                                             tmp_path):
+        man = ChunkManifest.from_file(workdir["manifest"])
+        data = Path(man.chunks[2]["features"]).read_bytes()
+        short = tmp_path / "short.bin"
+        short.write_bytes(data[:-8])
+        man.chunks[2] = dict(man.chunks[2], features=str(short))
+        man_path = str(tmp_path / "m.json")
+        man.save(man_path)
+        metrics = tmp_path / "m.csv"
+        assert run_train(workdir, str(tmp_path / "c.ckpt"), str(metrics),
+                         extra=["--manifest", man_path]) == 2
+        with open(metrics, newline="") as fh:
+            got = list(csv.reader(fh))[1:]
+        assert sorted({r[0] for r in got}) == ["1", "2"]
+        assert sum(r[2] == "round_time" for r in got) == 2
 
     @pytest.mark.parametrize("extra, config, refused", [
         (["--bits", "32", "--anchors", "30", "--alpha", "5"], "",
@@ -305,6 +347,23 @@ class TestEvalAndQuery:
         pk = [float(r[3]) for r in rows if r[2] == "precision_at_5"]
         assert len(pk) == 1 and 0.0 <= pk[0] <= 1.0
 
+    def test_eval_forms_relevance_once(self, workdir, trained, monkeypatch):
+        # one label product for the 30 queries; the MAP curve and the
+        # precision@k loop read its rows
+        products, reads = [], []
+        real_product = evaluation._intersects
+        monkeypatch.setattr(evaluation, "_intersects", lambda q, db: (
+            products.append(len(q)) or real_product(q, db)))
+        monkeypatch.setattr(EvalJudgments, "relevance",
+                            lambda self, idx: reads.append(idx))
+        rc = cli.main([
+            "eval", "--config", workdir["config"], "--checkpoint", trained,
+            "--queries", workdir["queries"],
+            "--query-labels", workdir["query_labels"], "--precision-k", "5"])
+        assert rc == 0
+        assert products == [30]
+        assert reads == []
+
     def test_query_matches_library_ranking(self, workdir, trained):
         out = str(workdir["root"] / "hits.tsv")
         rc = cli.main([
@@ -370,6 +429,34 @@ class TestAblate:
                          "--chunks", "1"]) == 0
         state, *_ = load_checkpoint(ckpt)
         assert state.hyper.theta == 0 and not state.hyper.tag_regression
+
+    @pytest.mark.parametrize("variant, flags, config, message", [
+        ("woh-1", ["--theta", "0.5"], "",
+         "--variant woh-1 sets theta = 0.0 but theta = 0.5 was given"),
+        ("woh-3", [], "alpha = 2\n",
+         "--variant woh-3 sets alpha = 0.0 but alpha = 2.0 was given"),
+    ], ids=["flag", "config"])
+    def test_variant_changing_a_given_setting_is_usage_error(
+            self, workdir, tmp_path, capsys, variant, flags, config,
+            message):
+        # refused before any file is read: the manifest does not exist
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(Path(workdir["config"]).read_text() + config)
+        ckpt = tmp_path / "c.ckpt"
+        rc = cli.main(["train", "--config", str(cfg), "--checkpoint",
+                       str(ckpt), "--variant", variant,
+                       "--manifest", str(tmp_path / "missing.json")] + flags)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_variant_repeating_a_given_setting_trains(self, workdir,
+                                                      tmp_path):
+        ckpt = str(tmp_path / "c.ckpt")
+        assert run_train(workdir, ckpt, extra=[
+            "--variant", "woh-1", "--theta", "0.0", "--chunks", "1"]) == 0
+        state, *_ = load_checkpoint(ckpt)
+        assert state.hyper.theta == 0.0
 
     def test_unknown_variant_is_usage_error(self, workdir, capsys):
         rc = cli.main(["train", "--config", workdir["config"],

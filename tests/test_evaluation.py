@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taghash import evaluation
 from taghash.codes import CodeBlock, pack_codes
 from taghash.model import Hyperparams
 from taghash.evaluation import (QUERY_BLOCK, EvalJudgments,
@@ -58,6 +59,38 @@ class TestEvalJudgments:
             assert np.array_equal(row, judgments.relevance(qi))
         assert np.array_equal(judgments.relevance(np.array([5, 2])),
                               block[[3, 0]])
+
+    @pytest.mark.parametrize("dtype", [np.int8, bool, np.float64])
+    @pytest.mark.parametrize("n_q", [0, 1, QUERY_BLOCK, 2 * QUERY_BLOCK + 3])
+    def test_relevant_is_label_intersection(self, dtype, n_q):
+        rng = np.random.default_rng(n_q)
+        labels_q = ((rng.random((n_q, 6)) < 0.3)
+                    * rng.choice([-2, 1, 3], (n_q, 6))).astype(dtype)
+        labels_db = ((rng.random((50, 6)) < 0.3)
+                     * rng.choice([-2, 1, 3], (50, 6))).astype(dtype)
+        if dtype is np.float64:
+            labels_q = labels_q * 0.5
+            labels_db = labels_db * 0.25
+        judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
+        want = [[bool(set(np.flatnonzero(q)) & set(np.flatnonzero(d)))
+                 for d in labels_db] for q in labels_q]
+        assert judgments.relevant.dtype == bool
+        assert judgments.relevant.shape == (n_q, 50)
+        assert judgments.relevant.tolist() == want
+
+    def test_relevant_is_read_only_and_fixed_when_built(self):
+        labels_q = np.array([[1, 0], [0, 1]], dtype=np.int8)
+        labels_db = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8)
+        judgments = EvalJudgments(query_labels=labels_q, db_labels=labels_db)
+        want = [[True, True, False], [False, False, True]]
+        with pytest.raises(ValueError, match="read-only"):
+            judgments.relevant[0, 2] = True
+        with pytest.raises(ValueError, match="read-only"):
+            judgments.relevance(slice(0, 1))[0, 2] = True
+        with pytest.raises(ValueError, match="read-only"):
+            judgments.relevance(1)[0] = True
+        labels_db[2] = 1
+        assert judgments.relevant.tolist() == want
 
     def test_query_relevance_covers_every_query_in_order(self):
         rng = np.random.default_rng(6)
@@ -321,16 +354,18 @@ class TestMapPerRound:
         assert got == want
 
     def test_relevance_built_once_per_curve(self, monkeypatch):
-        calls = []
-        real = EvalJudgments.relevance
-
-        def counting(self, query_idx):
-            calls.append(query_idx)
-            return real(self, query_idx)
-
-        monkeypatch.setattr(EvalJudgments, "relevance", counting)
+        # one label product per QUERY_BLOCK queries when the judgments are
+        # built, and none while curves are computed from them
+        products, reads = [], []
+        real_product = evaluation._intersects
+        real_relevance = EvalJudgments.relevance
+        monkeypatch.setattr(evaluation, "_intersects", lambda q, db: (
+            products.append(len(q)) or real_product(q, db)))
+        monkeypatch.setattr(EvalJudgments, "relevance", lambda self, idx: (
+            reads.append(idx) or real_relevance(self, idx)))
         snapshots, query_x, judgments = self.curve_inputs(2 * QUERY_BLOCK + 5)
-        map_per_round(snapshots, query_x, judgments)
-        assert calls == [slice(0, QUERY_BLOCK), slice(QUERY_BLOCK,
-                                                      2 * QUERY_BLOCK),
-                         slice(2 * QUERY_BLOCK, 2 * QUERY_BLOCK + 5)]
+        assert products == [QUERY_BLOCK, QUERY_BLOCK, 5]
+        first = map_per_round(snapshots, query_x, judgments)
+        assert map_per_round(snapshots, query_x, judgments) == first
+        assert products == [QUERY_BLOCK, QUERY_BLOCK, 5]
+        assert reads == []
